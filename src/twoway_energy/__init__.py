@@ -37,9 +37,11 @@ from .inner import (
 from .outer import (
     JointStatePolicy,
     OuterBoundValues,
+    SweepRow,
     optimize_outer_sum,
     optimize_outer_weighted,
     outer_values,
+    sweep_details,
 )
 from .protocol import (
     CodebookLevel,
@@ -83,9 +85,11 @@ __all__ = [
     "region_sweep",
     "JointStatePolicy",
     "OuterBoundValues",
+    "SweepRow",
     "optimize_outer_sum",
     "optimize_outer_weighted",
     "outer_values",
+    "sweep_details",
     "CodebookLevel",
     "CodebookSet",
     "MarginExhaustedError",

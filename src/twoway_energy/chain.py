@@ -15,6 +15,7 @@ simulator owns a private RNG per call, so concurrent use is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ import numpy as np
 from .entropy import JointSymbolDist, joint_from_marginals
 
 _ROW_TOL = 1e-12
+# Exact power of two, applied only where the unscaled detailed-balance
+# product would overflow, so every pi that was finite without it is kept.
+_RESCALE = 2.0 ** -1000
 
 
 class NotIrreducibleError(ValueError):
@@ -161,8 +165,15 @@ def _stationary_updown(up: list[float], down: list[float]) -> list[float]:
             )
     w = [1.0]
     for u in range(len(up)):
-        w.append(w[-1] * up[u] / down[u])
+        x = w[-1] * up[u] / down[u]
+        while x == math.inf:
+            w = [v * _RESCALE for v in w]
+            x = w[-1] * up[u] / down[u]
+        w.append(x)
     total = sum(w)
+    if total == math.inf:
+        w = [v * _RESCALE for v in w]
+        total = sum(w)
     return [x / total for x in w]
 
 
@@ -170,7 +181,8 @@ def stationary(kernel: TransitionKernel) -> np.ndarray:
     """Unique stationary distribution of an irreducible birth-death kernel.
 
     Solved in closed form by the detailed-balance recursion
-    pi[u+1] = pi[u] * q(u,u+1) / q(u+1,u), then normalized. Raises
+    pi[u+1] = pi[u] * q(u,u+1) / q(u+1,u), then normalized; the running
+    product is rescaled by powers of two instead of overflowing. Raises
     NotIrreducibleError naming the first unreachable boundary when some
     adjacent move has probability zero.
     """

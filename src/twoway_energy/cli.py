@@ -11,13 +11,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import MarginalPolicy, build_kernel, simulate_chain, stationary, uniform_policy
 from .inner import SearchConfig, optimize_sum_rate, rates_for_policy
-from .outer import JointStatePolicy, optimize_outer_sum, optimize_outer_weighted
+from .outer import SweepRow  # noqa: F401  (re-exported with sweep_details)
+from .outer import optimize_outer_sum, optimize_outer_weighted, sweep_details
 from .protocol import (
     build_codebooks,
     monte_carlo_error,
@@ -42,18 +42,21 @@ DEFAULTS = {
 }
 
 
+# Range of each checked value; a value outside it is a usage error.
+_LIMITS = {
+    "budget": (1, math.inf),
+    "restarts": (1, math.inf),
+    "blocklength": (1, math.inf),
+    "trials": (1, math.inf),
+    "bits": (1, math.inf),
+    "epsilon": (0.0, math.inf),
+    "lam": (0.0, 1.0),
+    "p": (0.0, 1.0),
+}
+
+
 class UsageError(Exception):
     """Bad invocation or malformed input file."""
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One line of the bounds-versus-units comparison."""
-
-    units: int
-    sum_conventional: float
-    sum_optimized: float
-    sum_outer: float
 
 
 def _add_common(parser: argparse.ArgumentParser, keys) -> None:
@@ -84,10 +87,17 @@ def _add_common(parser: argparse.ArgumentParser, keys) -> None:
 
 
 def _resolve(args, key):
-    given = getattr(args, key, None)
-    if given is not None:
-        return given
-    return args._config.get(key, DEFAULTS[key])
+    """Flag, else --config value, else default; typed and range-checked."""
+    value = getattr(args, key, None)
+    if value is None:
+        value = args._config.get(key, DEFAULTS[key])
+    kind = type(DEFAULTS[key])
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
+    lo, hi = _LIMITS.get(key, (-math.inf, math.inf))
+    if not lo <= value <= hi:
+        raise UsageError(f"{key} must be in [{lo}, {hi}], got {value}")
+    return value
 
 
 def _search_config(args) -> SearchConfig:
@@ -173,33 +183,10 @@ def cmd_outer(args) -> int:
     return 0
 
 
-def sweep_details(u_max: int, search: SearchConfig):
-    """Rows plus the inner optimization results, for reuse by callers."""
-    if u_max < 1:
-        raise ValueError("budget (maximum U) must be >= 1")
-    rows = []
-    inner_results = []
-    for units in range(1, u_max + 1):
-        conventional = rates_for_policy(uniform_policy(units)).total
-        inner = optimize_sum_rate(units, 0.5, search)
-        _, outer_vals = optimize_outer_sum(
-            units, search, seed_policies=[JointStatePolicy.from_marginal(inner.policy)]
-        )
-        rows.append(
-            SweepRow(
-                units=units,
-                sum_conventional=conventional,
-                sum_optimized=inner.objective,
-                sum_outer=outer_vals.sum_bound,
-            )
-        )
-        inner_results.append(inner)
-    return rows, inner_results
-
-
 def render_sweep_csv(rows) -> str:
     """CSV text for a sweep: 6-decimal fixed point, newline-terminated rows,
-    plus a footer comment locating where the bounds first nearly meet."""
+    plus a footer comment naming the first U >= 2 at which the bounds are
+    within 0.01. At U = 1 both equal 1 by construction, so it is skipped."""
     lines = ["U,sum_conventional,sum_optimized,sum_outer"]
     for row in rows:
         lines.append(
@@ -207,12 +194,13 @@ def render_sweep_csv(rows) -> str:
             f"{row.sum_optimized:.6f},{row.sum_outer:.6f}"
         )
     threshold = next(
-        (row.units for row in rows if row.sum_outer - row.sum_optimized <= 1e-2), None
+        (r.units for r in rows if r.units >= 2 and r.sum_outer - r.sum_optimized <= 1e-2),
+        None,
     )
     if threshold is None:
-        lines.append("# sum_optimized never within 0.01 of sum_outer in this sweep")
+        lines.append("# sum_optimized never within 0.01 of sum_outer for U >= 2 in this sweep")
     else:
-        lines.append(f"# sum_optimized within 0.01 of sum_outer from U={threshold}")
+        lines.append(f"# sum_optimized within 0.01 of sum_outer from U={threshold} (first U >= 2)")
     return "\n".join(lines) + "\n"
 
 
@@ -237,8 +225,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     trials = _resolve(args, "trials")
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
     units = _resolve(args, "budget")
     n = _resolve(args, "blocklength")
     epsilon = _resolve(args, "epsilon")
@@ -272,8 +258,6 @@ def cmd_u1(args) -> int:
     m = _resolve(args, "bits")
     seed = _resolve(args, "seed")
     frame = _resolve(args, "frame")
-    if m < 1:
-        raise UsageError("bits must be >= 1")
 
     print(f"single-unit strategies with m={m} bits per node, seed={seed}")
     print(f"position coding, frame {frame}: sum rate {naive_frame_rate(frame):.6f}")

@@ -16,13 +16,27 @@ from typing import NamedTuple, Optional
 _NORM_TOL = 1e-12
 
 
+def _h(p: float) -> float:
+    """Unchecked entropy of a Bern(p) symbol in bits; 0 outside (0,1)."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+
+
+def _entropy(probs) -> float:
+    """Unchecked Shannon entropy in bits of a tuple of probabilities."""
+    h = 0.0
+    for p in probs:
+        if p > 0.0:
+            h -= p * math.log2(p)
+    return h
+
+
 def binary_entropy(p: float) -> float:
     """Entropy of a Bern(p) symbol in bits; raises ValueError outside [0,1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Bernoulli parameter must lie in [0,1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    return _h(p)
 
 
 @dataclass(frozen=True)
@@ -68,11 +82,7 @@ class JointFactorization(NamedTuple):
 
 def joint_entropy(d: JointSymbolDist) -> float:
     """Shannon entropy of the symbol pair in bits."""
-    h = 0.0
-    for p in d.as_tuple():
-        if p > 0.0:
-            h -= p * math.log2(p)
-    return h
+    return _entropy(d.as_tuple())
 
 
 def marginals_and_conditionals(d: JointSymbolDist) -> JointFactorization:

@@ -9,7 +9,7 @@ reduces to the plain sum-rate at lam = 0.5.
 The objective is smooth but nonconvex in the 2*units free
 probabilities, so the maximizer runs multi-start coordinate ascent:
 constant grid seeds plus random restarts, each refined by coordinate-
-wise golden-section search on [clamp, 1-clamp]. The clamp keeps every
+wise golden-section search on [CLAMP, 1-CLAMP]. The clamp keeps every
 policy strictly interior, hence the chain irreducible; the boundary of
 the rate region is approached but never evaluated at degenerate
 policies. Restarts are independent and the reduction (max by objective,
@@ -23,12 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarginalPolicy, _stationary_updown, build_kernel, stationary
+from .chain import MarginalPolicy, _stationary_updown
+from .entropy import _h
 
 GRID_SEEDS = (0.5, 0.2, 0.35, 0.65, 0.8)
 _GOLDEN_XTOL = 1e-6
 _MAX_SWEEPS = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Both optimizers keep every free probability in [CLAMP, 1 - CLAMP].
+CLAMP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,8 @@ class RatePair:
     r2: float
 
     def __post_init__(self):
-        if self.r1 < 0.0 or self.r2 < 0.0:
-            raise ValueError("rates must be nonnegative")
+        if not (self.r1 >= 0.0 and self.r2 >= 0.0):
+            raise ValueError(f"rates must be nonnegative numbers, got {self.r1}, {self.r2}")
         if self.r1 + self.r2 > 2.0 + 1e-12:
             raise ValueError("sum rate cannot exceed 2 bits per channel use")
 
@@ -56,13 +59,10 @@ class SearchConfig:
     restarts: int = 32
     tol: float = 1e-6
     seed: int = 0
-    clamp: float = 1e-6
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not 0.0 < self.clamp < 0.5:
-            raise ValueError("clamp must lie in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,6 @@ class OptimizationResult:
     stationary: np.ndarray
     objective: float
     restarts_used: int
-
-
-def _h(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
 def _rates_updown(p1, p2):
@@ -174,7 +168,6 @@ def optimize_sum_rate(
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0,1]")
     config = search or SearchConfig()
-    clamp = config.clamp
 
     p1 = [0.0] * (units + 1)
     p2 = [0.0] * (units + 1)
@@ -187,21 +180,20 @@ def optimize_sum_rate(
         return 2.0 * (lam * r1 + (1.0 - lam) * r2)
 
     def bounds(v, i):
-        return clamp, 1.0 - clamp
+        return CLAMP, 1.0 - CLAMP
 
     best_v, best_f = None, -math.inf
     for start in _starts(2 * units, config):
-        v, f = _ascend(np.clip(start, clamp, 1.0 - clamp), obj, bounds, config.tol)
+        v, f = _ascend(np.clip(start, CLAMP, 1.0 - CLAMP), obj, bounds, config.tol)
         if f > best_f + 1e-9:
             best_v, best_f = v.copy(), f
 
     policy = _policy_from_vector(best_v, units)
-    rates = rates_for_policy(policy)
-    pi = stationary(build_kernel(policy))
+    r1, r2, pi = _rates_updown(policy.p1.tolist(), policy.p2.tolist())
     return OptimizationResult(
         policy=policy,
-        rates=rates,
-        stationary=pi,
+        rates=RatePair(r1=r1, r2=r2),
+        stationary=np.array(pi),
         objective=best_f,
         restarts_used=config.restarts,
     )

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarginalPolicy, _stationary_updown, build_kernel, stationary, uniform_policy
-from .entropy import JointSymbolDist
-from .inner import SearchConfig, _ascend, _h, optimize_sum_rate
+from .chain import MarginalPolicy, _stationary_updown, uniform_policy
+from .entropy import JointSymbolDist, _entropy, _h
+from .inner import CLAMP, SearchConfig, _ascend, optimize_sum_rate, rates_for_policy
 
 
 @dataclass(frozen=True)
@@ -81,30 +81,20 @@ class OuterBoundValues:
 
 
 def _outer_terms(dists):
-    """(r1, r2, sum, pi) from raw 4-tuples; zero-weight conditionals skipped."""
+    """(r1, r2, sum, pi) from raw 4-tuples, with H(X1|X2) = H(X1,X2) - H(X2)
+    and likewise for r2; rounding can leave a zero bound just below 0."""
     units = len(dists) - 1
     up = [dists[u][1] for u in range(units)]
     down = [dists[u][2] for u in range(1, units + 1)]
     pi = _stationary_updown(up, down)
     r1 = r2 = total = 0.0
-    for u in range(units + 1):
-        p00, p01, p10, p11 = dists[u]
-        h = 0.0
-        for p in (p00, p01, p10, p11):
-            if p > 0.0:
-                h -= p * math.log2(p)
+    for u, d in enumerate(dists):
+        _, p01, p10, p11 = d
+        h = _entropy(d)
         total += pi[u] * h
-        x2_0, x2_1 = p00 + p10, p01 + p11
-        if x2_0 > 0.0:
-            r1 += pi[u] * x2_0 * _h(p10 / x2_0)
-        if x2_1 > 0.0:
-            r1 += pi[u] * x2_1 * _h(p11 / x2_1)
-        x1_0, x1_1 = p00 + p01, p10 + p11
-        if x1_0 > 0.0:
-            r2 += pi[u] * x1_0 * _h(p01 / x1_0)
-        if x1_1 > 0.0:
-            r2 += pi[u] * x1_1 * _h(p11 / x1_1)
-    return r1, r2, total, pi
+        r1 += pi[u] * (h - _h(p01 + p11))
+        r2 += pi[u] * (h - _h(p10 + p11))
+    return max(r1, 0.0), max(r2, 0.0), total, pi
 
 
 def outer_values(policy: JointStatePolicy) -> OuterBoundValues:
@@ -124,7 +114,7 @@ def outer_values(policy: JointStatePolicy) -> OuterBoundValues:
 # Free coordinates per state: boundary states have one ((0,1) mass at
 # state 0, (1,0) mass at state units), interior states three ((0,1),
 # (1,0), (1,1)); the (0,0) mass absorbs the remainder. Every entry is
-# kept >= clamp so the chain stays irreducible and entropies smooth.
+# kept >= CLAMP so the chain stays irreducible and entropies smooth.
 
 
 def _unpack(x, units: int):
@@ -146,32 +136,28 @@ def _unpack(x, units: int):
     return dists
 
 
-def _pack(dists, units: int, clamp: float):
+def _pack(policy: JointStatePolicy):
     x = []
-    for u in range(units + 1):
+    for u, d in enumerate(policy.dists):
         if u == 0:
-            x.append(dists[u][1])
-        elif u == units:
-            x.append(dists[u][2])
+            x.append(d.p01)
+        elif u == policy.units:
+            x.append(d.p10)
         else:
-            x.extend(dists[u][1:4])
-    return np.clip(np.array(x, dtype=float), clamp, 1.0 - clamp)
+            x.extend((d.p01, d.p10, d.p11))
+    return np.clip(np.array(x, dtype=float), CLAMP, 1.0 - CLAMP)
 
 
-def _coord_layout(units: int):
-    """(state, slot, offsets of sibling coords) per free coordinate."""
-    layout = []
-    k = 0
+def _coord_siblings(units: int):
+    """Per free coordinate: the other coordinates of its state, or None."""
+    siblings = []
     for u in range(units + 1):
         if u in (0, units):
-            layout.append((u, None))
-            k += 1
+            siblings.append(None)
         else:
-            for j in range(3):
-                siblings = [k + t for t in range(3) if t != j]
-                layout.append((u, siblings))
-            k += 3
-    return layout
+            k = len(siblings)
+            siblings.extend([k + t for t in range(3) if t != j] for j in range(3))
+    return siblings
 
 
 def _joint_policy(dists) -> JointStatePolicy:
@@ -180,45 +166,49 @@ def _joint_policy(dists) -> JointStatePolicy:
     )
 
 
-def _optimize_outer(units, weight, search, seed_policies):
+def _optimize_outer(units, lam, search, seed_policies, weight):
+    """Multi-start ascent of weight(r1, r2, sum). Starts: the seed policies
+    (by default a quick inner optimum at lam), the uniform product policy,
+    then random ones, up to search.restarts."""
+    if units < 1:
+        raise ValueError("units must be >= 1")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0,1]")
     config = search or SearchConfig()
-    clamp = config.clamp
-    layout = _coord_layout(units)
-    nfree = len(layout)
+    seeds = list(seed_policies)
+    if not seeds:
+        quick = SearchConfig(
+            restarts=max(2, config.restarts // 8), tol=config.tol, seed=config.seed + 1
+        )
+        seeds.append(JointStatePolicy.from_marginal(optimize_sum_rate(units, lam, quick).policy))
+    starts = [_pack(sp) for sp in seeds]
+    if len(starts) < config.restarts:
+        starts.append(_pack(JointStatePolicy.from_marginal(uniform_policy(units))))
+    rng = np.random.default_rng(config.seed)
+    while len(starts) < config.restarts:
+        vals = []
+        for u in range(units + 1):
+            if u in (0, units):
+                vals.append(rng.uniform(0.1, 0.9))
+            else:
+                vals.extend(rng.dirichlet((1.0, 1.0, 1.0, 1.0))[1:4])
+        starts.append(np.clip(np.array(vals), CLAMP, 1.0 - CLAMP))
+
+    siblings = _coord_siblings(units)
 
     def obj(x):
         dists = _unpack(x, units)
         for d in dists:
-            if d[0] < clamp * 0.5:
+            if d[0] < CLAMP * 0.5:
                 return -math.inf
         r1, r2, total, _ = _outer_terms(dists)
         return weight(r1, r2, total)
 
     def bounds(x, i):
-        _, siblings = layout[i]
-        if siblings is None:
-            return clamp, 1.0 - clamp
-        room = 1.0 - sum(x[s] for s in siblings) - clamp
-        return clamp, max(clamp, room)
-
-    starts = [_pack([d.as_tuple() for d in sp.dists], units, clamp) for sp in seed_policies]
-    rng = np.random.default_rng(config.seed)
-    while len(starts) < max(config.restarts, len(starts)):
-        if len(starts) == len(seed_policies):
-            x = _pack(
-                [d.as_tuple() for d in JointStatePolicy.from_marginal(uniform_policy(units)).dists],
-                units,
-                clamp,
-            )
-        else:
-            vals = []
-            for u in range(units + 1):
-                if u in (0, units):
-                    vals.append(rng.uniform(0.1, 0.9))
-                else:
-                    vals.extend(rng.dirichlet((1.0, 1.0, 1.0, 1.0))[1:4])
-            x = np.clip(np.array(vals), clamp, 1.0 - clamp)
-        starts.append(x)
+        if siblings[i] is None:
+            return CLAMP, 1.0 - CLAMP
+        room = 1.0 - sum(x[s] for s in siblings[i]) - CLAMP
+        return CLAMP, max(CLAMP, room)
 
     best_x, best_f = None, -math.inf
     for start in starts:
@@ -242,19 +232,7 @@ def optimize_outer_sum(
     supplies one, so the returned bound dominates the best product
     policy it can find.
     """
-    if units < 1:
-        raise ValueError("units must be >= 1")
-    config = search or SearchConfig()
-    seeds = list(seed_policies)
-    if not seeds:
-        quick = SearchConfig(
-            restarts=max(2, config.restarts // 8),
-            tol=config.tol,
-            seed=config.seed + 1,
-            clamp=config.clamp,
-        )
-        seeds.append(JointStatePolicy.from_marginal(optimize_sum_rate(units, 0.5, quick).policy))
-    return _optimize_outer(units, lambda r1, r2, s: s, config, seeds)
+    return _optimize_outer(units, 0.5, search, seed_policies, lambda r1, r2, s: s)
 
 
 def optimize_outer_weighted(
@@ -264,20 +242,41 @@ def optimize_outer_weighted(
     seed_policies=(),
 ) -> tuple[JointStatePolicy, OuterBoundValues]:
     """Maximize 2*(lam*r1_bound + (1-lam)*r2_bound) over joint-state policies."""
-    if units < 1:
-        raise ValueError("units must be >= 1")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0,1]")
-    config = search or SearchConfig()
-    seeds = list(seed_policies)
-    if not seeds:
-        quick = SearchConfig(
-            restarts=max(2, config.restarts // 8),
-            tol=config.tol,
-            seed=config.seed + 1,
-            clamp=config.clamp,
-        )
-        seeds.append(JointStatePolicy.from_marginal(optimize_sum_rate(units, lam, quick).policy))
     return _optimize_outer(
-        units, lambda r1, r2, s: 2.0 * (lam * r1 + (1.0 - lam) * r2), config, seeds
+        units, lam, search, seed_policies, lambda r1, r2, s: 2.0 * (lam * r1 + (1.0 - lam) * r2)
     )
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One line of the bounds-versus-units comparison."""
+
+    units: int
+    sum_conventional: float
+    sum_optimized: float
+    sum_outer: float
+
+
+def sweep_details(u_max: int, search: SearchConfig):
+    """Fair-coin, optimized inner and outer sum rates for U = 1..u_max,
+    plus the inner optimization results (which seed the outer ascent)."""
+    if u_max < 1:
+        raise ValueError("budget (maximum U) must be >= 1")
+    rows = []
+    inner_results = []
+    for units in range(1, u_max + 1):
+        conventional = rates_for_policy(uniform_policy(units)).total
+        inner = optimize_sum_rate(units, 0.5, search)
+        _, outer_vals = optimize_outer_sum(
+            units, search, seed_policies=[JointStatePolicy.from_marginal(inner.policy)]
+        )
+        rows.append(
+            SweepRow(
+                units=units,
+                sum_conventional=conventional,
+                sum_optimized=inner.objective,
+                sum_outer=outer_vals.sum_bound,
+            )
+        )
+        inner_results.append(inner)
+    return rows, inner_results

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import MarginalPolicy, build_kernel, stationary
+from .entropy import binary_entropy
 
 
 class MarginExhaustedError(ValueError):
@@ -56,10 +57,6 @@ class Transcript:
     @property
     def length(self) -> int:
         return len(self.states)
-
-    def symbols(self):
-        """Iterate (x1, x2) pairs."""
-        return zip(self.x1.tolist(), self.x2.tolist())
 
     def to_lines(self) -> list[str]:
         """One line per channel use: "i u x1 x2" with 1-based i."""
@@ -401,10 +398,7 @@ def build_codebooks(
             state = lv if node == 1 else units - lv
             length = math.ceil(blocklength * (pi[state] - epsilon))
             p = float(probs[lv])
-            ent = 0.0
-            if 0.0 < p < 1.0:
-                ent = -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
-            bits = max(0.0, length * (ent - delta))
+            bits = max(0.0, length * (binary_entropy(p) - delta))
             levels[(node, lv)] = CodebookLevel(
                 node=node, level=lv, length=length, p=p, bits=bits, size=_pow2_int(bits)
             )
@@ -465,7 +459,6 @@ class TrialOutcome:
 def run_trial(
     codebooks: CodebookSet,
     messages: dict,
-    initial_state: int | None = None,
     seed: int = 0,
 ) -> TrialOutcome:
     """Simulate one block: multiplexed codewords, padding, list decoding.
@@ -477,13 +470,12 @@ def run_trial(
     off the first `length` uses of its state, and keep the unique
     matching message; on a shortfall or an ambiguous list they fall back
     to the fixed guess 1. Pads come from this trial's RNG stream, never
-    from the codebook stream.
+    from the codebook stream. The walk starts in the middle state
+    (units + 1) // 2.
     """
     units = codebooks.units
     n = codebooks.blocklength
-    u = (units + 1) // 2 if initial_state is None else initial_state
-    if not 0 <= u <= units:
-        raise ValueError(f"initial_state must lie in [0,{units}]")
+    u = (units + 1) // 2
     rng = np.random.default_rng(seed)
 
     sent = {}
@@ -600,7 +592,6 @@ def monte_carlo_error(
     codebooks: CodebookSet,
     trials: int,
     seed: int = 0,
-    initial_state: int | None = None,
 ) -> MonteCarloReport:
     """Estimate the decoding error probability of the random-coding scheme.
 
@@ -621,7 +612,7 @@ def monte_carlo_error(
         sub = child.generate_state(3)
         books = codebooks.regenerate(seed=int(sub[0]))
         messages = draw_messages(books, seed=int(sub[1]))
-        outcome = run_trial(books, messages, initial_state=initial_state, seed=int(sub[2]))
+        outcome = run_trial(books, messages, seed=int(sub[2]))
         if not (outcome.decoded_ok[1] and outcome.decoded_ok[2]):
             errors += 1
         occupancy += outcome.empirical_occupancy

@@ -100,6 +100,40 @@ def test_stationary_solves_global_balance_randomized():
         assert np.abs(pi @ k.matrix - pi).max() < 1e-10
 
 
+def test_stationary_matches_unscaled_recursion_bit_for_bit_where_finite():
+    # the power-of-two rescaling only acts where the plain product overflows
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        units = int(rng.integers(1, 30))
+        k = build_kernel(random_policy(rng, units, lo=1e-4, hi=1.0 - 1e-4))
+        w = [1.0]
+        for u in range(units):
+            w.append(w[-1] * k.up(u) / k.down(u + 1))
+        total = sum(w)
+        if not np.isfinite(total):
+            continue
+        assert stationary(k).tolist() == [x / total for x in w]
+
+
+def test_stationary_survives_overflowing_detailed_balance_product():
+    # up/down ratio ~1e12 per step: the plain product overflows from U = 30
+    # on. The mass sits in the top states, with the same law at every U.
+    def extreme(units):
+        p1 = np.full(units + 1, 1e-6)
+        p2 = np.full(units + 1, 1.0 - 1e-6)
+        p1[0] = p2[0] = 0.0
+        return build_kernel(MarginalPolicy(p1=p1, p2=p2))
+
+    top = stationary(extreme(20))[-3:]
+    for units in (30, 40, 256):
+        k = extreme(units)
+        pi = stationary(k)
+        assert np.all(np.isfinite(pi))
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        assert pi[-3:] == pytest.approx(top, rel=1e-12)
+        assert np.abs(pi @ k.matrix - pi).max() < 1e-12
+
+
 def test_stationary_matches_linear_solver_oracle():
     rng = np.random.default_rng(3)
     for _ in range(25):

@@ -106,6 +106,20 @@ def test_sweep_rows_round_trip_and_ordering():
     assert len(inners) == 3
 
 
+def test_sweep_footer_skips_the_u1_coincidence():
+    rows = [
+        SweepRow(units=1, sum_conventional=1.0, sum_optimized=1.0, sum_outer=1.0),
+        SweepRow(units=2, sum_conventional=1.5, sum_optimized=1.53, sum_outer=1.58),
+        SweepRow(units=3, sum_conventional=1.6, sum_optimized=1.74, sum_outer=1.77),
+        SweepRow(units=4, sum_conventional=1.7, sum_optimized=1.84, sum_outer=1.845),
+        SweepRow(units=5, sum_conventional=1.8, sum_optimized=1.89, sum_outer=1.92),
+    ]
+    footer = render_sweep_csv(rows).splitlines()[-1]
+    assert footer.startswith("#") and "from U=4" in footer
+    footer = render_sweep_csv(rows[:3]).splitlines()[-1]
+    assert footer.startswith("# sum_optimized never within 0.01")
+
+
 def test_sweep_stdout_when_no_out(capsys):
     assert main(["sweep", "--budget", "1", *FAST]) == 0
     out = capsys.readouterr().out
@@ -169,6 +183,34 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"budgget": 2}))
     assert main(["stationary", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "config", [{"budget": "2"}, {"budget": 2.5}, {"budget": True}, {"p": "0.5"}, {"p": None}]
+)
+def test_config_wrong_type_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["stationary", "--config", str(cfg)]) == 2
+    assert next(iter(config)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inner", "--budget", "0"],
+        ["sweep", "--budget", "0"],
+        ["outer", "--budget", "0"],
+        ["stationary", "--budget", "0"],
+        ["inner", "--budget", "2", "--lambda", "1.5"],
+        ["inner", "--budget", "2", "--restarts", "0"],
+        ["simulate", "--budget", "1", "--blocklength", "0"],
+        ["stationary", "--budget", "2", "--p", "1.5"],
+    ],
+)
+def test_out_of_range_values_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    assert "must be" in capsys.readouterr().err
 
 
 def test_config_invalid_json_is_usage_error(tmp_path):

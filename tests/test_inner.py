@@ -3,10 +3,13 @@ import pytest
 
 from conftest import random_policy
 from twoway_energy import (
+    JointStatePolicy,
     MarginalPolicy,
+    RatePair,
     SearchConfig,
     optimize_outer_sum,
     optimize_sum_rate,
+    outer_values,
     rates_for_policy,
     region_sweep,
     uniform_policy,
@@ -35,6 +38,24 @@ def test_rates_vanish_with_vanishing_send_probability():
     )
     r = rates_for_policy(pol)
     assert r.r1 < 1e-6
+
+
+def test_rates_stay_finite_for_extreme_policy_at_large_u():
+    for units in (30, 40):
+        p1 = np.full(units + 1, 1e-6)
+        p2 = np.full(units + 1, 1.0 - 1e-6)
+        p1[0] = p2[0] = 0.0
+        pol = MarginalPolicy(p1=p1, p2=p2)
+        r = rates_for_policy(pol)
+        vals = outer_values(JointStatePolicy.from_marginal(pol))
+        assert np.isfinite([r.r1, r.r2, vals.r1_bound, vals.r2_bound, vals.sum_bound]).all()
+        assert vals.sum_bound == pytest.approx(r.total, abs=1e-12)
+
+
+def test_rate_pair_rejects_nan():
+    for r1, r2 in ((float("nan"), 0.0), (0.0, float("nan")), (-1e-3, 0.5)):
+        with pytest.raises(ValueError):
+            RatePair(r1=r1, r2=r2)
 
 
 def test_rates_swap_symmetry():

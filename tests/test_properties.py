@@ -1,0 +1,115 @@
+"""Property tests of the chain, the bounds and the trial transcripts."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twoway_energy import (
+    JointStatePolicy,
+    JointSymbolDist,
+    MarginalPolicy,
+    binary_entropy,
+    build_codebooks,
+    build_kernel,
+    draw_messages,
+    marginals_and_conditionals,
+    outer_values,
+    rates_for_policy,
+    run_trial,
+    stationary,
+    validate_transcript,
+)
+
+PROB = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
+
+
+def _constant_policy(units, p1, p2) -> MarginalPolicy:
+    a = np.full(units + 1, p1)
+    b = np.full(units + 1, p2)
+    a[0] = b[0] = 0.0
+    return MarginalPolicy(p1=a, p2=b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(units=st.integers(min_value=1, max_value=256), p1=PROB, p2=PROB)
+def test_stationary_is_balanced_and_bounds_finite_at_extremes(units, p1, p2):
+    policy = _constant_policy(units, p1, p2)
+    kernel = build_kernel(policy)
+    pi = stationary(kernel)
+    assert np.all(np.isfinite(pi)) and np.all(pi >= 0.0)
+    assert abs(pi.sum() - 1.0) <= 1e-12
+    assert np.abs(pi @ kernel.matrix - pi).max() <= 1e-12
+
+    rates = rates_for_policy(policy)
+    assert math.isfinite(rates.r1) and math.isfinite(rates.r2)
+    vals = outer_values(JointStatePolicy.from_marginal(policy))
+    for v in (vals.r1_bound, vals.r2_bound, vals.sum_bound):
+        assert math.isfinite(v)
+
+
+MASS = st.floats(min_value=0.0, max_value=1.0)
+MOVE = st.floats(min_value=1e-6, max_value=1.0)  # keeps the chain irreducible
+
+
+@st.composite
+def joint_state_policies(draw):
+    units = draw(st.integers(min_value=1, max_value=12))
+    b = draw(MOVE)
+    dists = [JointSymbolDist(1.0 - b, b, 0.0, 0.0)]
+    for _ in range(1, units):
+        w = [draw(MASS), draw(MOVE), draw(MOVE), draw(MASS)]
+        total = sum(w)
+        dists.append(JointSymbolDist(*(x / total for x in w)))
+    a = draw(MOVE)
+    dists.append(JointSymbolDist(1.0 - a, 0.0, a, 0.0))
+    return JointStatePolicy(dists=tuple(dists))
+
+
+def _conditional_entropy_oracle(policy: JointStatePolicy):
+    """r1 = sum_u pi[u] H(X1|X2,u), r2 likewise, from the conditionals."""
+    pi = stationary(build_kernel(policy))
+    r1 = r2 = 0.0
+    for u, d in enumerate(policy.dists):
+        f = marginals_and_conditionals(d)
+        px2 = (d.p00 + d.p10, d.p01 + d.p11)
+        px1 = (d.p00 + d.p01, d.p10 + d.p11)
+        for w, c in zip(px2, f.p_x1_given_x2):
+            if c is not None:
+                r1 += pi[u] * w * binary_entropy(c)
+        for w, c in zip(px1, f.p_x2_given_x1):
+            if c is not None:
+                r2 += pi[u] * w * binary_entropy(c)
+    return r1, r2
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy=joint_state_policies())
+def test_outer_rate_bounds_match_conditional_entropy_oracle(policy):
+    vals = outer_values(policy)
+    r1, r2 = _conditional_entropy_oracle(policy)
+    assert vals.r1_bound >= 0.0 and vals.r2_bound >= 0.0
+    assert abs(vals.r1_bound - r1) <= 1e-12
+    assert abs(vals.r2_bound - r2) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    units=st.integers(min_value=1, max_value=3),
+    probs=st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=6, max_size=6),
+    blocklength=st.integers(min_value=20, max_value=400),
+    delta=st.floats(min_value=-0.2, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_trial_transcripts_are_feasible(units, probs, blocklength, delta, seed):
+    policy = MarginalPolicy(
+        p1=np.array([0.0, *probs[:units]]), p2=np.array([0.0, *probs[3 : 3 + units]])
+    )
+    books = build_codebooks(policy, blocklength, 0.0, delta, seed=seed)
+    outcome = run_trial(books, draw_messages(books, seed=seed + 1), seed=seed + 2)
+    validate_transcript(outcome.transcript)
+    assert outcome.transcript.length == blocklength
+    assert abs(outcome.empirical_occupancy.sum() - 1.0) <= 1e-12
+    if not outcome.e1_events and not outcome.e2_events:
+        assert outcome.decoded_ok == {1: True, 2: True}

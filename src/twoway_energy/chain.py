@@ -86,36 +86,42 @@ def uniform_policy(units: int, p: float = 0.5) -> MarginalPolicy:
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Row-stochastic tridiagonal transition matrix over states 0..units."""
+    """Birth-death kernel over states 0..units, stored as its move vectors.
 
-    matrix: np.ndarray
+    up[u] = q(u, u+1) and down[u] = q(u+1, u) for u = 0..units-1; the
+    rest of each state's mass is its self-loop, so every representable
+    kernel is tridiagonal and row-stochastic.
+    """
+
+    up: tuple[float, ...]
+    down: tuple[float, ...]
 
     def __post_init__(self):
-        q = np.asarray(self.matrix, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] < 2:
-            raise ValueError("kernel must be a square matrix over >= 2 states")
-        if np.any(q < 0.0):
-            raise ValueError("transition probabilities must be nonnegative")
-        rows = q.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > _ROW_TOL):
-            raise ValueError(f"rows must sum to 1 within {_ROW_TOL}, got {rows}")
-        off = np.abs(np.arange(q.shape[0])[:, None] - np.arange(q.shape[0])[None, :])
-        if np.any(q[off > 1] != 0.0):
-            raise ValueError("kernel must be tridiagonal (birth-death moves only)")
-        q.flags.writeable = False
-        object.__setattr__(self, "matrix", q)
+        up = tuple(map(float, self.up))
+        down = tuple(map(float, self.down))
+        if len(up) != len(down) or not up:
+            raise ValueError("up and down must have equal length >= 1 (one entry per unit)")
+        if not all(0.0 <= p <= 1.0 for p in up + down):
+            raise ValueError("move probabilities must lie in [0,1]")
+        for u, (d, r) in enumerate(zip((0.0, *down), (*up, 0.0))):
+            if d + r > 1.0 + _ROW_TOL:
+                raise ValueError(f"state {u}: move probabilities exceed 1")
+        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "down", down)
 
     @property
     def units(self) -> int:
-        return self.matrix.shape[0] - 1
+        return len(self.up)
 
-    def up(self, u: int) -> float:
-        """Probability of moving u -> u+1."""
-        return float(self.matrix[u, u + 1])
-
-    def down(self, u: int) -> float:
-        """Probability of moving u -> u-1."""
-        return float(self.matrix[u, u - 1])
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense (units+1)x(units+1) view, for display and tests."""
+        stay = np.maximum(0.0, 1.0 - np.append(0.0, self.down) - np.append(self.up, 0.0))
+        q = np.diag(stay)
+        i = np.arange(self.units)
+        q[i, i + 1] = self.up
+        q[i + 1, i] = self.down
+        return q
 
 
 def build_kernel(policy) -> TransitionKernel:
@@ -124,34 +130,17 @@ def build_kernel(policy) -> TransitionKernel:
     Accepts any policy exposing units and state_dist(u): both
     MarginalPolicy (independent symbols) and the per-state joint
     policies used by the outer bound. In state u the down-move
-    probability is the (1,0) mass, the up-move the (0,1) mass, and the
-    rest is the self-loop. The forced zeros at the boundary states make
-    infeasible moves impossible by construction; a policy that violates
-    them is rejected.
+    probability is the (1,0) mass and the up-move the (0,1) mass; the
+    policies' forced zeros at the boundary states make infeasible moves
+    impossible.
     """
-    units = policy.units
-    q = np.zeros((units + 1, units + 1))
-    for u in range(units + 1):
-        d = policy.state_dist(u)
-        if u == 0 and d.p10 + d.p11 != 0.0:
-            raise ValueError("state 0: node 1 has no energy but sends '1' with positive probability")
-        if u == units and d.p01 + d.p11 != 0.0:
-            raise ValueError(f"state {units}: node 2 has no energy but sends '1' with positive probability")
-        if u > 0:
-            q[u, u - 1] = d.p10
-        if u < units:
-            q[u, u + 1] = d.p01
-        stay = 1.0 - d.p10 - d.p01
-        # guard tiny negative residue from float cancellation
-        if stay < 0.0:
-            if stay < -_ROW_TOL:
-                raise ValueError(f"state {u}: move probabilities exceed 1")
-            stay = 0.0
-        q[u, u] = stay
-    return TransitionKernel(matrix=q)
+    dists = [policy.state_dist(u) for u in range(policy.units + 1)]
+    return TransitionKernel(
+        up=tuple(d.p01 for d in dists[:-1]), down=tuple(d.p10 for d in dists[1:])
+    )
 
 
-def _stationary_updown(up: list[float], down: list[float]) -> list[float]:
+def _stationary_updown(up, down) -> list[float]:
     """Stationary law from up[u]=q(u,u+1), down[u]=q(u+1,u); detailed balance."""
     for u, r in enumerate(up):
         if r <= 0.0:
@@ -186,10 +175,7 @@ def stationary(kernel: TransitionKernel) -> np.ndarray:
     NotIrreducibleError naming the first unreachable boundary when some
     adjacent move has probability zero.
     """
-    units = kernel.units
-    up = [kernel.up(u) for u in range(units)]
-    down = [kernel.down(u + 1) for u in range(units)]
-    return np.array(_stationary_updown(up, down))
+    return np.array(_stationary_updown(kernel.up, kernel.down))
 
 
 def simulate_chain(
@@ -209,8 +195,8 @@ def simulate_chain(
         raise ValueError("steps must be >= 1")
     if not 0 <= initial_state <= units:
         raise ValueError(f"initial_state must lie in [0,{units}]")
-    down = [kernel.down(u) if u > 0 else 0.0 for u in range(units + 1)]
-    up_edge = [down[u] + (kernel.up(u) if u < units else 0.0) for u in range(units + 1)]
+    down = (0.0, *kernel.down)
+    up_edge = [d + r for d, r in zip(down, (*kernel.up, 0.0))]
     rng = np.random.default_rng(seed)
     visits = [0] * (units + 1)
     u = initial_state

@@ -42,16 +42,22 @@ DEFAULTS = {
 }
 
 
-# Range of each checked value; a value outside it is a usage error.
+def _range(lo, hi=math.inf):
+    return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
+
+
+# What each checked value must be; a value outside it is a usage error.
 _LIMITS = {
-    "budget": (1, math.inf),
-    "restarts": (1, math.inf),
-    "blocklength": (1, math.inf),
-    "trials": (1, math.inf),
-    "bits": (1, math.inf),
-    "epsilon": (0.0, math.inf),
-    "lam": (0.0, 1.0),
-    "p": (0.0, 1.0),
+    "budget": _range(1),
+    "restarts": _range(1),
+    "blocklength": _range(1),
+    "trials": _range(1),
+    "bits": _range(1),
+    "simulate_steps": _range(1),
+    "epsilon": _range(0.0),
+    "lam": _range(0.0, 1.0),
+    "p": _range(0.0, 1.0),
+    "frame": ("a power of two >= 2", lambda v: v >= 2 and v & (v - 1) == 0),
 }
 
 
@@ -94,9 +100,15 @@ def _resolve(args, key):
     kind = type(DEFAULTS[key])
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
-    lo, hi = _LIMITS.get(key, (-math.inf, math.inf))
-    if not lo <= value <= hi:
-        raise UsageError(f"{key} must be in [{lo}, {hi}], got {value}")
+    return _checked(key, value)
+
+
+def _checked(key, value):
+    """value itself, or a UsageError when it lies outside _LIMITS[key]."""
+    if key in _LIMITS:
+        allowed, ok = _LIMITS[key]
+        if not ok(value):
+            raise UsageError(f"{key} must be {allowed}, got {value}")
     return value
 
 
@@ -133,6 +145,9 @@ def _policy_from_args(args) -> MarginalPolicy:
 
 
 def cmd_stationary(args) -> int:
+    steps = args.simulate_steps
+    if steps is not None:
+        _checked("simulate_steps", steps)
     policy = _policy_from_args(args)
     kernel = build_kernel(policy)
     pi = stationary(kernel)
@@ -141,11 +156,10 @@ def cmd_stationary(args) -> int:
     print(f"policy p1: {_fmt_vec(policy.p1)}")
     print(f"policy p2: {_fmt_vec(policy.p2)}")
     print("state  pi        kernel row")
-    for u in range(units + 1):
-        row = " ".join(f"{q:.6f}" for q in kernel.matrix[u])
+    for u, q_row in enumerate(kernel.matrix):
+        row = " ".join(f"{q:.6f}" for q in q_row)
         print(f"{u:>5}  {pi[u]:.6f}  {row}")
-    steps = getattr(args, "simulate_steps", None)
-    if steps:
+    if steps is not None:
         occ = simulate_chain(kernel, steps, initial_state=0, seed=_resolve(args, "seed"))
         print(f"simulated occupancy ({steps} steps): {_fmt_vec(occ)}")
     return 0
@@ -225,7 +239,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     trials = _resolve(args, "trials")
-    units = _resolve(args, "budget")
     n = _resolve(args, "blocklength")
     epsilon = _resolve(args, "epsilon")
     delta = _resolve(args, "delta")
@@ -236,7 +249,7 @@ def cmd_simulate(args) -> int:
     achievable = rates_for_policy(policy).total
 
     print(
-        f"units={units} blocklength={n} epsilon={epsilon:.4f} "
+        f"units={policy.units} blocklength={n} epsilon={epsilon:.4f} "
         f"delta={delta:.4f} trials={trials} seed={seed}"
     )
     print(f"error rate: {report.error_rate:.4f} "
@@ -246,7 +259,7 @@ def cmd_simulate(args) -> int:
         node, level = key
         print(f"  node {node} level {level}: {report.e1_counts[key]} / {report.e2_counts[key]}")
     print("occupancy (analytic vs mean empirical):")
-    for u in range(units + 1):
+    for u in range(policy.units + 1):
         print(f"  state {u}: {books.pi[u]:.6f} vs {report.mean_occupancy[u]:.6f}")
     print("rates (bits/channel use):")
     print(f"  empirical code rate:   {report.empirical_rate:.6f}")

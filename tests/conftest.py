@@ -21,3 +21,12 @@ def stationary_linear_oracle(matrix: np.ndarray) -> np.ndarray:
     b[-1] = 1.0
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     return sol
+
+
+def expected_handovers(bits1, bits2) -> int:
+    """Independent count of the extra unit-return uses the verbatim
+    schedule needs: the transcript's one-symbols must strictly alternate
+    starting at node 1, so node 1 must emit max(k2-k1, 0) extra ones and
+    node 2 max(k1-k2-1, 0), where kj is node j's information one-count."""
+    k1, k2 = int(np.sum(bits1)), int(np.sum(bits2))
+    return max(k2 - k1, 0) + max(k1 - k2 - 1, 0)

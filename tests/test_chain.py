@@ -40,8 +40,8 @@ def test_kernel_u2_uniform():
         ]
     )
     assert k.matrix == pytest.approx(expected)
-    assert k.down(1) == pytest.approx(0.25)
-    assert k.up(1) == pytest.approx(0.25)
+    assert k.down[0] == pytest.approx(0.25)
+    assert k.up[1] == pytest.approx(0.25)
 
 
 def test_kernel_rows_sum_to_one_random():
@@ -54,11 +54,11 @@ def test_kernel_rows_sum_to_one_random():
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        TransitionKernel(matrix=np.array([[0.5, 0.6], [0.5, 0.5]]))  # rows not stochastic
+        TransitionKernel(up=(0.5, 0.5), down=(0.5,))  # lengths differ
     with pytest.raises(ValueError):
-        TransitionKernel(
-            matrix=np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
-        )  # jumps two states
+        TransitionKernel(up=(0.5, 1.5), down=(0.5, 0.5))  # entry outside [0,1]
+    with pytest.raises(ValueError, match="state 1"):
+        TransitionKernel(up=(0.5, 0.6), down=(0.5, 0.5))  # up[1] + down[0] > 1
 
 
 def test_no_down_moves_makes_top_state_absorbing():
@@ -108,7 +108,7 @@ def test_stationary_matches_unscaled_recursion_bit_for_bit_where_finite():
         k = build_kernel(random_policy(rng, units, lo=1e-4, hi=1.0 - 1e-4))
         w = [1.0]
         for u in range(units):
-            w.append(w[-1] * k.up(u) / k.down(u + 1))
+            w.append(w[-1] * k.up[u] / k.down[u])
         total = sum(w)
         if not np.isfinite(total):
             continue
@@ -143,7 +143,7 @@ def test_stationary_matches_linear_solver_oracle():
 
 
 def test_simulate_frozen_chain_stays_put():
-    k = TransitionKernel(matrix=np.eye(3))
+    k = TransitionKernel(up=(0.0, 0.0), down=(0.0, 0.0))
     occ = simulate_chain(k, steps=1000, initial_state=1, seed=0)
     assert occ == pytest.approx(np.array([0.0, 1.0, 0.0]))
 

@@ -145,6 +145,16 @@ def test_simulate_report_deterministic(capsys):
     assert "occupancy" in first
 
 
+def test_simulate_policy_file_sets_the_units(tmp_path, capsys):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps({"p1": [0.0, 0.5, 0.5, 0.5], "p2": [0.0, 0.5, 0.5, 0.5]}))
+    argv = ["simulate", "--policy", str(path), "--blocklength", "2000", "--trials", "2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("units=3 ")
+    assert sum(line.lstrip().startswith("state ") for line in out.splitlines()) == 4
+
+
 def test_simulate_margin_exhaustion_is_runtime_error(capsys):
     code = main(["simulate", "--budget", "1", "--epsilon", "0.7", "--trials", "1"])
     assert code == 1
@@ -206,11 +216,16 @@ def test_config_wrong_type_is_usage_error(tmp_path, capsys, config):
         ["inner", "--budget", "2", "--restarts", "0"],
         ["simulate", "--budget", "1", "--blocklength", "0"],
         ["stationary", "--budget", "2", "--p", "1.5"],
+        ["u1", "--frame", "3"],
+        ["stationary", "--simulate-steps", "-5"],
+        ["stationary", "--simulate-steps", "0"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv):
     assert main(argv) == 2
-    assert "must be" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "must be" in captured.err
+    assert captured.out == ""
 
 
 def test_config_invalid_json_is_usage_error(tmp_path):

@@ -1,4 +1,5 @@
-"""Property tests of the chain, the bounds and the trial transcripts."""
+"""Property tests of the chain, the bounds, the trial transcripts and the
+single-unit time-sharing schedule."""
 
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import expected_handovers
 from twoway_energy import (
     JointStatePolicy,
     JointSymbolDist,
@@ -15,6 +17,7 @@ from twoway_energy import (
     build_kernel,
     draw_messages,
     marginals_and_conditionals,
+    optimal_timeshare_sim,
     outer_values,
     rates_for_policy,
     run_trial,
@@ -113,3 +116,30 @@ def test_trial_transcripts_are_feasible(units, probs, blocklength, delta, seed):
     assert abs(outcome.empirical_occupancy.sum() - 1.0) <= 1e-12
     if not outcome.e1_events and not outcome.e2_events:
         assert outcome.decoded_ok == {1: True, 2: True}
+
+
+@st.composite
+def bit_vector_pairs(draw):
+    """Equal-length bit vectors whose one-densities include 0 and 1, so
+    all-zero, all-one and one-node-all-ones inputs are drawn often."""
+    m = draw(st.integers(min_value=1, max_value=300))
+
+    def bits():
+        density = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        return (np.random.default_rng(seed).random(m) < density).astype(np.uint8)
+
+    return bits(), bits()
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=bit_vector_pairs())
+def test_timeshare_decodes_exactly_with_the_minimal_handovers(bits):
+    b1, b2 = bits
+    res = optimal_timeshare_sim(b1, b2)
+    validate_transcript(res.transcript)
+    assert np.array_equal(res.decoded_bits1, b1)
+    assert np.array_equal(res.decoded_bits2, b2)
+    handovers = expected_handovers(b1, b2)
+    assert res.handover_uses == handovers
+    assert res.transcript.length == 2 * len(b1) + handovers

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import expected_handovers
 from twoway_energy import (
     MarginExhaustedError,
     Transcript,
@@ -18,15 +19,6 @@ from twoway_energy import (
     variable_length_sim,
 )
 from twoway_energy.protocol import _pow2_int
-
-
-def expected_handovers(bits1, bits2) -> int:
-    """Independent count of the extra unit-return uses the verbatim
-    schedule needs: the transcript's one-symbols must strictly alternate
-    starting at node 1, so node 1 must emit max(k2-k1, 0) extra ones and
-    node 2 max(k1-k2-1, 0), where kj is node j's information one-count."""
-    k1, k2 = int(np.sum(bits1)), int(np.sum(bits2))
-    return max(k2 - k1, 0) + max(k1 - k2 - 1, 0)
 
 
 # -- position coding ----------------------------------------------------------

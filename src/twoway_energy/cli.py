@@ -54,7 +54,10 @@ _LIMITS = {
     "trials": _range(1),
     "bits": _range(1),
     "simulate_steps": _range(1),
+    "seed": _range(0),
+    "tol": ("> 0", lambda v: v > 0.0),
     "epsilon": _range(0.0),
+    "delta": ("finite", math.isfinite),
     "lam": _range(0.0, 1.0),
     "p": _range(0.0, 1.0),
     "frame": ("a power of two >= 2", lambda v: v >= 2 and v & (v - 1) == 0),
@@ -148,6 +151,7 @@ def cmd_stationary(args) -> int:
     steps = args.simulate_steps
     if steps is not None:
         _checked("simulate_steps", steps)
+    seed = _resolve(args, "seed")
     policy = _policy_from_args(args)
     kernel = build_kernel(policy)
     pi = stationary(kernel)
@@ -160,7 +164,7 @@ def cmd_stationary(args) -> int:
         row = " ".join(f"{q:.6f}" for q in q_row)
         print(f"{u:>5}  {pi[u]:.6f}  {row}")
     if steps is not None:
-        occ = simulate_chain(kernel, steps, initial_state=0, seed=_resolve(args, "seed"))
+        occ = simulate_chain(kernel, steps, initial_state=0, seed=seed)
         print(f"simulated occupancy ({steps} steps): {_fmt_vec(occ)}")
     return 0
 

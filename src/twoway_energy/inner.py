@@ -7,13 +7,14 @@ induced energy chain. The weighted objective 2*(lam*R1 + (1-lam)*R2)
 reduces to the plain sum-rate at lam = 0.5.
 
 The objective is smooth but nonconvex in the 2*units free
-probabilities, so the maximizer runs multi-start coordinate ascent:
-constant grid seeds plus random restarts, each refined by coordinate-
-wise golden-section search on [CLAMP, 1-CLAMP]. The clamp keeps every
-policy strictly interior, hence the chain irreducible; the boundary of
-the rate region is approached but never evaluated at degenerate
-policies. Restarts are independent and the reduction (max by objective,
-first within 1e-9 wins) is deterministic given the seed.
+probabilities, so the maximizer runs multi-start coordinate ascent
+(`_search`, which the outer bound shares): constant grid seeds plus
+random restarts, each refined by coordinate-wise golden-section search
+on [CLAMP, 1-CLAMP]. The clamp keeps every policy strictly interior,
+hence the chain irreducible; the boundary of the rate region is
+approached but never evaluated at degenerate policies. Restarts are
+independent and the reduction (max by objective, first within 1e-9
+wins) is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -92,13 +95,13 @@ def rates_for_policy(policy: MarginalPolicy) -> RatePair:
     return RatePair(r1=r1, r2=r2)
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = _GOLDEN_XTOL):
+def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization of a unimodal-ish f on [lo, hi]."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > xtol:
+    while (b - a) > _GOLDEN_XTOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -111,45 +114,56 @@ def _golden_max(f, lo: float, hi: float, xtol: float = _GOLDEN_XTOL):
     return x, f(x)
 
 
-def _ascend(x, obj, bounds, tol):
-    """Coordinate-wise golden-section ascent until a full sweep gains < tol."""
-    f = obj(x)
-    for _ in range(_MAX_SWEEPS):
-        gained = 0.0
-        for i in range(len(x)):
-            lo, hi = bounds(x, i)
-            if hi - lo <= _GOLDEN_XTOL:
-                continue
-
-            def along(v, i=i):
-                old = x[i]
-                x[i] = v
-                val = obj(x)
-                x[i] = old
-                return val
-
-            xi, fi = _golden_max(along, lo, hi)
-            if fi > f:
-                gained += fi - f
-                x[i] = xi
-                f = fi
-        if gained < tol:
-            break
-    return x, f
+def _checked_search(units: int, lam: float, search: SearchConfig | None) -> SearchConfig:
+    """The search config to use, after checking units and lam."""
+    if units < 1:
+        raise ValueError("units must be >= 1")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0,1]")
+    return search or SearchConfig()
 
 
-def _policy_from_vector(v, units: int) -> MarginalPolicy:
-    p1 = np.concatenate(([0.0], v[:units]))
-    p2 = np.concatenate(([0.0], v[units:]))
-    return MarginalPolicy(p1=p1, p2=p2)
+def _search(fixed, draw, siblings, obj, config: SearchConfig):
+    """Best (x, f) of multi-start coordinate ascent of obj.
 
-
-def _starts(nfree: int, config: SearchConfig):
+    The starts are `fixed`, then draw(rng) until config.restarts, each
+    clipped into [CLAMP, 1-CLAMP]. Coordinate i ranges over
+    [CLAMP, max(CLAMP, 1 - sum(x[siblings[i]]) - CLAMP)] and is refined
+    by golden-section search; an ascent stops when a full sweep gains
+    < config.tol. A later start wins only by more than 1e-9.
+    """
     rng = np.random.default_rng(config.seed)
-    out = [np.full(nfree, g) for g in GRID_SEEDS[: min(len(GRID_SEEDS), config.restarts)]]
-    while len(out) < config.restarts:
-        out.append(rng.uniform(0.1, 0.9, nfree))
-    return out
+    starts = list(fixed)
+    while len(starts) < config.restarts:
+        starts.append(draw(rng))
+    best_x, best_f = None, -math.inf
+    for start in starts:
+        x = np.clip(start, CLAMP, 1.0 - CLAMP)
+        f = obj(x)
+        for _ in range(_MAX_SWEEPS):
+            gained = 0.0
+            for i, sib in enumerate(siblings):
+                hi = max(CLAMP, 1.0 - sum(x[s] for s in sib) - CLAMP)
+                if hi - CLAMP <= _GOLDEN_XTOL:
+                    continue
+
+                def along(v, i=i):
+                    old = x[i]
+                    x[i] = v
+                    val = obj(x)
+                    x[i] = old
+                    return val
+
+                xi, fi = _golden_max(along, CLAMP, hi)
+                if fi > f:
+                    gained += fi - f
+                    x[i] = xi
+                    f = fi
+            if gained < config.tol:
+                break
+        if f > best_f + 1e-9:
+            best_x, best_f = x, f
+    return best_x, best_f
 
 
 def optimize_sum_rate(
@@ -163,12 +177,7 @@ def optimize_sum_rate(
     always returns the best policy found, deterministic given
     search.seed.
     """
-    if units < 1:
-        raise ValueError("units must be >= 1")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0,1]")
-    config = search or SearchConfig()
-
+    config = _checked_search(units, lam, search)
     p1 = [0.0] * (units + 1)
     p2 = [0.0] * (units + 1)
 
@@ -179,16 +188,10 @@ def optimize_sum_rate(
         r1, r2, _ = _rates_updown(p1, p2)
         return 2.0 * (lam * r1 + (1.0 - lam) * r2)
 
-    def bounds(v, i):
-        return CLAMP, 1.0 - CLAMP
-
-    best_v, best_f = None, -math.inf
-    for start in _starts(2 * units, config):
-        v, f = _ascend(np.clip(start, CLAMP, 1.0 - CLAMP), obj, bounds, config.tol)
-        if f > best_f + 1e-9:
-            best_v, best_f = v.copy(), f
-
-    policy = _policy_from_vector(best_v, units)
+    nfree = 2 * units
+    grid = [np.full(nfree, g) for g in GRID_SEEDS[: config.restarts]]
+    v, best_f = _search(grid, lambda rng: rng.uniform(0.1, 0.9, nfree), ((),) * nfree, obj, config)
+    policy = MarginalPolicy(p1=[0.0, *v[:units]], p2=[0.0, *v[units:]])
     r1, r2, pi = _rates_updown(policy.p1.tolist(), policy.p2.tolist())
     return OptimizationResult(
         policy=policy,

@@ -29,7 +29,8 @@ import numpy as np
 
 from .chain import MarginalPolicy, _stationary_updown, uniform_policy
 from .entropy import JointSymbolDist, _entropy, _h
-from .inner import CLAMP, SearchConfig, _ascend, optimize_sum_rate, rates_for_policy
+from .inner import CLAMP, SearchConfig, _checked_search, _search
+from .inner import optimize_sum_rate, rates_for_policy
 
 
 @dataclass(frozen=True)
@@ -145,18 +146,18 @@ def _pack(policy: JointStatePolicy):
             x.append(d.p10)
         else:
             x.extend((d.p01, d.p10, d.p11))
-    return np.clip(np.array(x, dtype=float), CLAMP, 1.0 - CLAMP)
+    return x
 
 
 def _coord_siblings(units: int):
-    """Per free coordinate: the other coordinates of its state, or None."""
+    """Per free coordinate: the other coordinates of its state."""
     siblings = []
     for u in range(units + 1):
         if u in (0, units):
-            siblings.append(None)
+            siblings.append(())
         else:
             k = len(siblings)
-            siblings.extend([k + t for t in range(3) if t != j] for j in range(3))
+            siblings.extend(tuple(k + t for t in range(3) if t != j) for j in range(3))
     return siblings
 
 
@@ -170,31 +171,28 @@ def _optimize_outer(units, lam, search, seed_policies, weight):
     """Multi-start ascent of weight(r1, r2, sum). Starts: the seed policies
     (by default a quick inner optimum at lam), the uniform product policy,
     then random ones, up to search.restarts."""
-    if units < 1:
-        raise ValueError("units must be >= 1")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0,1]")
-    config = search or SearchConfig()
+    config = _checked_search(units, lam, search)
     seeds = list(seed_policies)
+    for sp in seeds:
+        if sp.units != units:
+            raise ValueError(f"seed policy has {sp.units} units, expected {units}")
     if not seeds:
         quick = SearchConfig(
             restarts=max(2, config.restarts // 8), tol=config.tol, seed=config.seed + 1
         )
         seeds.append(JointStatePolicy.from_marginal(optimize_sum_rate(units, lam, quick).policy))
-    starts = [_pack(sp) for sp in seeds]
-    if len(starts) < config.restarts:
-        starts.append(_pack(JointStatePolicy.from_marginal(uniform_policy(units))))
-    rng = np.random.default_rng(config.seed)
-    while len(starts) < config.restarts:
+    fixed = [_pack(sp) for sp in seeds]
+    if len(fixed) < config.restarts:
+        fixed.append(_pack(JointStatePolicy.from_marginal(uniform_policy(units))))
+
+    def draw(rng):
         vals = []
         for u in range(units + 1):
             if u in (0, units):
                 vals.append(rng.uniform(0.1, 0.9))
             else:
                 vals.extend(rng.dirichlet((1.0, 1.0, 1.0, 1.0))[1:4])
-        starts.append(np.clip(np.array(vals), CLAMP, 1.0 - CLAMP))
-
-    siblings = _coord_siblings(units)
+        return vals
 
     def obj(x):
         dists = _unpack(x, units)
@@ -204,18 +202,7 @@ def _optimize_outer(units, lam, search, seed_policies, weight):
         r1, r2, total, _ = _outer_terms(dists)
         return weight(r1, r2, total)
 
-    def bounds(x, i):
-        if siblings[i] is None:
-            return CLAMP, 1.0 - CLAMP
-        room = 1.0 - sum(x[s] for s in siblings[i]) - CLAMP
-        return CLAMP, max(CLAMP, room)
-
-    best_x, best_f = None, -math.inf
-    for start in starts:
-        x, f = _ascend(start.copy(), obj, bounds, config.tol)
-        if f > best_f + 1e-9:
-            best_x, best_f = x.copy(), f
-
+    best_x, _ = _search(fixed, draw, _coord_siblings(units), obj, config)
     policy = _joint_policy(_unpack(best_x, units))
     return policy, outer_values(policy)
 

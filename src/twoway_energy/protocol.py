@@ -380,6 +380,8 @@ def build_codebooks(
         raise ValueError("blocklength must be >= 1")
     if epsilon < 0.0:
         raise ValueError("epsilon must be >= 0")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     units = policy.units
     pi = stationary(build_kernel(policy))
     for u in range(1, units + 1):

@@ -196,13 +196,25 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config", [{"budget": "2"}, {"budget": 2.5}, {"budget": True}, {"p": "0.5"}, {"p": None}]
+    "config",
+    [{"budget": "2"}, {"budget": 2.5}, {"budget": True}, {"p": "0.5"}, {"p": None}, {"seed": "x"}],
 )
 def test_config_wrong_type_is_usage_error(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["stationary", "--config", str(cfg)]) == 2
-    assert next(iter(config)) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert next(iter(config)) in captured.err
+    assert captured.out == ""
+
+
+def test_stationary_checks_the_seed_before_printing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "x"}))
+    assert main(["stationary", "--config", str(cfg), "--simulate-steps", "10"]) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -219,6 +231,12 @@ def test_config_wrong_type_is_usage_error(tmp_path, capsys, config):
         ["u1", "--frame", "3"],
         ["stationary", "--simulate-steps", "-5"],
         ["stationary", "--simulate-steps", "0"],
+        ["inner", "--seed", "-1"],
+        ["u1", "--seed", "-1"],
+        ["inner", "--tol", "0"],
+        ["inner", "--tol", "nan"],
+        ["simulate", "--delta", "nan"],
+        ["simulate", "--delta=-inf"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv):

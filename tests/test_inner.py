@@ -131,6 +131,9 @@ def test_optimize_validates_arguments():
         optimize_sum_rate(2, lam=1.5)
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            SearchConfig(tol=tol)
 
 
 def test_region_sweep_single_weight_matches_sum_rate():

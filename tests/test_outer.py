@@ -135,6 +135,10 @@ def test_optimize_outer_validates_arguments():
         optimize_outer_sum(0)
     with pytest.raises(ValueError):
         optimize_outer_weighted(2, lam=-0.1)
+    for seed_units, units in ((3, 2), (2, 3)):
+        seed_pol = JointStatePolicy.from_marginal(uniform_policy(seed_units))
+        with pytest.raises(ValueError, match=f"{seed_units} units, expected {units}"):
+            optimize_outer_sum(units, search=FAST, seed_policies=[seed_pol])
 
 
 def test_from_marginal_round_trip():

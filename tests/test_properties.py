@@ -12,12 +12,14 @@ from twoway_energy import (
     JointStatePolicy,
     JointSymbolDist,
     MarginalPolicy,
+    SearchConfig,
     binary_entropy,
     build_codebooks,
     build_kernel,
     draw_messages,
     marginals_and_conditionals,
     optimal_timeshare_sim,
+    optimize_outer_sum,
     outer_values,
     rates_for_policy,
     run_trial,
@@ -95,6 +97,20 @@ def test_outer_rate_bounds_match_conditional_entropy_oracle(policy):
     assert vals.r1_bound >= 0.0 and vals.r2_bound >= 0.0
     assert abs(vals.r1_bound - r1) <= 1e-12
     assert abs(vals.r2_bound - r2) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    units=st.integers(min_value=1, max_value=4),
+    probs=st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=8, max_size=8),
+)
+def test_outer_ascent_never_loses_its_seed_policy(units, probs):
+    seed = JointStatePolicy.from_marginal(
+        MarginalPolicy(p1=[0.0, *probs[:units]], p2=[0.0, *probs[4 : 4 + units]])
+    )
+    _, vals = optimize_outer_sum(units, SearchConfig(restarts=1), seed_policies=[seed])
+    # 1e-12 covers the (0,0) mass, which the search recomputes as a remainder
+    assert vals.sum_bound >= outer_values(seed).sum_bound - 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -194,6 +194,12 @@ def test_build_codebooks_degenerate_rate_margin():
     assert books.level(1, 1).bits == 0.0
 
 
+def test_build_codebooks_rejects_non_finite_delta():
+    for delta in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="delta"):
+            build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, delta, seed=0)
+
+
 def test_build_codebooks_margin_exhaustion():
     with pytest.raises(MarginExhaustedError, match="epsilon"):
         build_codebooks(uniform_policy(1, 0.5), 10_000, 0.6, 0.05, seed=0)

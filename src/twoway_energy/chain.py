@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class MarginalPolicy:
         if len(p1) < 2:
             raise ValueError("need at least one energy unit (arrays of length >= 2)")
         for name, arr in (("p1", p1), ("p2", p2)):
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
                 raise ValueError(f"{name} entries must lie in [0,1]")
             if arr[0] != 0.0:
                 raise ValueError(f"{name}[0] must be 0: a node with no energy sends '0'")
@@ -164,6 +165,13 @@ def _stationary_updown(up, down) -> list[float]:
         w = [v * _RESCALE for v in w]
         total = sum(w)
     return [x / total for x in w]
+
+
+def _chain_sums(up, down, columns):
+    """(pi, [sum_u pi[u] * col[u] for col in columns]) of the chain with
+    moves up/down, each sum taken left to right over the states."""
+    pi = _stationary_updown(up, down)
+    return pi, [sum(map(mul, pi, col)) for col in columns]
 
 
 def stationary(kernel: TransitionKernel) -> np.ndarray:

@@ -69,6 +69,7 @@ class UsageError(Exception):
 
 
 def _add_common(parser: argparse.ArgumentParser, keys) -> None:
+    """Add one flag per key; main resolves every key before the command runs."""
     opt = {
         "budget": ("--budget", int, "total number of energy units U"),
         "lam": ("--lambda", float, "weight on node 1's rate in the objective"),
@@ -93,6 +94,7 @@ def _add_common(parser: argparse.ArgumentParser, keys) -> None:
         "--config", type=str, default=None,
         help="JSON file with defaults for any of the above keys",
     )
+    parser.set_defaults(keys=tuple(keys))
 
 
 def _resolve(args, key):
@@ -116,11 +118,7 @@ def _checked(key, value):
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        restarts=_resolve(args, "restarts"),
-        tol=_resolve(args, "tol"),
-        seed=_resolve(args, "seed"),
-    )
+    return SearchConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
 
 
 def _load_policy_file(path: str) -> MarginalPolicy:
@@ -138,10 +136,9 @@ def _load_policy_file(path: str) -> MarginalPolicy:
 def _policy_from_args(args) -> MarginalPolicy:
     if getattr(args, "policy", None):
         return _load_policy_file(args.policy)
-    units = _resolve(args, "budget")
     if getattr(args, "optimized", False):
-        return optimize_sum_rate(units, _resolve(args, "lam"), _search_config(args)).policy
-    return uniform_policy(units, _resolve(args, "p"))
+        return optimize_sum_rate(args.budget, args.lam, _search_config(args)).policy
+    return uniform_policy(args.budget, args.p)
 
 
 # -- commands ----------------------------------------------------------------
@@ -151,7 +148,6 @@ def cmd_stationary(args) -> int:
     steps = args.simulate_steps
     if steps is not None:
         _checked("simulate_steps", steps)
-    seed = _resolve(args, "seed")
     policy = _policy_from_args(args)
     kernel = build_kernel(policy)
     pi = stationary(kernel)
@@ -164,14 +160,13 @@ def cmd_stationary(args) -> int:
         row = " ".join(f"{q:.6f}" for q in q_row)
         print(f"{u:>5}  {pi[u]:.6f}  {row}")
     if steps is not None:
-        occ = simulate_chain(kernel, steps, initial_state=0, seed=seed)
+        occ = simulate_chain(kernel, steps, initial_state=0, seed=args.seed)
         print(f"simulated occupancy ({steps} steps): {_fmt_vec(occ)}")
     return 0
 
 
 def cmd_inner(args) -> int:
-    units = _resolve(args, "budget")
-    lam = _resolve(args, "lam")
+    units, lam = args.budget, args.lam
     result = optimize_sum_rate(units, lam, _search_config(args))
     print(f"energy units: {units}  lambda: {lam:.4f}")
     print(f"objective 2*(lam*R1+(1-lam)*R2): {result.objective:.6f}")
@@ -183,8 +178,7 @@ def cmd_inner(args) -> int:
 
 
 def cmd_outer(args) -> int:
-    units = _resolve(args, "budget")
-    lam = _resolve(args, "lam")
+    units, lam = args.budget, args.lam
     config = _search_config(args)
     if lam == 0.5:
         policy, values = optimize_outer_sum(units, config)
@@ -223,8 +217,7 @@ def render_sweep_csv(rows) -> str:
 
 
 def cmd_sweep(args) -> int:
-    u_max = _resolve(args, "budget")
-    rows, _ = sweep_details(u_max, _search_config(args))
+    rows, _ = sweep_details(args.budget, _search_config(args))
     for row in rows:
         if not (
             row.sum_conventional <= row.sum_optimized <= row.sum_outer + 1e-6
@@ -242,11 +235,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    trials = _resolve(args, "trials")
-    n = _resolve(args, "blocklength")
-    epsilon = _resolve(args, "epsilon")
-    delta = _resolve(args, "delta")
-    seed = _resolve(args, "seed")
+    trials, n, seed = args.trials, args.blocklength, args.seed
+    epsilon, delta = args.epsilon, args.delta
     policy = _policy_from_args(args)
     books = build_codebooks(policy, n, epsilon, delta, seed=seed)
     report = monte_carlo_error(books, trials, seed=seed)
@@ -272,9 +262,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_u1(args) -> int:
-    m = _resolve(args, "bits")
-    seed = _resolve(args, "seed")
-    frame = _resolve(args, "frame")
+    m, seed, frame = args.bits, args.seed, args.frame
 
     print(f"single-unit strategies with m={m} bits per node, seed={seed}")
     print(f"position coding, frame {frame}: sum rate {naive_frame_rate(frame):.6f}")
@@ -378,6 +366,8 @@ def main(argv=None) -> int:
             args._config = loaded
         else:
             args._config = {}
+        for key in args.keys:
+            setattr(args, key, _resolve(args, key))
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

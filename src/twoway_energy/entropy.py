@@ -54,8 +54,8 @@ class JointSymbolDist:
 
     def __post_init__(self):
         probs = (self.p00, self.p01, self.p10, self.p11)
-        if any(p < 0.0 for p in probs):
-            raise ValueError(f"negative probability in {probs}")
+        if not all(p >= 0.0 for p in probs):
+            raise ValueError(f"negative or NaN probability in {probs}")
         total = sum(probs)
         if abs(total - 1.0) > _NORM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")

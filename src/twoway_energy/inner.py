@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarginalPolicy, _stationary_updown
+from .chain import MarginalPolicy, _chain_sums
 from .entropy import _h
 
 GRID_SEEDS = (0.5, 0.2, 0.35, 0.65, 0.8)
@@ -79,12 +79,10 @@ class OptimizationResult:
 
 def _rates_updown(p1, p2):
     """(r1, r2, pi) for policy lists with the forced zeros at index 0."""
-    units = len(p1) - 1
-    up = [(1.0 - p1[u]) * p2[units - u] for u in range(units)]
-    down = [p1[u] * (1.0 - p2[units - u]) for u in range(1, units + 1)]
-    pi = _stationary_updown(up, down)
-    r1 = sum(pi[u] * _h(p1[u]) for u in range(units + 1))
-    r2 = sum(pi[u] * _h(p2[units - u]) for u in range(units + 1))
+    q2 = p2[::-1]  # node 2's law in each state u
+    up = [(1.0 - a) * b for a, b in zip(p1[:-1], q2[:-1])]
+    down = [a * (1.0 - b) for a, b in zip(p1[1:], q2[1:])]
+    pi, (r1, r2) = _chain_sums(up, down, ([_h(a) for a in p1], [_h(b) for b in q2]))
     return r1, r2, pi
 
 
@@ -127,7 +125,8 @@ def _search(fixed, draw, siblings, obj, config: SearchConfig):
     """Best (x, f) of multi-start coordinate ascent of obj.
 
     The starts are `fixed`, then draw(rng) until config.restarts, each
-    clipped into [CLAMP, 1-CLAMP]. Coordinate i ranges over
+    clipped into a list of floats in [CLAMP, 1-CLAMP] (plain floats keep
+    each probe free of numpy scalars). Coordinate i ranges over
     [CLAMP, max(CLAMP, 1 - sum(x[siblings[i]]) - CLAMP)] and is refined
     by golden-section search; an ascent stops when a full sweep gains
     < config.tol. A later start wins only by more than 1e-9.
@@ -138,7 +137,7 @@ def _search(fixed, draw, siblings, obj, config: SearchConfig):
         starts.append(draw(rng))
     best_x, best_f = None, -math.inf
     for start in starts:
-        x = np.clip(start, CLAMP, 1.0 - CLAMP)
+        x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
         f = obj(x)
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
@@ -178,23 +177,18 @@ def optimize_sum_rate(
     search.seed.
     """
     config = _checked_search(units, lam, search)
-    p1 = [0.0] * (units + 1)
-    p2 = [0.0] * (units + 1)
 
     def obj(v):
-        for e in range(units):
-            p1[e + 1] = v[e]
-            p2[e + 1] = v[units + e]
-        r1, r2, _ = _rates_updown(p1, p2)
+        r1, r2, _ = _rates_updown([0.0, *v[:units]], [0.0, *v[units:]])
         return 2.0 * (lam * r1 + (1.0 - lam) * r2)
 
     nfree = 2 * units
-    grid = [np.full(nfree, g) for g in GRID_SEEDS[: config.restarts]]
+    grid = [[g] * nfree for g in GRID_SEEDS[: config.restarts]]
     v, best_f = _search(grid, lambda rng: rng.uniform(0.1, 0.9, nfree), ((),) * nfree, obj, config)
-    policy = MarginalPolicy(p1=[0.0, *v[:units]], p2=[0.0, *v[units:]])
-    r1, r2, pi = _rates_updown(policy.p1.tolist(), policy.p2.tolist())
+    p1, p2 = [0.0, *v[:units]], [0.0, *v[units:]]
+    r1, r2, pi = _rates_updown(p1, p2)
     return OptimizationResult(
-        policy=policy,
+        policy=MarginalPolicy(p1=p1, p2=p2),
         rates=RatePair(r1=r1, r2=r2),
         stationary=np.array(pi),
         objective=best_f,

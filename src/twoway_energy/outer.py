@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarginalPolicy, _stationary_updown, uniform_policy
+from .chain import MarginalPolicy, _chain_sums, uniform_policy
 from .entropy import JointSymbolDist, _entropy, _h
 from .inner import CLAMP, SearchConfig, _checked_search, _search
 from .inner import optimize_sum_rate, rates_for_policy
@@ -82,19 +82,14 @@ class OuterBoundValues:
 
 
 def _outer_terms(dists):
-    """(r1, r2, sum, pi) from raw 4-tuples, with H(X1|X2) = H(X1,X2) - H(X2)
-    and likewise for r2; rounding can leave a zero bound just below 0."""
-    units = len(dists) - 1
-    up = [dists[u][1] for u in range(units)]
-    down = [dists[u][2] for u in range(1, units + 1)]
-    pi = _stationary_updown(up, down)
-    r1 = r2 = total = 0.0
-    for u, d in enumerate(dists):
-        _, p01, p10, p11 = d
-        h = _entropy(d)
-        total += pi[u] * h
-        r1 += pi[u] * (h - _h(p01 + p11))
-        r2 += pi[u] * (h - _h(p10 + p11))
+    """(r1, r2, sum, pi) from raw (p00, p01, p10, p11) sequences, with
+    H(X1|X2) = H(X1,X2) - H(X2) and likewise for r2; rounding can leave
+    a zero bound just below 0."""
+    h = [_entropy(d) for d in dists]
+    r1_col = [hu - _h(d[1] + d[3]) for hu, d in zip(h, dists)]
+    r2_col = [hu - _h(d[2] + d[3]) for hu, d in zip(h, dists)]
+    up, down = [d[1] for d in dists[:-1]], [d[2] for d in dists[1:]]
+    pi, (r1, r2, total) = _chain_sums(up, down, (r1_col, r2_col, h))
     return max(r1, 0.0), max(r2, 0.0), total, pi
 
 
@@ -112,52 +107,40 @@ def outer_values(policy: JointStatePolicy) -> OuterBoundValues:
 
 # -- maximization over joint-state policies ---------------------------------
 #
-# Free coordinates per state: boundary states have one ((0,1) mass at
-# state 0, (1,0) mass at state units), interior states three ((0,1),
-# (1,0), (1,1)); the (0,0) mass absorbs the remainder. Every entry is
-# kept >= CLAMP so the chain stays irreducible and entropies smooth.
+# The search vector lists each state's free entries in turn; the (0,0)
+# mass absorbs the remainder. Every entry is kept >= CLAMP so the chain
+# stays irreducible and entropies smooth.
 
 
-def _unpack(x, units: int):
+def _free_slots(units: int):
+    """Per state, the indices into (p00, p01, p10, p11) of its free
+    entries: p01 at state 0, p10 at state units, p01, p10 and p11 between."""
+    return [(1,)] + [(1, 2, 3)] * (units - 1) + [(2,)]
+
+
+def _unpack(x, slots):
     dists = []
     k = 0
-    for u in range(units + 1):
-        if u == 0:
-            b = x[k]
+    for free in slots:
+        d = [1.0, 0.0, 0.0, 0.0]
+        for s in free:
+            d[s] = x[k]
+            d[0] -= x[k]
             k += 1
-            dists.append((1.0 - b, b, 0.0, 0.0))
-        elif u == units:
-            a = x[k]
-            k += 1
-            dists.append((1.0 - a, 0.0, a, 0.0))
-        else:
-            p01, p10, p11 = x[k], x[k + 1], x[k + 2]
-            k += 3
-            dists.append((1.0 - p01 - p10 - p11, p01, p10, p11))
+        dists.append(d)
     return dists
 
 
-def _pack(policy: JointStatePolicy):
-    x = []
-    for u, d in enumerate(policy.dists):
-        if u == 0:
-            x.append(d.p01)
-        elif u == policy.units:
-            x.append(d.p10)
-        else:
-            x.extend((d.p01, d.p10, d.p11))
-    return x
+def _pack(policy: JointStatePolicy, slots):
+    return [d.as_tuple()[s] for d, free in zip(policy.dists, slots) for s in free]
 
 
-def _coord_siblings(units: int):
+def _coord_siblings(slots):
     """Per free coordinate: the other coordinates of its state."""
     siblings = []
-    for u in range(units + 1):
-        if u in (0, units):
-            siblings.append(())
-        else:
-            k = len(siblings)
-            siblings.extend(tuple(k + t for t in range(3) if t != j) for j in range(3))
+    for free in slots:
+        own = range(len(siblings), len(siblings) + len(free))
+        siblings.extend(tuple(j for j in own if j != i) for i in own)
     return siblings
 
 
@@ -181,29 +164,30 @@ def _optimize_outer(units, lam, search, seed_policies, weight):
             restarts=max(2, config.restarts // 8), tol=config.tol, seed=config.seed + 1
         )
         seeds.append(JointStatePolicy.from_marginal(optimize_sum_rate(units, lam, quick).policy))
-    fixed = [_pack(sp) for sp in seeds]
+    slots = _free_slots(units)
+    fixed = [_pack(sp, slots) for sp in seeds]
     if len(fixed) < config.restarts:
-        fixed.append(_pack(JointStatePolicy.from_marginal(uniform_policy(units))))
+        fixed.append(_pack(JointStatePolicy.from_marginal(uniform_policy(units)), slots))
 
     def draw(rng):
         vals = []
-        for u in range(units + 1):
-            if u in (0, units):
+        for free in slots:
+            if len(free) == 1:
                 vals.append(rng.uniform(0.1, 0.9))
             else:
-                vals.extend(rng.dirichlet((1.0, 1.0, 1.0, 1.0))[1:4])
+                vals.extend(rng.dirichlet((1.0,) * (len(free) + 1))[1:])
         return vals
 
     def obj(x):
-        dists = _unpack(x, units)
+        dists = _unpack(x, slots)
         for d in dists:
             if d[0] < CLAMP * 0.5:
                 return -math.inf
         r1, r2, total, _ = _outer_terms(dists)
         return weight(r1, r2, total)
 
-    best_x, _ = _search(fixed, draw, _coord_siblings(units), obj, config)
-    policy = _joint_policy(_unpack(best_x, units))
+    best_x, _ = _search(fixed, draw, _coord_siblings(slots), obj, config)
+    policy = _joint_policy(_unpack(best_x, slots))
     return policy, outer_values(policy)
 
 

@@ -378,8 +378,8 @@ def build_codebooks(
     """
     if blocklength < 1:
         raise ValueError("blocklength must be >= 1")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    if not epsilon >= 0.0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
     units = policy.units

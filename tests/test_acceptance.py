@@ -7,6 +7,7 @@ and shared by the three criteria that consume it.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from twoway_energy import (
     uniform_policy,
     variable_length_sim,
 )
-from twoway_energy.cli import sweep_details
+from twoway_energy.cli import render_sweep_csv, sweep_details
 
 U_MAX = 16
 SWEEP_SEARCH = SearchConfig(restarts=6, tol=1e-6, seed=1)
@@ -151,6 +152,16 @@ def test_conventional_vs_optimized_gap(full_sweep):
     assert abs(conv2 - 1.5) <= 1e-9
     assert gaps_ok
     assert elapsed < 120.0
+
+
+def test_sweep_csv_matches_the_pinned_table(full_sweep):
+    # The pinned file is the output of
+    # `twoway-energy sweep --budget 16 --restarts 6 --seed 1`.
+    rows, _, _ = full_sweep
+    pinned = (Path(__file__).parent / "data" / "sweep_u16.csv").read_text(encoding="utf-8")
+    text = render_sweep_csv(rows)
+    _report("bounds table equals tests/data/sweep_u16.csv byte for byte", text == pinned)
+    assert text == pinned
 
 
 def test_inner_outer_sandwich_and_closure(full_sweep):

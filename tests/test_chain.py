@@ -20,6 +20,8 @@ def test_policy_validation():
         MarginalPolicy(p1=np.array([0.0, 1.5]), p2=np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
         MarginalPolicy(p1=np.array([0.0]), p2=np.array([0.0]))  # no energy unit
+    with pytest.raises(ValueError, match="p2"):
+        MarginalPolicy(p1=np.array([0.0, 0.5]), p2=np.array([0.0, np.nan]))
     pol = uniform_policy(3, 0.7)
     assert pol.units == 3
     assert pol.p1[0] == 0.0 and pol.p2[0] == 0.0

@@ -37,8 +37,10 @@ def test_stationary_malformed_policy_file(tmp_path, capsys):
 
 def test_stationary_policy_file_with_bad_values(tmp_path, capsys):
     path = tmp_path / "bad2.json"
-    path.write_text(json.dumps({"p1": [0.5, 0.5], "p2": [0.0, 0.5]}))
-    assert main(["stationary", "--policy", str(path)]) == 2
+    for p1 in ([0.5, 0.5], [0.0, float("nan")]):
+        path.write_text(json.dumps({"p1": p1, "p2": [0.0, 0.5]}))
+        assert main(["stationary", "--policy", str(path)]) == 2
+        assert "invalid policy file" in capsys.readouterr().err
 
 
 def test_missing_command_is_usage_error():
@@ -237,6 +239,8 @@ def test_stationary_checks_the_seed_before_printing(tmp_path, capsys):
         ["inner", "--tol", "nan"],
         ["simulate", "--delta", "nan"],
         ["simulate", "--delta=-inf"],
+        ["stationary", "--restarts", "0", "--tol", "nan"],
+        ["simulate", "--lambda", "7", "--restarts", "0", "--trials", "1", "--blocklength", "1000"],
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv):

@@ -51,6 +51,8 @@ def test_joint_dist_rejects_bad_input():
         JointSymbolDist(0.5, 0.5, 0.1, -0.1)
     with pytest.raises(ValueError):
         JointSymbolDist(0.3, 0.3, 0.3, 0.3)  # sums to 1.2
+    with pytest.raises(ValueError):
+        JointSymbolDist(float("nan"), 0.5, 0.25, 0.25)
 
 
 def test_marginals_of_product_distribution():

@@ -20,10 +20,12 @@ from twoway_energy import (
     marginals_and_conditionals,
     optimal_timeshare_sim,
     optimize_outer_sum,
+    optimize_sum_rate,
     outer_values,
     rates_for_policy,
     run_trial,
     stationary,
+    uniform_policy,
     validate_transcript,
 )
 
@@ -111,6 +113,17 @@ def test_outer_ascent_never_loses_its_seed_policy(units, probs):
     _, vals = optimize_outer_sum(units, SearchConfig(restarts=1), seed_policies=[seed])
     # 1e-12 covers the (0,0) mass, which the search recomputes as a remainder
     assert vals.sum_bound >= outer_values(seed).sum_bound - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(units=st.integers(min_value=1, max_value=6), lam=st.floats(min_value=0.0, max_value=1.0))
+def test_inner_ascent_never_loses_its_start(units, lam):
+    # With one restart the only start is the first grid seed, p = 0.5 everywhere
+    rates = rates_for_policy(uniform_policy(units, 0.5))
+    start = 2.0 * (lam * rates.r1 + (1.0 - lam) * rates.r2)
+    result = optimize_sum_rate(units, lam, SearchConfig(restarts=1))
+    assert 2.0 * (lam * result.rates.r1 + (1.0 - lam) * result.rates.r2) == result.objective
+    assert result.objective >= start - 1e-12
 
 
 @settings(max_examples=40, deadline=None)

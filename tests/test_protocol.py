@@ -200,6 +200,12 @@ def test_build_codebooks_rejects_non_finite_delta():
             build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, delta, seed=0)
 
 
+def test_build_codebooks_rejects_negative_or_nan_epsilon():
+    for epsilon in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            build_codebooks(uniform_policy(1, 0.5), 1_000, epsilon, 0.1, seed=0)
+
+
 def test_build_codebooks_margin_exhaustion():
     with pytest.raises(MarginExhaustedError, match="epsilon"):
         build_codebooks(uniform_policy(1, 0.5), 10_000, 0.6, 0.05, seed=0)

@@ -366,7 +366,7 @@ def main(argv=None) -> int:
             args._config = loaded
         else:
             args._config = {}
-        for key in args.keys:
+        for key in (*args.keys, *args._config):  # checks a shared file in full
             setattr(args, key, _resolve(args, key))
         return args.run(args)
     except UsageError as exc:

@@ -4,15 +4,19 @@ maximization over transmission policies.
 A marginal policy achieves R1 = sum_u pi[u] H(p1[u]) and
 R2 = sum_u pi[u] H(p2[units-u]) where pi is the stationary law of the
 induced energy chain. The weighted objective 2*(lam*R1 + (1-lam)*R2)
-reduces to the plain sum-rate at lam = 0.5.
+reduces to the plain sum-rate at lam = 0.5. The chain and the rewards
+are built from one cell per state u, (down move, up move, feasible,
+*rewards) = (a(1-b), (1-a)b, True, H(a), H(b)) at a = p1[u], b = p2[units-u].
 
 The objective is smooth but nonconvex in the 2*units free
 probabilities, so the maximizer runs multi-start coordinate ascent
 (`_search`, which the outer bound shares): constant grid seeds plus
 random restarts, each refined by coordinate-wise golden-section search
-on [CLAMP, 1-CLAMP]. The clamp keeps every policy strictly interior,
-hence the chain irreducible; the boundary of the rate region is
-approached but never evaluated at degenerate policies. Restarts are
+on [CLAMP, 1-CLAMP]; a coordinate enters one state's cell (`states`),
+so a probe recomputes that cell alone and `value` maps the chain's
+reward sums to the objective. The clamp keeps every policy strictly
+interior, hence the chain irreducible; the boundary of the rate region
+is approached but never evaluated at degenerate policies. Restarts are
 independent and the reduction (max by objective, first within 1e-9
 wins) is deterministic given the seed.
 """
@@ -77,12 +81,20 @@ class OptimizationResult:
     restarts_used: int
 
 
+def _inner_cell(a, b):
+    """Cell of a state where node 1 sends "1" w.p. a and node 2 w.p. b."""
+    return a * (1.0 - b), (1.0 - a) * b, True, _h(a), _h(b)
+
+
+def _cell_sums(columns):
+    """_chain_sums of the chain with cell columns (down, up, feasible, *rewards)."""
+    return _chain_sums(columns[1][:-1], columns[0][1:], columns[3:])
+
+
 def _rates_updown(p1, p2):
     """(r1, r2, pi) for policy lists with the forced zeros at index 0."""
-    q2 = p2[::-1]  # node 2's law in each state u
-    up = [(1.0 - a) * b for a, b in zip(p1[:-1], q2[:-1])]
-    down = [a * (1.0 - b) for a, b in zip(p1[1:], q2[1:])]
-    pi, (r1, r2) = _chain_sums(up, down, ([_h(a) for a in p1], [_h(b) for b in q2]))
+    cells = [_inner_cell(a, b) for a, b in zip(p1, p2[::-1])]  # p2[e] acts in state units-e
+    pi, (r1, r2) = _cell_sums(list(zip(*cells)))
     return r1, r2, pi
 
 
@@ -121,12 +133,15 @@ def _checked_search(units: int, lam: float, search: SearchConfig | None) -> Sear
     return search or SearchConfig()
 
 
-def _search(fixed, draw, siblings, obj, config: SearchConfig):
-    """Best (x, f) of multi-start coordinate ascent of obj.
+def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
+    """Best (x, f) of multi-start coordinate ascent of a chain objective.
 
-    The starts are `fixed`, then draw(rng) until config.restarts, each
-    clipped into a list of floats in [CLAMP, 1-CLAMP] (plain floats keep
-    each probe free of numpy scalars). Coordinate i ranges over
+    f(x) is value(sums) of the chain whose state u has cell(x, u), or -inf
+    while a cell is infeasible. Coordinate i enters only state states[i]'s
+    cell: a probe splices that cell into the restart's cached columns,
+    sums the chain and restores the old cell, so it returns the float a
+    full evaluation would. The starts are `fixed`, then draw(rng) until
+    config.restarts, clipped into [CLAMP, 1-CLAMP]. Coordinate i ranges over
     [CLAMP, max(CLAMP, 1 - sum(x[siblings[i]]) - CLAMP)] and is refined
     by golden-section search; an ascent stops when a full sweep gains
     < config.tol. A later start wins only by more than 1e-9.
@@ -138,31 +153,53 @@ def _search(fixed, draw, siblings, obj, config: SearchConfig):
     best_x, best_f = None, -math.inf
     for start in starts:
         x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
-        f = obj(x)
+        cells = [cell(x, u) for u in range(max(states) + 1)]
+        cols = [list(col) for col in zip(*cells)]
+
+        def put(u, c):
+            for col, r in zip(cols, c):
+                col[u] = r
+
+        def objective():
+            return -math.inf if False in cols[2] else value(_cell_sums(cols)[1])
+
+        def probe(i, u, v):
+            old, x[i] = x[i], v
+            put(u, cell(x, u))
+            x[i] = old
+            val = objective()
+            put(u, cells[u])
+            return val
+
+        f = objective()
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
-            for i, sib in enumerate(siblings):
+            for i, (sib, u) in enumerate(zip(siblings, states)):
                 hi = max(CLAMP, 1.0 - sum(x[s] for s in sib) - CLAMP)
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
-
-                def along(v, i=i):
-                    old = x[i]
-                    x[i] = v
-                    val = obj(x)
-                    x[i] = old
-                    return val
-
-                xi, fi = _golden_max(along, CLAMP, hi)
+                xi, fi = _golden_max(lambda v, i=i, u=u: probe(i, u, v), CLAMP, hi)
                 if fi > f:
                     gained += fi - f
                     x[i] = xi
                     f = fi
+                    cells[u] = cell(x, u)
+                    put(u, cells[u])
             if gained < config.tol:
                 break
         if f > best_f + 1e-9:
             best_x, best_f = x, f
     return best_x, best_f
+
+
+def _inner_problem(units: int, lam: float):
+    """(siblings, states, cell, value) of the inner objective of x = (p1[1:], p2[1:])."""
+
+    def cell(x, u):
+        return _inner_cell(x[u - 1] if u else 0.0, x[2 * units - 1 - u] if u < units else 0.0)
+
+    states = [*range(1, units + 1), *range(units - 1, -1, -1)]
+    return ((),) * len(states), states, cell, lambda s: 2.0 * (lam * s[0] + (1.0 - lam) * s[1])
 
 
 def optimize_sum_rate(
@@ -177,14 +214,9 @@ def optimize_sum_rate(
     search.seed.
     """
     config = _checked_search(units, lam, search)
-
-    def obj(v):
-        r1, r2, _ = _rates_updown([0.0, *v[:units]], [0.0, *v[units:]])
-        return 2.0 * (lam * r1 + (1.0 - lam) * r2)
-
     nfree = 2 * units
     grid = [[g] * nfree for g in GRID_SEEDS[: config.restarts]]
-    v, best_f = _search(grid, lambda rng: rng.uniform(0.1, 0.9, nfree), ((),) * nfree, obj, config)
+    v, best_f = _search(grid, lambda r: r.uniform(0.1, 0.9, nfree), *_inner_problem(units, lam), config)
     p1, p2 = [0.0, *v[:units]], [0.0, *v[units:]]
     r1, r2, pi = _rates_updown(p1, p2)
     return OptimizationResult(

@@ -22,14 +22,14 @@ the inner one by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .chain import MarginalPolicy, _chain_sums, uniform_policy
+from .chain import MarginalPolicy, uniform_policy
 from .entropy import JointSymbolDist, _entropy, _h
-from .inner import CLAMP, SearchConfig, _checked_search, _search
+from .inner import CLAMP, SearchConfig, _cell_sums, _checked_search, _search
 from .inner import optimize_sum_rate, rates_for_policy
 
 
@@ -81,15 +81,18 @@ class OuterBoundValues:
     stationary: np.ndarray
 
 
+def _outer_cell(d):
+    """Cell of a state with joint d = (p00, p01, p10, p11): moves p10 and
+    p01, feasible (only the search asks) while p00 >= CLAMP/2, rewards
+    H(X1,X2) - H(X2), H(X1,X2) - H(X1) and H(X1,X2)."""
+    h = _entropy(d)
+    return d[2], d[1], not d[0] < CLAMP * 0.5, h - _h(d[1] + d[3]), h - _h(d[2] + d[3]), h
+
+
 def _outer_terms(dists):
-    """(r1, r2, sum, pi) from raw (p00, p01, p10, p11) sequences, with
-    H(X1|X2) = H(X1,X2) - H(X2) and likewise for r2; rounding can leave
-    a zero bound just below 0."""
-    h = [_entropy(d) for d in dists]
-    r1_col = [hu - _h(d[1] + d[3]) for hu, d in zip(h, dists)]
-    r2_col = [hu - _h(d[2] + d[3]) for hu, d in zip(h, dists)]
-    up, down = [d[1] for d in dists[:-1]], [d[2] for d in dists[1:]]
-    pi, (r1, r2, total) = _chain_sums(up, down, (r1_col, r2_col, h))
+    """(r1, r2, sum, pi) from raw (p00, p01, p10, p11) sequences; rounding
+    can leave a zero bound just below 0."""
+    pi, (r1, r2, total) = _cell_sums(list(zip(*map(_outer_cell, dists))))
     return max(r1, 0.0), max(r2, 0.0), total, pi
 
 
@@ -118,36 +121,38 @@ def _free_slots(units: int):
     return [(1,)] + [(1, 2, 3)] * (units - 1) + [(2,)]
 
 
+def _dist(x, k, free):
+    """The joint of a state whose free entries start at x[k]."""
+    d = [1.0, 0.0, 0.0, 0.0]
+    for s, v in zip(free, x[k : k + len(free)]):
+        d[s] = v
+        d[0] -= v
+    return d
+
+
 def _unpack(x, slots):
-    dists = []
-    k = 0
-    for free in slots:
-        d = [1.0, 0.0, 0.0, 0.0]
-        for s in free:
-            d[s] = x[k]
-            d[0] -= x[k]
-            k += 1
-        dists.append(d)
-    return dists
+    return [_dist(x, k, free) for k, free in zip(accumulate(map(len, slots), initial=0), slots)]
 
 
 def _pack(policy: JointStatePolicy, slots):
     return [d.as_tuple()[s] for d, free in zip(policy.dists, slots) for s in free]
 
 
-def _coord_siblings(slots):
-    """Per free coordinate: the other coordinates of its state."""
-    siblings = []
-    for free in slots:
-        own = range(len(siblings), len(siblings) + len(free))
-        siblings.extend(tuple(j for j in own if j != i) for i in own)
-    return siblings
+def _outer_problem(units, weight):
+    """(siblings, states, cell, value) of weight(r1, r2, sum) over the search
+    vector of _free_slots(units); siblings are the other entries of a state."""
+    slots = _free_slots(units)
+    at = list(accumulate(map(len, slots), initial=0))
+    states = [u for u, free in enumerate(slots) for _ in free]
+    siblings = [tuple(j for j in range(at[u], at[u + 1]) if j != i) for i, u in enumerate(states)]
 
+    def cell(x, u):
+        return _outer_cell(_dist(x, at[u], slots[u]))
 
-def _joint_policy(dists) -> JointStatePolicy:
-    return JointStatePolicy(
-        dists=tuple(JointSymbolDist(*(max(0.0, p) for p in d)) for d in dists)
-    )
+    def value(sums):
+        return weight(max(sums[0], 0.0), max(sums[1], 0.0), sums[2])
+
+    return siblings, states, cell, value
 
 
 def _optimize_outer(units, lam, search, seed_policies, weight):
@@ -178,16 +183,9 @@ def _optimize_outer(units, lam, search, seed_policies, weight):
                 vals.extend(rng.dirichlet((1.0,) * (len(free) + 1))[1:])
         return vals
 
-    def obj(x):
-        dists = _unpack(x, slots)
-        for d in dists:
-            if d[0] < CLAMP * 0.5:
-                return -math.inf
-        r1, r2, total, _ = _outer_terms(dists)
-        return weight(r1, r2, total)
-
-    best_x, _ = _search(fixed, draw, _coord_siblings(slots), obj, config)
-    policy = _joint_policy(_unpack(best_x, slots))
+    best_x, _ = _search(fixed, draw, *_outer_problem(units, weight), config)
+    dists = [JointSymbolDist(*(max(0.0, p) for p in d)) for d in _unpack(best_x, slots)]
+    policy = JointStatePolicy(dists=tuple(dists))
     return policy, outer_values(policy)
 
 

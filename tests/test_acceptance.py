@@ -6,6 +6,7 @@ checklist. The heavyweight bounds sweep over U = 1..16 is computed once
 and shared by the three criteria that consume it.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -162,6 +163,34 @@ def test_sweep_csv_matches_the_pinned_table(full_sweep):
     text = render_sweep_csv(rows)
     _report("bounds table equals tests/data/sweep_u16.csv byte for byte", text == pinned)
     assert text == pinned
+
+
+def test_sweep_matches_the_pinned_rows_bit_for_bit(full_sweep):
+    # The pinned file holds float.hex of every row and inner policy of
+    # sweep_details(16, SearchConfig(restarts=6, tol=1e-6, seed=1)), so a
+    # change below the CSV's six decimals fails here too.
+    rows, inners, _ = full_sweep
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "sweep_u16_rows.json").read_text(encoding="utf-8")
+    )
+    got = [
+        {
+            "units": row.units,
+            "conventional": row.sum_conventional.hex(),
+            "optimized": row.sum_optimized.hex(),
+            "outer": row.sum_outer.hex(),
+            "p1": [float(v).hex() for v in inner.policy.p1],
+            "p2": [float(v).hex() for v in inner.policy.p2],
+        }
+        for row, inner in zip(rows, inners)
+    ]
+    differ = [g["units"] for g, want in zip(got, pinned) if g != want]
+    _report(
+        "sweep rows and inner policies equal tests/data/sweep_u16_rows.json bit for bit",
+        got == pinned,
+        f"differing U: {differ}" if differ else "",
+    )
+    assert got == pinned
 
 
 def test_inner_outer_sandwich_and_closure(full_sweep):

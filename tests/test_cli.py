@@ -250,6 +250,28 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "config", [{"frame": 3, "bits": 0}, {"frame": 3}, {"bits": 0}, {"trials": "3"}, {"epsilon": -1.0}]
+)
+def test_config_keys_of_other_commands_are_checked(tmp_path, capsys, config):
+    # inner takes none of these keys, but a bad value in the file is still an error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["inner", "--budget", "1", "--restarts", "1", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "must be" in captured.err
+    assert captured.out == ""
+
+
+def test_one_config_file_serves_every_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": 1, "restarts": 1, "frame": 4, "bits": 16, "trials": 3}))
+    assert main(["inner", "--config", str(cfg)]) == 0
+    assert "energy units: 1" in capsys.readouterr().out
+    assert main(["u1", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out
+
+
 def test_config_invalid_json_is_usage_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{oops")

@@ -1,5 +1,5 @@
-"""Property tests of the chain, the bounds, the trial transcripts and the
-single-unit time-sharing schedule."""
+"""Property tests of the chain, the bounds, the shared search, the trial
+transcripts and the single-unit time-sharing schedule."""
 
 import math
 
@@ -28,6 +28,8 @@ from twoway_energy import (
     uniform_policy,
     validate_transcript,
 )
+from twoway_energy.inner import CLAMP, _inner_problem, _rates_updown, _search
+from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _unpack
 
 PROB = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
 
@@ -107,12 +109,77 @@ def test_outer_rate_bounds_match_conditional_entropy_oracle(policy):
     probs=st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=8, max_size=8),
 )
 def test_outer_ascent_never_loses_its_seed_policy(units, probs):
+    # Checks the returned bound against the seed's only. A search that
+    # misreports its point (say, a line search that returns the lower end
+    # with the midpoint's value) still passes whenever its error is below
+    # its gain over the seed; that is caught by
+    # test_search_value_is_a_fresh_evaluation_of_its_vector.
     seed = JointStatePolicy.from_marginal(
         MarginalPolicy(p1=[0.0, *probs[:units]], p2=[0.0, *probs[4 : 4 + units]])
     )
     _, vals = optimize_outer_sum(units, SearchConfig(restarts=1), seed_policies=[seed])
     # 1e-12 covers the (0,0) mass, which the search recomputes as a remainder
     assert vals.sum_bound >= outer_values(seed).sum_bound - 1e-12
+
+
+def _weight(problem, lam):
+    if problem == "outer sum":
+        return lambda r1, r2, s: s
+    return lambda r1, r2, s: 2.0 * (lam * r1 + (1.0 - lam) * r2)
+
+
+def _fresh_value(problem, units, lam, x):
+    """The objective of x, evaluated from scratch over the whole chain."""
+    if problem == "inner":
+        r1, r2, _ = _rates_updown([0.0, *x[:units]], [0.0, *x[units:]])
+        return 2.0 * (lam * r1 + (1.0 - lam) * r2)
+    dists = _unpack(x, _free_slots(units))
+    if any(d[0] < CLAMP * 0.5 for d in dists):
+        return -math.inf
+    r1, r2, total, _ = _outer_terms(dists)
+    return _weight(problem, lam)(r1, r2, total)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    problem=st.sampled_from(["inner", "outer sum", "outer weighted"]),
+    units=st.integers(min_value=1, max_value=5),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    restarts=st.integers(min_value=1, max_value=3),
+)
+def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, seed, restarts):
+    """Every probe of the search, and the value it returns, equals a
+    fresh evaluation of the probed vector bit for bit, and no start is
+    lost. Outer starts put each free entry in [0, 0.45], so some states
+    start infeasible (p00 < CLAMP/2)."""
+    if problem == "inner":
+        siblings, states, cell, value = _inner_problem(units, lam)
+        high = 1.0
+    else:
+        siblings, states, cell, value = _outer_problem(units, _weight(problem, lam))
+        high = 0.45
+    probed = []  # the vector of the last cell(x, u) call, which the next value() prices
+
+    def recording_cell(x, u):
+        probed[:] = x
+        return cell(x, u)
+
+    def checked_value(sums):
+        val = value(sums)
+        assert val == _fresh_value(problem, units, lam, probed)
+        return val
+
+    def draw(rng):
+        return rng.uniform(0.0, high, len(states))
+
+    config = SearchConfig(restarts=restarts, seed=seed)
+    x, f = _search([], draw, siblings, states, recording_cell, checked_value, config)
+    rng = np.random.default_rng(seed)  # the search's own draws, replayed
+    starts = [[min(max(v, CLAMP), 1.0 - CLAMP) for v in draw(rng)] for _ in range(restarts)]
+    assert f >= max(_fresh_value(problem, units, lam, s) for s in starts) - 1e-9
+    if x is not None:
+        assert f == _fresh_value(problem, units, lam, x)
 
 
 @settings(max_examples=25, deadline=None)

@@ -144,7 +144,8 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
     config.restarts, clipped into [CLAMP, 1-CLAMP]. Coordinate i ranges over
     [CLAMP, max(CLAMP, 1 - sum(x[siblings[i]]) - CLAMP)] and is refined
     by golden-section search; an ascent stops when a full sweep gains
-    < config.tol. A later start wins only by more than 1e-9.
+    < config.tol. A later start wins only by more than 1e-9. Raises
+    ValueError when every start ends at -inf.
     """
     rng = np.random.default_rng(config.seed)
     starts = list(fixed)
@@ -189,6 +190,8 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
                 break
         if f > best_f + 1e-9:
             best_x, best_f = x, f
+    if best_x is None:
+        raise ValueError(f"no search start reached a feasible point ({len(starts)} tried)")
     return best_x, best_f
 
 

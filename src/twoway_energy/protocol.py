@@ -3,11 +3,18 @@
 Two families live here. The single-unit (units = 1) schemes are small
 deterministic protocols: fixed-frame position coding, the variable-
 length prefix code {1 -> "1", 0 -> "01"}, and verbatim time sharing
-driven by possession of the unit. The general scheme is the random-
-coding construction: one codebook per node per energy level, i.i.d.
-Bern(p) codewords, multiplexed over channel uses according to the
-realized state sequence, with random padding after a codeword is
-exhausted so the state chain stays time-invariant.
+driven by possession of the unit; the state (node 1's energy, 0 or 1)
+says who holds it. The general scheme is the random-coding
+construction: one codebook per node per energy level, i.i.d. Bern(p)
+codewords, multiplexed over channel uses according to the realized
+state sequence, with random padding after a codeword is exhausted so
+the state chain stays time-invariant.
+
+The energy state alone drives a trial. State u picks node 1's level-u
+word and node 2's level-(units-u) word from per-state tables built once
+per trial, and the number of earlier visits to u is the position in
+both words. A node with no energy gets an empty word and pad
+probability 0, so it always sends "0".
 
 Codebooks are never materialized: a level holds ~2^(length * rate)
 codewords, so the set stores the exact bit count log2(K) and draws any
@@ -25,7 +32,7 @@ private, so fanning trials out to parallel workers is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,15 +164,10 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
     u = 1
     for k in range(len(b1)):
         for sender, bit in ((1, int(b1[k])), (2, int(b2[k]))):
-            word = (1,) if bit == 1 else (0, 1)
-            for sym in word:
+            for sym in (1,) if bit == 1 else (0, 1):
                 states.append(u)
-                if sender == 1:
-                    x1.append(sym)
-                    x2.append(0)
-                else:
-                    x1.append(0)
-                    x2.append(sym)
+                x1.append(sym if sender == 1 else 0)
+                x2.append(sym if sender == 2 else 0)
                 u = u - x1[-1] + x2[-1]
 
     t = _transcript(1, states, x1, x2)
@@ -182,20 +184,20 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
 
 
 def _decode_variable_length(t: Transcript, m: int):
-    """Parse the alternating prefix-code stream back into both bit vectors."""
+    """Parse the alternating prefix-code stream back into both bit vectors.
+
+    Every codeword ends with the "1" that hands the unit over, so the
+    state at a codeword's first use names its sender.
+    """
     dec = {1: [], 2: []}
     stream = {1: t.x1.tolist(), 2: t.x2.tolist()}
-    sender = 1
+    states = t.states.tolist()
     i = 0
     while i < t.length and (len(dec[1]) < m or len(dec[2]) < m):
-        sym = stream[sender][i]
-        if sym == 1:
-            dec[sender].append(1)
-            i += 1
-        else:
-            dec[sender].append(0)
-            i += 2  # the codeword "01" spans two uses
-        sender = 2 if sender == 1 else 1
+        sender = 1 if states[i] == 1 else 2
+        bit = stream[sender][i]
+        dec[sender].append(bit)
+        i += 2 - bit  # "1" spans one use, "01" two
     return np.array(dec[1], dtype=np.uint8), np.array(dec[2], dtype=np.uint8)
 
 
@@ -225,32 +227,24 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
     pend = {1: b1.tolist(), 2: b2.tolist()}
     ptr = {1: 0, 2: 0}
     m = len(b1)
-    holder = 1
     states, x1, x2 = [], [], []
     handovers = 0
-
-    def emit(sym1, sym2, u):
-        states.append(u)
-        x1.append(sym1)
-        x2.append(sym2)
-
-    u = 1  # state = node 1's energy; holder == 1 iff u == 1
+    u = 1  # node 1's energy: node 1 holds the unit iff u == 1
     while ptr[1] < m or ptr[2] < m:
-        other = 2 if holder == 1 else 1
+        holder, other = (1, 2) if u == 1 else (2, 1)
         if ptr[holder] < m:
-            bit = pend[holder][ptr[holder]]
+            sym = pend[holder][ptr[holder]]
             ptr[holder] += 1
-            emit(bit if holder == 1 else 0, bit if holder == 2 else 0, u)
-            if bit == 1:
-                holder = other
         elif pend[other][ptr[other]] == 0:
             ptr[other] += 1
-            emit(0, 0, u)
+            sym = 0
         else:
             # counterpart needs energy for its "1": return the unit first
-            emit(1 if holder == 1 else 0, 1 if holder == 2 else 0, u)
+            sym = 1
             handovers += 1
-            holder = other
+        states.append(u)
+        x1.append(sym if holder == 1 else 0)
+        x2.append(sym if holder == 2 else 0)
         u = u - x1[-1] + x2[-1]
 
     t = _transcript(1, states, x1, x2)
@@ -268,19 +262,18 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
 
 
 def _decode_timeshare(t: Transcript, m: int):
-    """Replay the possession schedule to split info bits from handovers."""
+    """Replay the possession schedule to split info bits from handovers.
+
+    The state says who holds the unit; an exhausted holder's "1" is a
+    handover use and carries no information.
+    """
     dec = {1: [], 2: []}
-    holder = 1
-    for i in range(t.length):
-        sym = {1: int(t.x1[i]), 2: int(t.x2[i])}
-        other = 2 if holder == 1 else 1
+    for u, a, b in zip(t.states.tolist(), t.x1.tolist(), t.x2.tolist()):
+        sym = {1: a, 2: b}
+        holder, other = (1, 2) if u == 1 else (2, 1)
         if len(dec[holder]) < m:
             dec[holder].append(sym[holder])
-            if sym[holder] == 1:
-                holder = other
-        elif sym[holder] == 1:
-            holder = other  # handover use, no information
-        else:
+        elif sym[holder] == 0:
             dec[other].append(sym[other])
     return np.array(dec[1], dtype=np.uint8), np.array(dec[2], dtype=np.uint8)
 
@@ -328,8 +321,8 @@ class CodebookSet:
     epsilon: float
     delta: float
     seed: int
-    levels: dict = field(default_factory=dict)
-    pi: np.ndarray = None
+    levels: dict
+    pi: np.ndarray
 
     def level(self, node: int, level: int) -> CodebookLevel:
         return self.levels[(node, level)]
@@ -351,15 +344,7 @@ class CodebookSet:
 
     def regenerate(self, seed: int) -> "CodebookSet":
         """Fresh random books with identical sizes (same policy and margins)."""
-        return CodebookSet(
-            units=self.units,
-            blocklength=self.blocklength,
-            epsilon=self.epsilon,
-            delta=self.delta,
-            seed=seed,
-            levels=self.levels,
-            pi=self.pi,
-        )
+        return replace(self, seed=seed)
 
 
 def build_codebooks(
@@ -465,88 +450,59 @@ def run_trial(
 ) -> TrialOutcome:
     """Simulate one block: multiplexed codewords, padding, list decoding.
 
-    At state u node 1 plays the next symbol of its level-u codeword (or
-    a fresh Bern(p) pad once the codeword is exhausted) and node 2 does
-    the same with its level-(units-u) book. The decoders reconstruct the
-    occupancy sets from the shared state sequence, read each codeword
-    off the first `length` uses of its state, and keep the unique
-    matching message; on a shortfall or an ambiguous list they fall back
-    to the fixed guess 1. Pads come from this trial's RNG stream, never
-    from the codebook stream. The walk starts in the middle state
-    (units + 1) // 2.
+    The energy state u is the walk's only state. Per-state tables built
+    once give node 1's level-u codeword and Bern(p) pad probability and
+    node 2's level-(units-u) ones; a node with no energy gets an empty
+    word and probability 0.0, so it always sends 0. The k-th visit to u
+    plays symbol k of both of u's words, or a fresh pad once a word is
+    exhausted; pads come from this trial's RNG stream, never from the
+    codebook stream. The decoders reconstruct the occupancy sets from
+    the shared state sequence, read each codeword off the first `length`
+    uses of its state, and keep the unique matching message; on a
+    shortfall or an ambiguous list they fall back to the fixed guess 1.
+    The walk starts in the middle state (units + 1) // 2.
     """
     units = codebooks.units
     n = codebooks.blocklength
-    u = (units + 1) // 2
     rng = np.random.default_rng(seed)
 
-    sent = {}
-    for (node, lv), m in messages.items():
-        sent[(node, lv)] = codebooks.codeword(node, lv, m).tolist()
-
-    p1 = [0.0] * (units + 1)
-    p2 = [0.0] * (units + 1)
-    for (node, lv), book in codebooks.levels.items():
-        (p1 if node == 1 else p2)[lv] = book.p
-
-    ptr1 = [0] * (units + 1)
-    ptr2 = [0] * (units + 1)
-    len1 = [0] * (units + 1)
-    len2 = [0] * (units + 1)
-    for (node, lv), book in codebooks.levels.items():
-        (len1 if node == 1 else len2)[lv] = book.length
+    sent = {key: codebooks.codeword(*key, m).tolist() for key, m in messages.items()}
+    prob = {key: book.p for key, book in codebooks.levels.items()}
+    # (node, 0) has no book: a node without energy gets an empty word and
+    # q = 0.0, and since pads lie in [0, 1) it always sends 0
+    keys1 = [(1, state) for state in range(units + 1)]
+    keys2 = [(2, units - state) for state in range(units + 1)]
+    word1 = [sent.get(key, []) for key in keys1]
+    word2 = [sent.get(key, []) for key in keys2]
+    q1 = [prob.get(key, 0.0) for key in keys1]
+    q2 = [prob.get(key, 0.0) for key in keys2]
 
     pad1 = rng.random(n)
     pad2 = rng.random(n)
     states, xs1, xs2 = [], [], []
     visits = [0] * (units + 1)
+    u = (units + 1) // 2
     for i in range(n):
-        visits[u] += 1
+        k = visits[u]
+        visits[u] = k + 1
         states.append(u)
-        if u == 0:
-            a = 0
-        else:
-            k = ptr1[u]
-            if k < len1[u]:
-                a = sent[(1, u)][k]
-                ptr1[u] = k + 1
-            else:
-                a = 1 if pad1[i] < p1[u] else 0
-        v = units - u
-        if v == 0:
-            b = 0
-        else:
-            k = ptr2[v]
-            if k < len2[v]:
-                b = sent[(2, v)][k]
-                ptr2[v] = k + 1
-            else:
-                b = 1 if pad2[i] < p2[v] else 0
+        w = word1[u]
+        a = w[k] if k < len(w) else (1 if pad1[i] < q1[u] else 0)
+        w = word2[u]
+        b = w[k] if k < len(w) else (1 if pad2[i] < q2[u] else 0)
         xs1.append(a)
         xs2.append(b)
         u = u - a + b
 
     e1 = set()
     e2 = set()
-    decoded = {1: {}, 2: {}}
     for (node, lv), book in sorted(codebooks.levels.items()):
-        state = lv if node == 1 else units - lv
-        true_m = messages[(node, lv)]
-        if visits[state] < book.length:
+        if visits[lv if node == 1 else units - lv] < book.length:
             e1.add((node, lv))
-            decoded[node][lv] = 1
-            continue
-        word = sent[(node, lv)]
-        if book.size > 1 and _collision_sampled(book, sum(word), rng):
+        elif book.size > 1 and _collision_sampled(book, sum(sent[(node, lv)]), rng):
             e2.add((node, lv))
-            decoded[node][lv] = 1
-        else:
-            decoded[node][lv] = true_m
-
-    ok = {
-        node: all(decoded[node][lv] == messages[(node, lv)] for lv in range(1, units + 1))
-        for node in (1, 2)
-    }
+    # a level in e1 or e2 decodes to the fallback guess 1, any other exactly
+    ok = {node: all(messages[key] == 1 for key in e1 | e2 if key[0] == node) for node in (1, 2)}
     return TrialOutcome(
         decoded_ok=ok,
         e1_events=frozenset(e1),

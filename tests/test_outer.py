@@ -139,6 +139,12 @@ def test_optimize_outer_validates_arguments():
         seed_pol = JointStatePolicy.from_marginal(uniform_policy(seed_units))
         with pytest.raises(ValueError, match=f"{seed_units} units, expected {units}"):
             optimize_outer_sum(units, search=FAST, seed_policies=[seed_pol])
+    # p = 1 leaves two interior states with (0, 0) mass below CLAMP / 2 after
+    # clipping; one coordinate move repairs only one, so the start stays at -inf
+    stuck = [JointStatePolicy.from_marginal(uniform_policy(3, 1.0))]
+    for optimize in (optimize_outer_sum, optimize_outer_weighted):
+        with pytest.raises(ValueError, match="no search start reached a feasible point"):
+            optimize(3, search=SearchConfig(restarts=1), seed_policies=stuck)
 
 
 def test_from_marginal_round_trip():

@@ -206,12 +206,24 @@ def test_trial_transcripts_are_feasible(units, probs, blocklength, delta, seed):
         p1=np.array([0.0, *probs[:units]]), p2=np.array([0.0, *probs[3 : 3 + units]])
     )
     books = build_codebooks(policy, blocklength, 0.0, delta, seed=seed)
-    outcome = run_trial(books, draw_messages(books, seed=seed + 1), seed=seed + 2)
+    messages = draw_messages(books, seed=seed + 1)
+    outcome = run_trial(books, messages, seed=seed + 2)
     validate_transcript(outcome.transcript)
     assert outcome.transcript.length == blocklength
     assert abs(outcome.empirical_occupancy.sum() - 1.0) <= 1e-12
     if not outcome.e1_events and not outcome.e2_events:
         assert outcome.decoded_ok == {1: True, 2: True}
+    # a level runs short exactly when its state has fewer visits than its length
+    visits = [round(x * blocklength) for x in outcome.empirical_occupancy]
+    for (node, lv), book in books.levels.items():
+        state = lv if node == 1 else units - lv
+        assert ((node, lv) in outcome.e1_events) == (visits[state] < book.length)
+    # a short or collided level decodes to the fallback guess 1, any other exactly
+    failed = outcome.e1_events | outcome.e2_events
+    assert not outcome.e1_events & outcome.e2_events
+    for node in (1, 2):
+        expected = all(messages[key] == 1 for key in failed if key[0] == node)
+        assert outcome.decoded_ok[node] == expected
 
 
 @st.composite

@@ -1,10 +1,14 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import expected_handovers
 from twoway_energy import (
+    MarginalPolicy,
     MarginExhaustedError,
     Transcript,
     build_codebooks,
@@ -19,6 +23,33 @@ from twoway_energy import (
     variable_length_sim,
 )
 from twoway_energy.protocol import _pow2_int
+
+# Trial walks and one Monte Carlo report recorded with the earlier walk that
+# kept per-node codeword pointers; the per-state walk reproduces them bit for bit.
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "trial_walks.json").read_text(encoding="utf-8")
+)
+
+
+def _sha256(transcript: Transcript) -> str:
+    return hashlib.sha256("\n".join(transcript.to_lines()).encode()).hexdigest()
+
+
+def _walk_record(outcome) -> dict:
+    return {
+        "transcript_sha256": _sha256(outcome.transcript),
+        "e1": sorted(map(list, outcome.e1_events)),
+        "e2": sorted(map(list, outcome.e2_events)),
+        "decoded_ok": [outcome.decoded_ok[1], outcome.decoded_ok[2]],
+        "occupancy": [float(x).hex() for x in outcome.empirical_occupancy],
+    }
+
+
+def _pinned_books(case):
+    policy = MarginalPolicy(p1=np.array(case["p1"]), p2=np.array(case["p2"]))
+    return build_codebooks(
+        policy, case["blocklength"], case["epsilon"], case["delta"], seed=case["book_seed"]
+    )
 
 
 # -- position coding ----------------------------------------------------------
@@ -119,6 +150,41 @@ def test_timeshare_random_inputs_decode_exactly_with_minimal_overhead():
         h = expected_handovers(b1, b2)
         assert res.handover_uses == h
         assert res.transcript.length == 2 * m + h
+
+
+# to_lines() sha256 of transcripts recorded before the schedule tracked the
+# unit's holder through the state alone
+_BITS200 = (np.random.default_rng(8).random((2, 200)) < 0.5).astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "run, sha256",
+    [
+        (
+            lambda: optimal_timeshare_sim([0, 0], [1, 1]),
+            "1914cc9a112b4e207386db26f87bdefab92e2a7c181b99f4f38ceb7a42cc4629",
+        ),
+        (
+            lambda: optimal_timeshare_sim([1, 1, 1], [0, 0, 0]),
+            "9ce8b8513ecc4c76c7f67dd732665f86116bb6a31045075c2f044f600b8e09b7",
+        ),
+        (
+            lambda: optimal_timeshare_sim(*_BITS200),
+            "9c7a1d8d6eef53fd1b07de582911a12e53b5ad0c09379b9c9cc25c17e80f2de9",
+        ),
+        (
+            lambda: variable_length_sim(2, bits1=[0, 0], bits2=[1, 1]),
+            "4f5b6cef0513439e99fcc856f07149ccc46126fecee2f5e0f17cecefb245fc9b",
+        ),
+        (
+            lambda: variable_length_sim(200, bits1=_BITS200[0], bits2=_BITS200[1]),
+            "8952ebdaf692af6d538b60d3fc76b2efb22e513613f84f3f762fe6754b5ac709",
+        ),
+    ],
+    ids=["ts-00-11", "ts-111-000", "ts-200", "vl-00-11", "vl-200"],
+)
+def test_single_unit_transcripts_match_the_pinned_hashes(run, sha256):
+    assert _sha256(run().transcript) == sha256
 
 
 def test_timeshare_validates_arguments():
@@ -324,3 +390,20 @@ def test_code_rate_ladder_approaches_achievable_sum_from_below():
     assert all(lo < hi for lo, hi in zip(rates, rates[1:]))
     assert all(r < achievable for r in rates)
     assert achievable - rates[-1] < 0.08
+
+
+@pytest.mark.parametrize("case", PINNED["trials"], ids=lambda case: case["name"])
+def test_trial_matches_the_pinned_walk(case):
+    books = _pinned_books(case)
+    messages = draw_messages(books, seed=case["message_seed"])
+    outcome = run_trial(books, messages, seed=case["trial_seed"])
+    assert _walk_record(outcome) == case["expected"]
+
+
+def test_monte_carlo_matches_the_pinned_report():
+    case = PINNED["monte_carlo"]
+    report = monte_carlo_error(_pinned_books(case), trials=case["trials"], seed=case["seed"])
+    assert round(report.error_rate * report.trials) == case["expected"]["errors"]
+    assert sorted([*k, v] for k, v in report.e1_counts.items()) == case["expected"]["e1"]
+    assert sorted([*k, v] for k, v in report.e2_counts.items()) == case["expected"]["e2"]
+    assert [float(x).hex() for x in report.mean_occupancy] == case["expected"]["occupancy"]

@@ -2,7 +2,9 @@
 
 Every command is deterministic given --seed. Option precedence is
 flags > --config JSON > built-in defaults; the defaults are shown by
---help. Exit codes: 0 ok, 1 runtime failure, 2 usage error.
+--help. Each option's flag, type, default, help text and allowed range
+are written once, in the OPTIONS table. Exit codes: 0 ok, 1 runtime
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,41 +28,41 @@ from .protocol import (
     variable_length_sim,
 )
 
-DEFAULTS = {
-    "budget": 2,
-    "lam": 0.5,
-    "restarts": 32,
-    "tol": 1e-6,
-    "seed": 0,
-    "blocklength": 100_000,
-    "epsilon": 0.01,
-    "delta": 0.02,
-    "trials": 100,
-    "p": 0.5,
-    "bits": 10_000,
-    "frame": 2,
-}
-
 
 def _range(lo, hi=math.inf):
     return f"in [{lo}, {hi}]", lambda v: lo <= v <= hi
 
 
-# What each checked value must be; a value outside it is a usage error.
-_LIMITS = {
-    "budget": _range(1),
-    "restarts": _range(1),
-    "blocklength": _range(1),
-    "trials": _range(1),
-    "bits": _range(1),
-    "simulate_steps": _range(1),
-    "seed": _range(0),
-    "tol": ("> 0", lambda v: v > 0.0),
-    "epsilon": _range(0.0),
-    "delta": ("finite", math.isfinite),
-    "lam": _range(0.0, 1.0),
-    "p": _range(0.0, 1.0),
-    "frame": ("a power of two >= 2", lambda v: v >= 2 and v & (v - 1) == 0),
+# One row per config key: flag, type, default, help text, and the allowed
+# range as a description and a predicate. A value outside it is a usage error.
+OPTIONS = {
+    "budget": ("--budget", int, 2, "total number of energy units U", *_range(1)),
+    "lam": ("--lambda", float, 0.5, "weight on node 1's rate in the objective", *_range(0.0, 1.0)),
+    "restarts": ("--restarts", int, 32, "multi-start count for the optimizers", *_range(1)),
+    "tol": (
+        "--tol", float, 1e-6, "stationarity tolerance of the coordinate ascent",
+        "> 0", lambda v: v > 0.0,
+    ),
+    "seed": ("--seed", int, 0, "RNG seed; all commands are deterministic given it", *_range(0)),
+    "blocklength": (
+        "--blocklength", int, 100_000, "channel uses per random-coding trial", *_range(1)
+    ),
+    "epsilon": (
+        "--epsilon", float, 0.01, "occupancy margin of the codeword lengths", *_range(0.0)
+    ),
+    "delta": (
+        "--delta", float, 0.02, "rate margin below each codebook's entropy",
+        "finite", math.isfinite,
+    ),
+    "trials": ("--trials", int, 100, "Monte Carlo trial count", *_range(1)),
+    "p": ("--p", float, 0.5, "uniform send-'1' probability at positive energy", *_range(0.0, 1.0)),
+    "bits": (
+        "--bits", int, 10_000, "information bits per node for the U=1 strategies", *_range(1)
+    ),
+    "frame": (
+        "--frame", int, 2, "frame size (power of two) for position coding",
+        "a power of two >= 2", lambda v: v >= 2 and v & (v - 1) == 0,
+    ),
 }
 
 
@@ -70,25 +72,10 @@ class UsageError(Exception):
 
 def _add_common(parser: argparse.ArgumentParser, keys) -> None:
     """Add one flag per key; main resolves every key before the command runs."""
-    opt = {
-        "budget": ("--budget", int, "total number of energy units U"),
-        "lam": ("--lambda", float, "weight on node 1's rate in the objective"),
-        "restarts": ("--restarts", int, "multi-start count for the optimizers"),
-        "tol": ("--tol", float, "stationarity tolerance of the coordinate ascent"),
-        "seed": ("--seed", int, "RNG seed; all commands are deterministic given it"),
-        "blocklength": ("--blocklength", int, "channel uses per random-coding trial"),
-        "epsilon": ("--epsilon", float, "occupancy margin of the codeword lengths"),
-        "delta": ("--delta", float, "rate margin below each codebook's entropy"),
-        "trials": ("--trials", int, "Monte Carlo trial count"),
-        "p": ("--p", float, "uniform send-'1' probability at positive energy"),
-        "bits": ("--bits", int, "information bits per node for the U=1 strategies"),
-        "frame": ("--frame", int, "frame size (power of two) for position coding"),
-    }
     for key in keys:
-        flag, typ, help_text = opt[key]
+        flag, kind, default, help_text, _, _ = OPTIONS[key]
         parser.add_argument(
-            flag, dest=key, type=typ, default=None,
-            help=f"{help_text} (default: {DEFAULTS[key]})",
+            flag, dest=key, type=kind, default=None, help=f"{help_text} (default: {default})"
         )
     parser.add_argument(
         "--config", type=str, default=None,
@@ -98,22 +85,20 @@ def _add_common(parser: argparse.ArgumentParser, keys) -> None:
 
 
 def _resolve(args, key):
-    """Flag, else --config value, else default; typed and range-checked."""
+    """Flag, else --config value, else default; converted to the option's
+    type and range-checked."""
+    _, kind, default, _, allowed, ok = OPTIONS[key]
     value = getattr(args, key, None)
     if value is None:
-        value = args._config.get(key, DEFAULTS[key])
-    kind = type(DEFAULTS[key])
+        value = args._config.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
-    return _checked(key, value)
-
-
-def _checked(key, value):
-    """value itself, or a UsageError when it lies outside _LIMITS[key]."""
-    if key in _LIMITS:
-        allowed, ok = _LIMITS[key]
-        if not ok(value):
-            raise UsageError(f"{key} must be {allowed}, got {value}")
+    try:
+        value = kind(value)  # a JSON int for a float option becomes a float
+    except OverflowError:
+        raise UsageError(f"{key} must be {kind.__name__}, got an int too large for one") from None
+    if not ok(value):
+        raise UsageError(f"{key} must be {allowed}, got {value}")
     return value
 
 
@@ -121,22 +106,30 @@ def _search_config(args) -> SearchConfig:
     return SearchConfig(restarts=args.restarts, tol=args.tol, seed=args.seed)
 
 
-def _load_policy_file(path: str) -> MarginalPolicy:
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; a UsageError if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"invalid {what} {path!r}: {exc}") from exc
+
+
+def _load_policy_file(path: str) -> MarginalPolicy:
+    raw = _read_json(path, "policy file")
+    try:
         return MarginalPolicy(
             p1=np.asarray(raw["p1"], dtype=float),
             p2=np.asarray(raw["p2"], dtype=float),
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"invalid policy file {path!r}: {exc}") from exc
 
 
 def _policy_from_args(args) -> MarginalPolicy:
-    if getattr(args, "policy", None):
+    if args.policy:
         return _load_policy_file(args.policy)
-    if getattr(args, "optimized", False):
+    if args.optimized:
         return optimize_sum_rate(args.budget, args.lam, _search_config(args)).policy
     return uniform_policy(args.budget, args.p)
 
@@ -146,8 +139,8 @@ def _policy_from_args(args) -> MarginalPolicy:
 
 def cmd_stationary(args) -> int:
     steps = args.simulate_steps
-    if steps is not None:
-        _checked("simulate_steps", steps)
+    if steps is not None and steps < 1:
+        raise UsageError(f"simulate_steps must be in [1, inf], got {steps}")
     policy = _policy_from_args(args)
     kernel = build_kernel(policy)
     pi = stationary(kernel)
@@ -282,7 +275,8 @@ def cmd_u1(args) -> int:
     bits2 = (rng.random(m) < 0.5).astype(np.uint8)
     ts = optimal_timeshare_sim(bits1, bits2)
     ok = bool(
-        np.array_equal(ts.decoded_bits1, bits1) and np.array_equal(ts.decoded_bits2, bits2)
+        np.array_equal(ts.decoded_bits1, ts.sent_bits1)
+        and np.array_equal(ts.decoded_bits2, ts.sent_bits2)
     )
     print(
         f"verbatim time sharing:  sum rate {ts.sum_rate:.6f} "
@@ -355,27 +349,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.config:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise UsageError(f"config {args.config!r} must hold a JSON object")
-            unknown = set(loaded) - set(DEFAULTS)
-            if unknown:
-                raise UsageError(f"config {args.config!r} has unknown keys: {sorted(unknown)}")
-            args._config = loaded
-        else:
-            args._config = {}
+        args._config = _read_json(args.config, "config") if args.config else {}
+        if not isinstance(args._config, dict):
+            raise UsageError(f"config {args.config!r} must hold a JSON object")
+        unknown = set(args._config) - set(OPTIONS)
+        if unknown:
+            raise UsageError(f"config {args.config!r} has unknown keys: {sorted(unknown)}")
         for key in (*args.keys, *args._config):  # checks a shared file in full
             setattr(args, key, _resolve(args, key))
         return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, json.JSONDecodeError) else 1
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

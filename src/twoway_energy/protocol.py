@@ -135,13 +135,12 @@ class U1SimResult:
     handover_uses: int = 0
 
 
-def _as_bits(bits, m, rng):
-    if bits is None:
-        return (rng.random(m) < 0.5).astype(np.uint8)
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or np.any(arr > 1):
+def _as_bits(bits) -> np.ndarray:
+    """bits as a uint8 array; a ValueError unless it is 1-d with every entry 0 or 1."""
+    arr = np.asarray(bits)
+    if arr.ndim != 1 or not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be a 1-d 0/1 array")
-    return arr
+    return arr.astype(np.uint8)
 
 
 def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimResult:
@@ -155,8 +154,8 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    b1 = _as_bits(bits1, m, rng)
-    b2 = _as_bits(bits2, m, rng)
+    b1 = (rng.random(m) < 0.5).astype(np.uint8) if bits1 is None else _as_bits(bits1)
+    b2 = (rng.random(m) < 0.5).astype(np.uint8) if bits2 is None else _as_bits(bits2)
     if len(b1) != len(b2):
         raise ValueError("both nodes must hold the same number of bits")
 
@@ -215,10 +214,7 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
     and for #ones differing by at most one), no handover is needed and
     the run takes exactly 2m uses.
     """
-    b1 = np.asarray(bits1, dtype=np.uint8)
-    b2 = np.asarray(bits2, dtype=np.uint8)
-    if b1.ndim != 1 or b2.ndim != 1 or np.any(b1 > 1) or np.any(b2 > 1):
-        raise ValueError("bits must be 1-d 0/1 arrays")
+    b1, b2 = _as_bits(bits1), _as_bits(bits2)
     if len(b1) != len(b2):
         raise ValueError("both nodes must hold the same number of bits")
     if len(b1) < 1:

@@ -50,7 +50,8 @@ def test_missing_command_is_usage_error():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
-    assert main(["sweep", "--help"]) == 0
+    for command in ("stationary", "inner", "outer", "sweep", "simulate", "u1"):
+        assert main([command, "--help"]) == 0
 
 
 def test_inner_command(capsys):
@@ -199,7 +200,10 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config",
-    [{"budget": "2"}, {"budget": 2.5}, {"budget": True}, {"p": "0.5"}, {"p": None}, {"seed": "x"}],
+    [
+        {"budget": "2"}, {"budget": 2.5}, {"budget": True}, {"p": "0.5"}, {"p": None},
+        {"seed": "x"}, {"delta": 10**400},
+    ],
 )
 def test_config_wrong_type_is_usage_error(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
@@ -251,13 +255,17 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "config", [{"frame": 3, "bits": 0}, {"frame": 3}, {"bits": 0}, {"trials": "3"}, {"epsilon": -1.0}]
+    "config",
+    [
+        {"frame": 3, "bits": 0}, {"frame": 3}, {"bits": 0}, {"trials": "3"}, {"epsilon": -1.0},
+        {"lam": 1.5}, {"restarts": 0}, {"tol": 0.0}, {"blocklength": 0}, {"delta": float("nan")},
+    ],
 )
 def test_config_keys_of_other_commands_are_checked(tmp_path, capsys, config):
-    # inner takes none of these keys, but a bad value in the file is still an error
+    # a bad value in the file is an error, also for a key that inner does not take
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["inner", "--budget", "1", "--restarts", "1", "--config", str(cfg)]) == 2
+    assert main(["inner", "--budget", "1", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert "must be" in captured.err
     assert captured.out == ""
@@ -272,7 +280,12 @@ def test_one_config_file_serves_every_command(tmp_path, capsys):
     assert capsys.readouterr().out
 
 
-def test_config_invalid_json_is_usage_error(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{oops")
+@pytest.mark.parametrize("name", ["invalid-json", "missing", "directory"])
+def test_config_invalid_json_is_usage_error(tmp_path, capsys, name):
+    cfg = tmp_path / name
+    if name == "invalid-json":
+        cfg.write_text("{oops")
+    elif name == "directory":
+        cfg.mkdir()
     assert main(["stationary", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""

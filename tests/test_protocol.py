@@ -104,6 +104,11 @@ def test_variable_length_validates_arguments():
         variable_length_sim(0)
     with pytest.raises(ValueError):
         variable_length_sim(4, bits1=[0, 1], bits2=[0, 1, 1])
+    for bad in ([0.5, 1], [-1, 1]):
+        with pytest.raises(ValueError):
+            variable_length_sim(2, bits1=bad, bits2=[0, 1])
+        with pytest.raises(ValueError):
+            variable_length_sim(2, bits1=[0, 1], bits2=bad)
 
 
 # -- verbatim time sharing -----------------------------------------------------
@@ -194,6 +199,11 @@ def test_timeshare_validates_arguments():
         optimal_timeshare_sim([], [])
     with pytest.raises(ValueError):
         optimal_timeshare_sim([0, 2], [0, 1])
+    for bad in ([0.5, 1], [-1, 1]):
+        with pytest.raises(ValueError):
+            optimal_timeshare_sim(bad, [0, 1])
+        with pytest.raises(ValueError):
+            optimal_timeshare_sim([0, 1], bad)
 
 
 # -- transcripts ---------------------------------------------------------------

@@ -85,12 +85,16 @@ def _add_common(parser: argparse.ArgumentParser, keys) -> None:
 
 
 def _resolve(args, key):
-    """Flag, else --config value, else default; converted to the option's
-    type and range-checked."""
-    _, kind, default, _, allowed, ok = OPTIONS[key]
-    value = getattr(args, key, None)
-    if value is None:
-        value = args._config.get(key, default)
+    """Flag, else --config value, else default. A config value is checked
+    even when a flag overrides it."""
+    value = _checked(key, args._config.get(key, OPTIONS[key][2]))
+    flag = getattr(args, key, None)
+    return value if flag is None else _checked(key, flag)
+
+
+def _checked(key, value):
+    """value converted to the option's type and range-checked."""
+    _, kind, _, _, allowed, ok = OPTIONS[key]
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         raise UsageError(f"{key} must be {kind.__name__}, got {value!r}")
     try:

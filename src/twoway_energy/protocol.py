@@ -18,12 +18,14 @@ probability 0, so it always sends "0".
 
 Codebooks are never materialized: a level holds ~2^(length * rate)
 codewords, so the set stores the exact bit count log2(K) and draws any
-single codeword on demand from a seed derived from (set seed, node,
-level, message). Collision checking against the other K-1 codewords of
-a level compares the transmitted codeword with a would-be alternative:
-the probability that at least one alternative equals it is computed
-exactly in log space from the codeword's composition and sampled as one
-Bernoulli event. Decoding failures are outcome data, never faults.
+single codeword on demand from a SeedSequence whose entropy is (set
+seed, node, level, message), each split into 32-bit words in linear
+time (see _seed_words). Collision checking against the other K-1
+codewords of a level compares the transmitted codeword with a would-be
+alternative: the probability that at least one alternative equals it is
+computed exactly in log space from the codeword's composition and
+sampled as one Bernoulli event. Decoding failures are outcome data,
+never faults.
 
 Trials are independent given distinct seeds; per-trial state is
 private, so fanning trials out to parallel workers is safe.
@@ -32,6 +34,7 @@ private, so fanning trials out to parallel workers is safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -288,6 +291,22 @@ def _pow2_int(bits: float) -> int:
     return mant << (b - 52)
 
 
+def _seed_words(*values) -> np.ndarray:
+    """The uint32 entropy words SeedSequence makes of a list of ints.
+
+    Each value contributes its little-endian 32-bit words ([0] for zero),
+    in order, as numpy's coercion of the list does; that coercion splits
+    an int with a loop quadratic in its size, to_bytes is linear.
+    """
+    chunks = []
+    for value in values:
+        n = operator.index(value)
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        chunks.append(n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little"))
+    return np.frombuffer(b"".join(chunks), dtype="<u4")
+
+
 @dataclass(frozen=True)
 class CodebookLevel:
     """One node's codebook for one of its own energy levels."""
@@ -320,15 +339,25 @@ class CodebookSet:
     levels: dict
     pi: np.ndarray
 
+    def __post_init__(self):
+        if operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def level(self, node: int, level: int) -> CodebookLevel:
         return self.levels[(node, level)]
 
     def codeword(self, node: int, level: int, message: int) -> np.ndarray:
-        """Materialize one codeword on demand; deterministic in all args."""
+        """Materialize one codeword on demand; deterministic in all args.
+
+        The generator is seeded with SeedSequence over the words of
+        (seed, node, level, message), the stream that
+        SeedSequence([seed, node, level, message]) gives.
+        """
         lv = self.levels[(node, level)]
         if not 1 <= message <= lv.size:
             raise ValueError(f"message {message} outside [1, {lv.size}]")
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, node, level, message]))
+        words = _seed_words(self.seed, node, level, message)
+        rng = np.random.default_rng(np.random.SeedSequence(words))
         return (rng.random(lv.length) < lv.p).astype(np.uint8)
 
     def rate(self, node: int) -> float:

@@ -262,12 +262,31 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
     ],
 )
 def test_config_keys_of_other_commands_are_checked(tmp_path, capsys, config):
-    # a bad value in the file is an error, also for a key that inner does not take
+    # a bad value in the file is an error, also for a key that inner does not
+    # take or whose flag is given (--restarts with {"restarts": 0})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["inner", "--budget", "1", "--config", str(cfg)]) == 2
+    assert main(["inner", "--budget", "1", "--restarts", "1", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert "must be" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--seed", "3"], {"seed": "x"}),
+        (["--lambda", "0.5"], {"lam": 1.5}),
+        (["--tol", "1e-3"], {"tol": float("nan")}),
+    ],
+)
+def test_config_value_is_checked_under_its_flag(tmp_path, capsys, flags, config):
+    # the flag wins, but the file's value for the same key is still checked
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["inner", "--budget", "1", *flags, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert next(iter(config)) in captured.err
     assert captured.out == ""
 
 

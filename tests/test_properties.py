@@ -1,5 +1,5 @@
-"""Property tests of the chain, the bounds, the shared search, the trial
-transcripts and the single-unit time-sharing schedule."""
+"""Property tests of the chain, the bounds, the shared search, the codeword
+seeds, the trial transcripts and the single-unit time-sharing schedule."""
 
 import math
 
@@ -30,6 +30,7 @@ from twoway_energy import (
 )
 from twoway_energy.inner import CLAMP, _inner_problem, _rates_updown, _search
 from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _unpack
+from twoway_energy.protocol import _seed_words
 
 PROB = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
 
@@ -224,6 +225,21 @@ def test_trial_transcripts_are_feasible(units, probs, blocklength, delta, seed):
     for node in (1, 2):
         expected = all(messages[key] == 1 for key in failed if key[0] == node)
         assert outcome.decoded_ok[node] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**96),
+    node=st.integers(min_value=1, max_value=2),
+    level=st.integers(min_value=0, max_value=2**40),
+    message=st.integers(min_value=0, max_value=2**4096),
+)
+def test_seed_words_give_the_stream_of_the_int_list(seed, node, level, message):
+    words = _seed_words(seed, node, level, message)
+    expected = np.random.SeedSequence([seed, node, level, message])
+    assert np.array_equal(
+        np.random.SeedSequence(words).generate_state(4), expected.generate_state(4)
+    )
 
 
 @st.composite

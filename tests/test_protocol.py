@@ -297,6 +297,66 @@ def test_codewords_deterministic_in_seed():
     assert not np.array_equal(a.codeword(1, 1, 1), a.codeword(1, 1, 2))
 
 
+# sha256 of codeword(2, 1, message) of a U = 2 book with 45600-bit messages,
+# recorded when the seed was SeedSequence([seed, node, level, message]).
+LONG_MESSAGE = 3**26000  # 41210 bits
+
+
+def _codeword_case_id(value):
+    if isinstance(value, str):
+        return value[:8]
+    return "3**26000" if value == LONG_MESSAGE else str(value)
+
+
+@pytest.mark.parametrize(
+    "seed, message, sha256",
+    [
+        (0, 1, "e05011b03981db206c8f3dbdf70d95de4e8be27e58cf8ca7cf6f4af6c5bf4973"),
+        (0, 2**32 - 1, "ded82d7762808bae33d408c8e12fc2adec3fd6e316fe45a81d7fa9a423fd0e9b"),
+        (0, 2**32, "16a81622a85c9a9190d214627b3726bd5883344352d1b7a5a2cb8742f0f634af"),
+        (0, 2**64 + 5, "b0222c6cbf4a008593dd58807a5a67b654317e29a180e0bb1f6eb8d391f617c6"),
+        (0, LONG_MESSAGE, "a7649bc91c892642d2e09d33ed4950dd5d490e1b169029301fba6b1c6b49dda0"),
+        (2**32, 1, "a48357e7fc39b39c1909ae7a7531904de7c4e3ea4d6e9fe32bc080dd1af09c29"),
+        (2**32, 2**32 - 1, "0faad5ecac9fed1aa11fe39ffa4d52c027e303f570d5d6ef0058c1af979d17e0"),
+        (2**32, 2**32, "b209a056aebf1bc3e780317555f0f10d3e4fd390833c930ffab064b76a226596"),
+        (2**32, 2**64 + 5, "aab8f3be27dd2e81c9c67cfce64e24d2d1907d1fc17cfc9b43504abfed0b9a28"),
+        (2**32, LONG_MESSAGE, "4e8ca2a6dd6bdc36a800a3afb1f5970c83761d3dfab5779509a89871e68dbe5e"),
+        (2**70, 1, "a544568e130efc3e9fff2c62ed3fcadb256cbd4484c822dc07b61038879253de"),
+        (2**70, 2**32 - 1, "a57a973f8c671db85e6d8317d220d4a3def46daead4a27e60c6e8a08368a1e87"),
+        (2**70, 2**32, "dca1434b05238126112c96054c52ce064cec07947d35b1cf85eb842de34620f9"),
+        (2**70, 2**64 + 5, "6d00e8d12f1bb9fa1456a122e9527260721d1f00bdcb00f87c8acbcf4d2c3f45"),
+        (2**70, LONG_MESSAGE, "bb487fcb1d14c2ec7f736abce6b3af0e14ea1d28fdfd6bfa5f8da5dd3d291e97"),
+    ],
+    ids=_codeword_case_id,
+)
+def test_codewords_match_the_pinned_hashes(seed, message, sha256):
+    books = build_codebooks(uniform_policy(2, 0.5), 100_000, 0.02, 0.05, seed=seed)
+    word = books.codeword(2, 1, message)
+    assert hashlib.sha256(word.tobytes()).hexdigest() == sha256
+
+
+def test_codeword_accepts_numpy_integers():
+    books = build_codebooks(uniform_policy(2, 0.5), 5_000, 0.02, 0.05, seed=np.int64(3))
+    plain = build_codebooks(uniform_policy(2, 0.5), 5_000, 0.02, 0.05, seed=3)
+    assert np.array_equal(books.codeword(1, 1, np.int64(12345)), plain.codeword(1, 1, 12345))
+
+
+def test_codeword_rejects_float_and_negative_messages():
+    books = build_codebooks(uniform_policy(2, 0.5), 5_000, 0.02, 0.05, seed=3)
+    with pytest.raises(TypeError):
+        books.codeword(1, 1, 7.0)
+    with pytest.raises(ValueError):
+        books.codeword(1, 1, -1)
+
+
+def test_codebooks_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 0.1, seed=-1)
+    books = build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 0.1, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        books.regenerate(seed=-1)
+
+
 def test_codeword_composition_tracks_generation_probability():
     books = build_codebooks(uniform_policy(1, 0.8), 50_000, 0.02, 0.05, seed=5)
     word = books.codeword(1, 1, 7)

@@ -19,12 +19,10 @@ from .chain import (
     uniform_policy,
 )
 from .entropy import (
-    JointFactorization,
     JointSymbolDist,
     binary_entropy,
     joint_entropy,
     joint_from_marginals,
-    marginals_and_conditionals,
 )
 from .inner import (
     OptimizationResult,
@@ -71,12 +69,10 @@ __all__ = [
     "simulate_chain",
     "stationary",
     "uniform_policy",
-    "JointFactorization",
     "JointSymbolDist",
     "binary_entropy",
     "joint_entropy",
     "joint_from_marginals",
-    "marginals_and_conditionals",
     "OptimizationResult",
     "RatePair",
     "SearchConfig",

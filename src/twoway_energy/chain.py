@@ -71,10 +71,6 @@ class MarginalPolicy:
         """Joint symbol distribution in state u (node 2 holds units - u)."""
         return joint_from_marginals(float(self.p1[u]), float(self.p2[self.units - u]))
 
-    def swapped(self) -> "MarginalPolicy":
-        """Policy with the two nodes' roles exchanged."""
-        return MarginalPolicy(p1=self.p2.copy(), p2=self.p1.copy())
-
 
 def uniform_policy(units: int, p: float = 0.5) -> MarginalPolicy:
     """Both nodes send "1" with the same probability p at every positive level."""

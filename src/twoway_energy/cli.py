@@ -18,7 +18,6 @@ import numpy as np
 
 from .chain import MarginalPolicy, build_kernel, simulate_chain, stationary, uniform_policy
 from .inner import SearchConfig, optimize_sum_rate, rates_for_policy
-from .outer import SweepRow  # noqa: F401  (re-exported with sweep_details)
 from .outer import optimize_outer_sum, optimize_outer_weighted, sweep_details
 from .protocol import (
     build_codebooks,
@@ -52,7 +51,7 @@ OPTIONS = {
     ),
     "delta": (
         "--delta", float, 0.02, "rate margin below each codebook's entropy",
-        "finite", math.isfinite,
+        "finite and >= -1", lambda v: -1.0 <= v < math.inf,
     ),
     "trials": ("--trials", int, 100, "Monte Carlo trial count", *_range(1)),
     "p": ("--p", float, 0.5, "uniform send-'1' probability at positive energy", *_range(0.0, 1.0)),
@@ -253,7 +252,7 @@ def cmd_simulate(args) -> int:
     for u in range(policy.units + 1):
         print(f"  state {u}: {books.pi[u]:.6f} vs {report.mean_occupancy[u]:.6f}")
     print("rates (bits/channel use):")
-    print(f"  empirical code rate:   {report.empirical_rate:.6f}")
+    print(f"  empirical code rate:   {books.sum_rate():.6f}")
     print(f"  achievable-rate value: {achievable:.6f}")
     return 0
 

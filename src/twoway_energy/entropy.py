@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 _NORM_TOL = 1e-12
 
@@ -64,42 +63,9 @@ class JointSymbolDist:
         return (self.p00, self.p01, self.p10, self.p11)
 
 
-class JointFactorization(NamedTuple):
-    """Marginals and conditionals of a JointSymbolDist.
-
-    p_x1 / p_x2 are the marginal probabilities of sending "1".
-    p_x1_given_x2[b] is P(x1=1 | x2=b); None marks a conditional on a
-    zero-probability symbol, which is undefined. Wherever such a
-    conditional appears in a weighted entropy sum its weight is the zero
-    marginal, so the term contributes nothing.
-    """
-
-    p_x1: float
-    p_x2: float
-    p_x1_given_x2: tuple[Optional[float], Optional[float]]
-    p_x2_given_x1: tuple[Optional[float], Optional[float]]
-
-
 def joint_entropy(d: JointSymbolDist) -> float:
     """Shannon entropy of the symbol pair in bits."""
     return _entropy(d.as_tuple())
-
-
-def marginals_and_conditionals(d: JointSymbolDist) -> JointFactorization:
-    """Factor a joint symbol distribution into marginals and conditionals."""
-    p_x1 = d.p10 + d.p11
-    p_x2 = d.p01 + d.p11
-    px2 = (d.p00 + d.p10, p_x2)  # P(x2=0), P(x2=1)
-    px1 = (d.p00 + d.p01, p_x1)
-    ones_given_x2 = (d.p10, d.p11)  # P(x1=1, x2=b)
-    ones_given_x1 = (d.p01, d.p11)
-    c1 = tuple(
-        ones_given_x2[b] / px2[b] if px2[b] > 0.0 else None for b in (0, 1)
-    )
-    c2 = tuple(
-        ones_given_x1[a] / px1[a] if px1[a] > 0.0 else None for a in (0, 1)
-    )
-    return JointFactorization(p_x1, p_x2, c1, c2)
 
 
 def joint_from_marginals(p1: float, p2: float) -> JointSymbolDist:

@@ -17,10 +17,10 @@ both words. A node with no energy gets an empty word and pad
 probability 0, so it always sends "0".
 
 Codebooks are never materialized: a level holds ~2^(length * rate)
-codewords, so the set stores the exact bit count log2(K) and draws any
-single codeword on demand from a SeedSequence whose entropy is (set
-seed, node, level, message), each split into 32-bit words in linear
-time (see _seed_words). Collision checking against the other K-1
+codewords, so each level stores its count K (to 53-bit precision) and
+the set draws any single codeword on demand from a SeedSequence whose
+entropy is (set seed, node, level, message), each split into 32-bit
+words in linear time (see _seed_words). Collision checking against the other K-1
 codewords of a level compares the transmitted codeword with a would-be
 alternative: the probability that at least one alternative equals it is
 computed exactly in log space from the codeword's composition and
@@ -77,10 +77,6 @@ class Transcript:
             )
         ]
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
-
 
 def _transcript(units, states, x1, x2) -> Transcript:
     return Transcript(
@@ -89,6 +85,17 @@ def _transcript(units, states, x1, x2) -> Transcript:
         x1=np.array(x1, dtype=np.uint8),
         x2=np.array(x2, dtype=np.uint8),
     )
+
+
+def _holder_transcript(syms) -> Transcript:
+    """Single-unit transcript from the unit holder's symbol stream.
+
+    The unit starts at node 1 (state 1). The holder sends each symbol and
+    the other node sends 0, so a "1" hands the unit over.
+    """
+    syms = np.asarray(syms, dtype=np.uint8)
+    states = 1 ^ syms ^ np.bitwise_xor.accumulate(syms)  # parity of earlier "1"s
+    return _transcript(1, states, syms & states, syms & (states ^ 1))
 
 
 def validate_transcript(t: Transcript) -> None:
@@ -162,17 +169,9 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
     if len(b1) != len(b2):
         raise ValueError("both nodes must hold the same number of bits")
 
-    states, x1, x2 = [], [], []
-    u = 1
-    for k in range(len(b1)):
-        for sender, bit in ((1, int(b1[k])), (2, int(b2[k]))):
-            for sym in (1,) if bit == 1 else (0, 1):
-                states.append(u)
-                x1.append(sym if sender == 1 else 0)
-                x2.append(sym if sender == 2 else 0)
-                u = u - x1[-1] + x2[-1]
-
-    t = _transcript(1, states, x1, x2)
+    # the holder sends each codeword, and its closing "1" hands the unit over
+    bits = np.column_stack((b1, b2)).ravel().tolist()
+    t = _holder_transcript([sym for bit in bits for sym in ((1,) if bit else (0, 1))])
     dec1, dec2 = _decode_variable_length(t, len(b1))
     rate = 2.0 * len(b1) / t.length
     return U1SimResult(
@@ -226,7 +225,7 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
     pend = {1: b1.tolist(), 2: b2.tolist()}
     ptr = {1: 0, 2: 0}
     m = len(b1)
-    states, x1, x2 = [], [], []
+    syms = []
     handovers = 0
     u = 1  # node 1's energy: node 1 holds the unit iff u == 1
     while ptr[1] < m or ptr[2] < m:
@@ -241,12 +240,10 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
             # counterpart needs energy for its "1": return the unit first
             sym = 1
             handovers += 1
-        states.append(u)
-        x1.append(sym if holder == 1 else 0)
-        x2.append(sym if holder == 2 else 0)
-        u = u - x1[-1] + x2[-1]
+        syms.append(sym)
+        u ^= sym  # a "1" hands the unit over
 
-    t = _transcript(1, states, x1, x2)
+    t = _holder_transcript(syms)
     dec1, dec2 = _decode_timeshare(t, m)
     rate = 2.0 * m / t.length
     return U1SimResult(
@@ -311,11 +308,9 @@ def _seed_words(*values) -> np.ndarray:
 class CodebookLevel:
     """One node's codebook for one of its own energy levels."""
 
-    node: int
-    level: int
     length: int
     p: float
-    bits: float  # log2 of the codeword count
+    bits: float  # target log2 of the codeword count, before rounding to size
     size: int  # codeword count (top-53-bit representation for huge books)
 
 
@@ -333,8 +328,6 @@ class CodebookSet:
 
     units: int
     blocklength: int
-    epsilon: float
-    delta: float
     seed: int
     levels: dict
     pi: np.ndarray
@@ -342,9 +335,6 @@ class CodebookSet:
     def __post_init__(self):
         if operator.index(self.seed) < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def level(self, node: int, level: int) -> CodebookLevel:
-        return self.levels[(node, level)]
 
     def codeword(self, node: int, level: int, message: int) -> np.ndarray:
         """Materialize one codeword on demand; deterministic in all args.
@@ -360,12 +350,9 @@ class CodebookSet:
         rng = np.random.default_rng(np.random.SeedSequence(words))
         return (rng.random(lv.length) < lv.p).astype(np.uint8)
 
-    def rate(self, node: int) -> float:
-        """log2 of the node's message space over the blocklength."""
-        return sum(lv.bits for lv in self.levels.values() if lv.node == node) / self.blocklength
-
     def sum_rate(self) -> float:
-        return self.rate(1) + self.rate(2)
+        """log2 of both nodes' message spaces over the blocklength."""
+        return sum(math.log2(lv.size) for lv in self.levels.values()) / self.blocklength
 
     def regenerate(self, seed: int) -> "CodebookSet":
         """Fresh random books with identical sizes (same policy and margins)."""
@@ -390,8 +377,10 @@ def build_codebooks(
         raise ValueError("blocklength must be >= 1")
     if not epsilon >= 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
+    # at delta = -1 a book holds at least 2^length codewords, so it already
+    # collides; a lower delta only lengthens the message-index ints
+    if not (delta >= -1.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be finite and >= -1, got {delta}")
     units = policy.units
     pi = stationary(build_kernel(policy))
     for u in range(1, units + 1):
@@ -412,17 +401,9 @@ def build_codebooks(
             p = float(probs[lv])
             bits = max(0.0, length * (binary_entropy(p) - delta))
             levels[(node, lv)] = CodebookLevel(
-                node=node, level=lv, length=length, p=p, bits=bits, size=_pow2_int(bits)
+                length=length, p=p, bits=bits, size=_pow2_int(bits)
             )
-    return CodebookSet(
-        units=units,
-        blocklength=blocklength,
-        epsilon=epsilon,
-        delta=delta,
-        seed=seed,
-        levels=levels,
-        pi=pi,
-    )
+    return CodebookSet(units=units, blocklength=blocklength, seed=seed, levels=levels, pi=pi)
 
 
 def draw_messages(codebooks: CodebookSet, seed: int = 0) -> dict:
@@ -487,6 +468,12 @@ def run_trial(
     shortfall or an ambiguous list they fall back to the fixed guess 1.
     The walk starts in the middle state (units + 1) // 2.
     """
+    missing = sorted(codebooks.levels.keys() - messages.keys())
+    extra = sorted(messages.keys() - codebooks.levels.keys(), key=repr)
+    if missing or extra:
+        raise ValueError(
+            f"messages need one entry per (node, level) book: missing {missing}, extra {extra}"
+        )
     units = codebooks.units
     n = codebooks.blocklength
     rng = np.random.default_rng(seed)
@@ -568,7 +555,6 @@ class MonteCarloReport:
     mean_occupancy: np.ndarray
     e1_counts: dict
     e2_counts: dict
-    empirical_rate: float
 
 
 def monte_carlo_error(
@@ -609,5 +595,4 @@ def monte_carlo_error(
         mean_occupancy=occupancy / trials,
         e1_counts=e1_counts,
         e2_counts=e2_counts,
-        empirical_rate=codebooks.sum_rate(),
     )

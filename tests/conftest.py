@@ -1,6 +1,8 @@
+from typing import NamedTuple, Optional
+
 import numpy as np
 
-from twoway_energy import MarginalPolicy
+from twoway_energy import JointSymbolDist, MarginalPolicy
 
 
 def random_policy(rng, units: int, lo: float = 0.05, hi: float = 0.95) -> MarginalPolicy:
@@ -30,3 +32,39 @@ def expected_handovers(bits1, bits2) -> int:
     node 2 max(k1-k2-1, 0), where kj is node j's information one-count."""
     k1, k2 = int(np.sum(bits1)), int(np.sum(bits2))
     return max(k2 - k1, 0) + max(k1 - k2 - 1, 0)
+
+
+# -- conditional-entropy oracle ------------------------------------------------
+
+
+class JointFactorization(NamedTuple):
+    """Marginals and conditionals of a JointSymbolDist.
+
+    p_x1 / p_x2 are the marginal probabilities of sending "1".
+    p_x1_given_x2[b] is P(x1=1 | x2=b); None marks a conditional on a
+    zero-probability symbol, which is undefined. Wherever such a
+    conditional appears in a weighted entropy sum its weight is the zero
+    marginal, so the term contributes nothing.
+    """
+
+    p_x1: float
+    p_x2: float
+    p_x1_given_x2: tuple[Optional[float], Optional[float]]
+    p_x2_given_x1: tuple[Optional[float], Optional[float]]
+
+
+def marginals_and_conditionals(d: JointSymbolDist) -> JointFactorization:
+    """Factor a joint symbol distribution into marginals and conditionals."""
+    p_x1 = d.p10 + d.p11
+    p_x2 = d.p01 + d.p11
+    px2 = (d.p00 + d.p10, p_x2)  # P(x2=0), P(x2=1)
+    px1 = (d.p00 + d.p01, p_x1)
+    ones_given_x2 = (d.p10, d.p11)  # P(x1=1, x2=b)
+    ones_given_x1 = (d.p01, d.p11)
+    c1 = tuple(
+        ones_given_x2[b] / px2[b] if px2[b] > 0.0 else None for b in (0, 1)
+    )
+    c2 = tuple(
+        ones_given_x1[a] / px1[a] if px1[a] > 0.0 else None for a in (0, 1)
+    )
+    return JointFactorization(p_x1, p_x2, c1, c2)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from twoway_energy.cli import SweepRow, main, render_sweep_csv, sweep_details
+from twoway_energy import SweepRow, sweep_details
+from twoway_energy.cli import main, render_sweep_csv
 from twoway_energy.inner import SearchConfig
 
 FAST = ["--restarts", "4", "--tol", "1e-6", "--seed", "0"]
@@ -148,6 +149,12 @@ def test_simulate_report_deterministic(capsys):
     assert "occupancy" in first
 
 
+def test_simulate_reports_the_rate_of_the_rounded_books(capsys):
+    # every one-use book targets 0.98 bits but holds a single codeword
+    assert main(["simulate", "--budget", "1", "--blocklength", "1", "--trials", "1"]) == 0
+    assert "empirical code rate:   0.000000" in capsys.readouterr().out
+
+
 def test_simulate_policy_file_sets_the_units(tmp_path, capsys):
     path = tmp_path / "policy.json"
     path.write_text(json.dumps({"p1": [0.0, 0.5, 0.5, 0.5], "p2": [0.0, 0.5, 0.5, 0.5]}))
@@ -243,6 +250,8 @@ def test_stationary_checks_the_seed_before_printing(tmp_path, capsys):
         ["inner", "--tol", "nan"],
         ["simulate", "--delta", "nan"],
         ["simulate", "--delta=-inf"],
+        ["simulate", "--budget", "1", "--blocklength", "100", "--trials", "1", "--delta=-1e308"],
+        ["simulate", "--delta=-1.5"],
         ["stationary", "--restarts", "0", "--tol", "nan"],
         ["simulate", "--lambda", "7", "--restarts", "0", "--trials", "1", "--blocklength", "1000"],
     ],

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from twoway_energy import (
-    JointSymbolDist,
-    binary_entropy,
-    joint_entropy,
-    joint_from_marginals,
-    marginals_and_conditionals,
-)
+from conftest import marginals_and_conditionals
+from twoway_energy import JointSymbolDist, binary_entropy, joint_entropy, joint_from_marginals
 
 
 def test_binary_entropy_endpoints_and_uniform():

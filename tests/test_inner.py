@@ -64,7 +64,7 @@ def test_rates_swap_symmetry():
         units = int(rng.integers(1, 9))
         pol = random_policy(rng, units)
         r = rates_for_policy(pol)
-        s = rates_for_policy(pol.swapped())
+        s = rates_for_policy(MarginalPolicy(p1=pol.p2, p2=pol.p1))
         assert s.r1 == pytest.approx(r.r2, abs=1e-12)
         assert s.r2 == pytest.approx(r.r1, abs=1e-12)
 

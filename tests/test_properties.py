@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expected_handovers
+from conftest import expected_handovers, marginals_and_conditionals
 from twoway_energy import (
     JointStatePolicy,
     JointSymbolDist,
@@ -17,7 +17,6 @@ from twoway_energy import (
     build_codebooks,
     build_kernel,
     draw_messages,
-    marginals_and_conditionals,
     optimal_timeshare_sim,
     optimize_outer_sum,
     optimize_sum_rate,

@@ -209,13 +209,10 @@ def test_timeshare_validates_arguments():
 # -- transcripts ---------------------------------------------------------------
 
 
-def test_transcript_export_format(tmp_path):
+def test_transcript_export_format():
     res = optimal_timeshare_sim([1, 0], [0, 1])
     lines = res.transcript.to_lines()
     assert lines[0] == "1 1 1 0"
-    path = tmp_path / "transcript.txt"
-    res.transcript.save(path)
-    assert path.read_text().splitlines() == lines
 
 
 def test_validator_catches_infeasible_symbol():
@@ -256,24 +253,46 @@ def test_pow2_int_small_and_large():
 
 def test_build_codebooks_u1_sizes():
     books = build_codebooks(uniform_policy(1, 0.5), 10_000, 0.02, 0.05, seed=0)
-    lv1 = books.level(1, 1)
+    lv1 = books.levels[(1, 1)]
     assert lv1.length == 4800  # ceil(10000 * (0.5 - 0.02))
     assert lv1.bits == pytest.approx(4560.0)  # 4800 * (1 - 0.05)
-    assert books.level(2, 1).length == 4800
+    assert books.levels[(2, 1)].length == 4800
     assert books.sum_rate() == pytest.approx(2 * 4560.0 / 10_000)
 
 
 def test_build_codebooks_degenerate_rate_margin():
     # delta at/above the codebook entropy leaves a single codeword
     books = build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 1.0, seed=0)
-    assert books.level(1, 1).size == 1
-    assert books.level(1, 1).bits == 0.0
+    assert books.levels[(1, 1)].size == 1
+    assert books.levels[(1, 1)].bits == 0.0
+
+
+def test_sum_rate_counts_the_rounded_codeword_counts():
+    # a one-use book targets 0.98 bits but holds floor(2^0.98) = 1 codeword
+    books = build_codebooks(uniform_policy(1, 0.5), 1, 0.0, 0.02, seed=0)
+    assert [lv.size for lv in books.levels.values()] == [1, 1]
+    assert books.sum_rate() == 0.0
 
 
 def test_build_codebooks_rejects_non_finite_delta():
     for delta in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="delta"):
             build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, delta, seed=0)
+
+
+def test_build_codebooks_rejects_delta_below_minus_one(monkeypatch):
+    # a huge negative delta would ask for a message-index int of ~1e308 bits
+    def no_allocation(bits):
+        raise AssertionError(f"sized a book of {bits} bits")
+
+    monkeypatch.setattr("twoway_energy.protocol._pow2_int", no_allocation)
+    for delta in (-1e308, -1.5):
+        with pytest.raises(ValueError, match="delta"):
+            build_codebooks(uniform_policy(1, 0.5), 100, 0.02, delta, seed=0)
+    monkeypatch.undo()
+    for delta in (-1.0, -0.1):
+        books = build_codebooks(uniform_policy(1, 0.5), 100, 0.02, delta, seed=0)
+        assert books.levels[(1, 1)].bits == pytest.approx(48 * (1.0 - delta))
 
 
 def test_build_codebooks_rejects_negative_or_nan_epsilon():
@@ -372,6 +391,14 @@ def test_draw_messages_within_range():
 
 
 # -- trials --------------------------------------------------------------------
+
+
+def test_trial_rejects_messages_that_do_not_match_the_books():
+    books = build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 0.1, seed=0)
+    with pytest.raises(ValueError, match=r"missing \[\(2, 1\)\], extra \[\]"):
+        run_trial(books, {(1, 1): 1})
+    with pytest.raises(ValueError, match=r"missing \[\], extra \[\(1, 2\)\]"):
+        run_trial(books, {(1, 1): 1, (2, 1): 1, (1, 2): 1})
 
 
 def test_trial_with_single_codeword_books_always_decodes():

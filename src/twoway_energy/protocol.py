@@ -10,11 +10,15 @@ codewords, multiplexed over channel uses according to the realized
 state sequence, with random padding after a codeword is exhausted so
 the state chain stays time-invariant.
 
-The energy state alone drives a trial. State u picks node 1's level-u
-word and node 2's level-(units-u) word from per-state tables built once
-per trial, and the number of earlier visits to u is the position in
-both words. A node with no energy gets an empty word and pad
-probability 0, so it always sends "0".
+The energy state alone drives a trial. State u plays node 1's level-u
+word and node 2's level-(units-u) word, which have the same length, and
+the number of earlier visits to u is the position in both. So a trial
+builds one move list per state once, the symbol differences x2 - x1 of
+its two words, and the walk steps through it; after a state's list is
+exhausted, each use steps by the difference of two fresh pads. A node
+with no energy has no word (it counts as zeros) and pad probability 0,
+so it always sends "0". A trial returns the occupancy and the error
+events, not a per-use transcript.
 
 Codebooks are never materialized: a level holds ~2^(length * rate)
 codewords, so each level stores its count K (to 53-bit precision) and
@@ -78,15 +82,6 @@ class Transcript:
         ]
 
 
-def _transcript(units, states, x1, x2) -> Transcript:
-    return Transcript(
-        units=units,
-        states=np.array(states, dtype=np.int16),
-        x1=np.array(x1, dtype=np.uint8),
-        x2=np.array(x2, dtype=np.uint8),
-    )
-
-
 def _holder_transcript(syms) -> Transcript:
     """Single-unit transcript from the unit holder's symbol stream.
 
@@ -95,7 +90,12 @@ def _holder_transcript(syms) -> Transcript:
     """
     syms = np.asarray(syms, dtype=np.uint8)
     states = 1 ^ syms ^ np.bitwise_xor.accumulate(syms)  # parity of earlier "1"s
-    return _transcript(1, states, syms & states, syms & (states ^ 1))
+    return Transcript(
+        units=1,
+        states=states.astype(np.int16),
+        x1=syms & states,
+        x2=syms & (states ^ 1),
+    )
 
 
 def validate_transcript(t: Transcript) -> None:
@@ -159,21 +159,22 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
     The nodes alternate bit-by-bit starting with node 1 (which holds the
     unit); every codeword ends with the "1" that hands the unit over, so
     the schedule is always feasible. With equiprobable bits the expected
-    cost is 3/2 uses per bit, i.e. a sum rate of 2/3.
+    cost is 3/2 uses per bit, i.e. a sum rate of 2/3. Given bit arrays
+    must each hold exactly m bits; missing ones are drawn from seed.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
     b1 = (rng.random(m) < 0.5).astype(np.uint8) if bits1 is None else _as_bits(bits1)
     b2 = (rng.random(m) < 0.5).astype(np.uint8) if bits2 is None else _as_bits(bits2)
-    if len(b1) != len(b2):
-        raise ValueError("both nodes must hold the same number of bits")
+    if len(b1) != m or len(b2) != m:
+        raise ValueError(f"each node must hold exactly m = {m} bits, got {len(b1)} and {len(b2)}")
 
     # the holder sends each codeword, and its closing "1" hands the unit over
     bits = np.column_stack((b1, b2)).ravel().tolist()
     t = _holder_transcript([sym for bit in bits for sym in ((1,) if bit else (0, 1))])
-    dec1, dec2 = _decode_variable_length(t, len(b1))
-    rate = 2.0 * len(b1) / t.length
+    dec1, dec2 = _decode_variable_length(t, m)
+    rate = 2.0 * m / t.length
     return U1SimResult(
         transcript=t,
         sum_rate=rate,
@@ -440,13 +441,14 @@ class TrialOutcome:
     was visited fewer times than the codeword length; e2_events those
     whose transmitted codeword collided with another message's codeword.
     Whenever both sets are empty, both messages decode exactly.
+    empirical_occupancy[u] is the fraction of the block's uses spent in
+    state u. No per-use transcript is kept.
     """
 
     decoded_ok: dict
     e1_events: frozenset
     e2_events: frozenset
     empirical_occupancy: np.ndarray
-    transcript: Transcript
 
 
 def run_trial(
@@ -456,16 +458,20 @@ def run_trial(
 ) -> TrialOutcome:
     """Simulate one block: multiplexed codewords, padding, list decoding.
 
-    The energy state u is the walk's only state. Per-state tables built
-    once give node 1's level-u codeword and Bern(p) pad probability and
-    node 2's level-(units-u) ones; a node with no energy gets an empty
-    word and probability 0.0, so it always sends 0. The k-th visit to u
-    plays symbol k of both of u's words, or a fresh pad once a word is
-    exhausted; pads come from this trial's RNG stream, never from the
-    codebook stream. The decoders reconstruct the occupancy sets from
-    the shared state sequence, read each codeword off the first `length`
-    uses of its state, and keep the unique matching message; on a
-    shortfall or an ambiguous list they fall back to the fixed guess 1.
+    The energy state u is the walk's only state. State u plays node 1's
+    level-u codeword and node 2's level-(units-u) one; both have the
+    length ceil(blocklength * (pi[u] - epsilon)), so one move list per
+    state, moves[u] = x2 - x1 symbol by symbol, built once per trial,
+    covers both. A node with no energy has no word (it counts as zeros)
+    and pad probability 0.0, so it always sends 0. The k-th visit to u
+    steps by moves[u][k]; once the list is exhausted, use i steps by
+    (pad2[i] < q2[u]) - (pad1[i] < q1[u]), a fresh Bern(p) pad from each
+    node. The pads are drawn from this trial's RNG stream, never from the
+    codebook stream. Only the visit counts are kept, not the symbols.
+    The decoders reconstruct the occupancy sets from the shared state
+    sequence, read each codeword off the first `length` uses of its
+    state, and keep the unique matching message; on a shortfall or an
+    ambiguous list they fall back to the fixed guess 1.
     The walk starts in the middle state (units + 1) // 2.
     """
     missing = sorted(codebooks.levels.keys() - messages.keys())
@@ -478,40 +484,38 @@ def run_trial(
     n = codebooks.blocklength
     rng = np.random.default_rng(seed)
 
-    sent = {key: codebooks.codeword(*key, m).tolist() for key, m in messages.items()}
+    sent = {key: codebooks.codeword(*key, m) for key, m in messages.items()}
     prob = {key: book.p for key, book in codebooks.levels.items()}
-    # (node, 0) has no book: a node without energy gets an empty word and
-    # q = 0.0, and since pads lie in [0, 1) it always sends 0
-    keys1 = [(1, state) for state in range(units + 1)]
-    keys2 = [(2, units - state) for state in range(units + 1)]
-    word1 = [sent.get(key, []) for key in keys1]
-    word2 = [sent.get(key, []) for key in keys2]
-    q1 = [prob.get(key, 0.0) for key in keys1]
-    q2 = [prob.get(key, 0.0) for key in keys2]
+    # (node, 0) has no book: a node without energy sends the zeros of a word
+    # as long as the other node's, then pads with q = 0.0, and since pads lie
+    # in [0, 1) it always sends 0. Interior states' two words have equal
+    # lengths, so the subtraction never broadcasts.
+    keys = [((1, state), (2, units - state)) for state in range(units + 1)]
+    moves = [
+        np.subtract(sent.get(k2, 0), sent.get(k1, 0), dtype=np.int8).tolist() for k1, k2 in keys
+    ]
+    q1 = [prob.get(k1, 0.0) for k1, _ in keys]
+    q2 = [prob.get(k2, 0.0) for _, k2 in keys]
 
     pad1 = rng.random(n)
     pad2 = rng.random(n)
-    states, xs1, xs2 = [], [], []
     visits = [0] * (units + 1)
     u = (units + 1) // 2
     for i in range(n):
         k = visits[u]
         visits[u] = k + 1
-        states.append(u)
-        w = word1[u]
-        a = w[k] if k < len(w) else (1 if pad1[i] < q1[u] else 0)
-        w = word2[u]
-        b = w[k] if k < len(w) else (1 if pad2[i] < q2[u] else 0)
-        xs1.append(a)
-        xs2.append(b)
-        u = u - a + b
+        steps = moves[u]
+        if k < len(steps):
+            u += steps[k]
+        else:
+            u += int(pad2[i] < q2[u]) - int(pad1[i] < q1[u])
 
     e1 = set()
     e2 = set()
     for (node, lv), book in sorted(codebooks.levels.items()):
         if visits[lv if node == 1 else units - lv] < book.length:
             e1.add((node, lv))
-        elif book.size > 1 and _collision_sampled(book, sum(sent[(node, lv)]), rng):
+        elif book.size > 1 and _collision_sampled(book, int(sent[(node, lv)].sum()), rng):
             e2.add((node, lv))
     # a level in e1 or e2 decodes to the fallback guess 1, any other exactly
     ok = {node: all(messages[key] == 1 for key in e1 | e2 if key[0] == node) for node in (1, 2)}
@@ -520,7 +524,6 @@ def run_trial(
         e1_events=frozenset(e1),
         e2_events=frozenset(e2),
         empirical_occupancy=np.array(visits, dtype=float) / n,
-        transcript=_transcript(units, states, xs1, xs2),
     )
 
 
@@ -530,11 +533,13 @@ def _collision_sampled(book: CodebookLevel, weight: int, rng) -> bool:
     Each alternative is i.i.d. Bern(p)^length, so it matches a fixed
     word of the given weight with probability q = p^w (1-p)^(len-w).
     log2 of K*q is computed exactly; the union over alternatives is
-    1 - (1-q)^(K-1) ~= -expm1(-K*q), evaluated stably.
+    1 - (1-q)^(K-1) ~= -expm1(-K*q), evaluated stably. At p = 0 or 1
+    every codeword is the same word, so with size > 1 (the only case the
+    caller asks about) a collision is certain and no draw is made.
     """
     p = book.p
     if p <= 0.0 or p >= 1.0:
-        return False  # deterministic codewords, but then size == 1 anyway
+        return True
     log2_q = weight * math.log2(p) + (book.length - weight) * math.log2(1.0 - p)
     log2_kq = book.bits + log2_q
     if log2_kq > 7.0:

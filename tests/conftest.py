@@ -2,7 +2,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from twoway_energy import JointSymbolDist, MarginalPolicy
+from twoway_energy import JointSymbolDist, MarginalPolicy, Transcript
 
 
 def random_policy(rng, units: int, lo: float = 0.05, hi: float = 0.95) -> MarginalPolicy:
@@ -32,6 +32,59 @@ def expected_handovers(bits1, bits2) -> int:
     node 2 max(k1-k2-1, 0), where kj is node j's information one-count."""
     k1, k2 = int(np.sum(bits1)), int(np.sum(bits2))
     return max(k2 - k1, 0) + max(k1 - k2 - 1, 0)
+
+
+# -- recording trial walk ------------------------------------------------------
+
+
+def reference_trial_walk(books, messages, seed: int = 0):
+    """The trial walk with every channel use recorded: (Transcript, visits).
+
+    The symbol-by-symbol form of run_trial's walk: each use reads both
+    nodes' symbols from the state's words, or from the time-indexed pads
+    once a word is exhausted. It draws the same pads in the same order, so
+    its visits divided by the blocklength are run_trial's occupancy
+    exactly, and its transcript is the one run_trial walks without keeping.
+    """
+    units = books.units
+    n = books.blocklength
+    rng = np.random.default_rng(seed)
+
+    sent = {key: books.codeword(*key, m).tolist() for key, m in messages.items()}
+    prob = {key: book.p for key, book in books.levels.items()}
+    # (node, 0) has no book: a node without energy gets an empty word and
+    # q = 0.0, and since pads lie in [0, 1) it always sends 0
+    keys1 = [(1, state) for state in range(units + 1)]
+    keys2 = [(2, units - state) for state in range(units + 1)]
+    word1 = [sent.get(key, []) for key in keys1]
+    word2 = [sent.get(key, []) for key in keys2]
+    q1 = [prob.get(key, 0.0) for key in keys1]
+    q2 = [prob.get(key, 0.0) for key in keys2]
+
+    pad1 = rng.random(n)
+    pad2 = rng.random(n)
+    states, xs1, xs2 = [], [], []
+    visits = [0] * (units + 1)
+    u = (units + 1) // 2
+    for i in range(n):
+        k = visits[u]
+        visits[u] = k + 1
+        states.append(u)
+        w = word1[u]
+        a = w[k] if k < len(w) else (1 if pad1[i] < q1[u] else 0)
+        w = word2[u]
+        b = w[k] if k < len(w) else (1 if pad2[i] < q2[u] else 0)
+        xs1.append(a)
+        xs2.append(b)
+        u = u - a + b
+
+    transcript = Transcript(
+        units=units,
+        states=np.array(states, dtype=np.int16),
+        x1=np.array(xs1, dtype=np.uint8),
+        x2=np.array(xs2, dtype=np.uint8),
+    )
+    return transcript, visits
 
 
 # -- conditional-entropy oracle ------------------------------------------------

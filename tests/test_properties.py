@@ -1,17 +1,20 @@
 """Property tests of the chain, the bounds, the shared search, the codeword
-seeds, the trial transcripts and the single-unit time-sharing schedule."""
+seeds, the trial walk against its recording oracle and the single-unit
+time-sharing schedule."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import expected_handovers, marginals_and_conditionals
+from conftest import expected_handovers, marginals_and_conditionals, reference_trial_walk
 from twoway_energy import (
     JointStatePolicy,
     JointSymbolDist,
     MarginalPolicy,
+    MarginExhaustedError,
+    NotIrreducibleError,
     SearchConfig,
     binary_entropy,
     build_codebooks,
@@ -208,8 +211,9 @@ def test_trial_transcripts_are_feasible(units, probs, blocklength, delta, seed):
     books = build_codebooks(policy, blocklength, 0.0, delta, seed=seed)
     messages = draw_messages(books, seed=seed + 1)
     outcome = run_trial(books, messages, seed=seed + 2)
-    validate_transcript(outcome.transcript)
-    assert outcome.transcript.length == blocklength
+    transcript, _ = reference_trial_walk(books, messages, seed=seed + 2)
+    validate_transcript(transcript)
+    assert transcript.length == blocklength
     assert abs(outcome.empirical_occupancy.sum() - 1.0) <= 1e-12
     if not outcome.e1_events and not outcome.e2_events:
         assert outcome.decoded_ok == {1: True, 2: True}
@@ -224,6 +228,33 @@ def test_trial_transcripts_are_feasible(units, probs, blocklength, delta, seed):
     for node in (1, 2):
         expected = all(messages[key] == 1 for key in failed if key[0] == node)
         assert outcome.decoded_ok[node] == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    units=st.integers(min_value=1, max_value=4),
+    probs=st.lists(
+        st.just(1.0) | st.floats(min_value=0.05, max_value=1.0), min_size=8, max_size=8
+    ),
+    blocklength=st.integers(min_value=20, max_value=400),
+    epsilon=st.sampled_from([0.0, 0.01]),
+    delta=st.floats(min_value=-0.2, max_value=0.5),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_trial_occupancy_is_the_recording_walks_visits(
+    units, probs, blocklength, epsilon, delta, seed
+):
+    policy = MarginalPolicy(
+        p1=np.array([0.0, *probs[:units]]), p2=np.array([0.0, *probs[4 : 4 + units]])
+    )
+    try:
+        books = build_codebooks(policy, blocklength, epsilon, delta, seed=seed)
+    except (NotIrreducibleError, MarginExhaustedError):
+        assume(False)
+    messages = draw_messages(books, seed=seed + 1)
+    outcome = run_trial(books, messages, seed=seed + 2)
+    _, visits = reference_trial_walk(books, messages, seed=seed + 2)
+    assert outcome.empirical_occupancy.tolist() == [v / blocklength for v in visits]
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import expected_handovers
+from conftest import expected_handovers, reference_trial_walk
 from twoway_energy import (
     MarginalPolicy,
     MarginExhaustedError,
@@ -26,6 +26,10 @@ from twoway_energy.protocol import _pow2_int
 
 # Trial walks and one Monte Carlo report recorded with the earlier walk that
 # kept per-node codeword pointers; the per-state walk reproduces them bit for bit.
+# The transcript hashes are of the recording walk in conftest, which run_trial's
+# move-list walk follows without keeping a transcript. The e2 and decoded_ok
+# fields of u1-p1-negative-delta were re-recorded once a book with p = 1 and
+# more than one codeword began to collide for certain.
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "trial_walks.json").read_text(encoding="utf-8")
 )
@@ -35,9 +39,9 @@ def _sha256(transcript: Transcript) -> str:
     return hashlib.sha256("\n".join(transcript.to_lines()).encode()).hexdigest()
 
 
-def _walk_record(outcome) -> dict:
+def _walk_record(transcript: Transcript, outcome) -> dict:
     return {
-        "transcript_sha256": _sha256(outcome.transcript),
+        "transcript_sha256": _sha256(transcript),
         "e1": sorted(map(list, outcome.e1_events)),
         "e2": sorted(map(list, outcome.e2_events)),
         "decoded_ok": [outcome.decoded_ok[1], outcome.decoded_ok[2]],
@@ -104,6 +108,12 @@ def test_variable_length_validates_arguments():
         variable_length_sim(0)
     with pytest.raises(ValueError):
         variable_length_sim(4, bits1=[0, 1], bits2=[0, 1, 1])
+    with pytest.raises(ValueError, match="exactly m = 1 bits"):
+        variable_length_sim(1, bits1=[], bits2=[])
+    with pytest.raises(ValueError, match="exactly m = 3 bits"):
+        variable_length_sim(3, bits1=[0, 1], bits2=[1, 0])
+    with pytest.raises(ValueError, match="exactly m = 2 bits"):
+        variable_length_sim(2, bits1=[0, 1, 1])
     for bad in ([0.5, 1], [-1, 1]):
         with pytest.raises(ValueError):
             variable_length_sim(2, bits1=bad, bits2=[0, 1])
@@ -414,8 +424,9 @@ def test_trial_transcript_is_feasible_and_occupancy_matches():
     books = build_codebooks(pol, 50_000, 0.02, 0.1, seed=0)
     msgs = draw_messages(books, seed=1)
     outcome = run_trial(books, msgs, seed=2)
-    validate_transcript(outcome.transcript)
-    assert outcome.transcript.length == 50_000
+    transcript, _ = reference_trial_walk(books, msgs, seed=2)
+    validate_transcript(transcript)
+    assert transcript.length == 50_000
     assert np.abs(outcome.empirical_occupancy - books.pi).max() < 0.02
     if not outcome.e1_events and not outcome.e2_events:
         assert outcome.decoded_ok == {1: True, 2: True}
@@ -453,6 +464,15 @@ def test_monte_carlo_rate_above_entropy_collapses():
     books = build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, -0.1, seed=0)
     report = monte_carlo_error(books, trials=25, seed=1)
     assert report.error_rate >= 0.5
+
+
+def test_monte_carlo_counts_certain_collisions_of_a_deterministic_book():
+    # p = 1 makes every one of node 1's ~2^62 level-1 codewords the all-ones word
+    policy = MarginalPolicy(p1=np.array([0.0, 1.0]), p2=np.array([0.0, 0.5]))
+    books = build_codebooks(policy, 2_000, 0.02, -0.1)
+    assert books.levels[(1, 1)].size > 1
+    report = monte_carlo_error(books, trials=20, seed=1)
+    assert report.e2_counts[(1, 1)] == 20
 
 
 def test_monte_carlo_single_trial_is_zero_or_one():
@@ -494,7 +514,8 @@ def test_trial_matches_the_pinned_walk(case):
     books = _pinned_books(case)
     messages = draw_messages(books, seed=case["message_seed"])
     outcome = run_trial(books, messages, seed=case["trial_seed"])
-    assert _walk_record(outcome) == case["expected"]
+    transcript, _ = reference_trial_walk(books, messages, seed=case["trial_seed"])
+    assert _walk_record(transcript, outcome) == case["expected"]
 
 
 def test_monte_carlo_matches_the_pinned_report():

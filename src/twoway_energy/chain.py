@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -161,13 +160,6 @@ def _stationary_updown(up, down) -> list[float]:
         w = [v * _RESCALE for v in w]
         total = sum(w)
     return [x / total for x in w]
-
-
-def _chain_sums(up, down, columns):
-    """(pi, [sum_u pi[u] * col[u] for col in columns]) of the chain with
-    moves up/down, each sum taken left to right over the states."""
-    pi = _stationary_updown(up, down)
-    return pi, [sum(map(mul, pi, col)) for col in columns]
 
 
 def stationary(kernel: TransitionKernel) -> np.ndarray:

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .chain import MarginalPolicy, _chain_sums
+from .chain import MarginalPolicy, _stationary_updown
 from .entropy import _h
 
 GRID_SEEDS = (0.5, 0.2, 0.35, 0.65, 0.8)
@@ -87,8 +88,11 @@ def _inner_cell(a, b):
 
 
 def _cell_sums(columns):
-    """_chain_sums of the chain with cell columns (down, up, feasible, *rewards)."""
-    return _chain_sums(columns[1][:-1], columns[0][1:], columns[3:])
+    """(pi, [sum_u pi[u] * col[u] for each reward column]) of the chain with
+    cell columns (down, up, feasible, *rewards), each sum taken left to
+    right over the states."""
+    pi = _stationary_updown(columns[1][:-1], columns[0][1:])
+    return pi, [sum(map(mul, pi, col)) for col in columns[3:]]
 
 
 def _rates_updown(p1, p2):
@@ -142,8 +146,9 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
     sums the chain and restores the old cell, so it returns the float a
     full evaluation would. The starts are `fixed`, then draw(rng) until
     config.restarts, clipped into [CLAMP, 1-CLAMP]. Coordinate i ranges over
-    [CLAMP, max(CLAMP, 1 - sum(x[siblings[i]]) - CLAMP)] and is refined
-    by golden-section search; an ascent stops when a full sweep gains
+    [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while that range
+    is no longer than the line search's tolerance, and is refined by
+    golden-section search; an ascent stops when a full sweep gains
     < config.tol. A later start wins only by more than 1e-9. Raises
     ValueError when every start ends at -inf.
     """
@@ -176,7 +181,7 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
             for i, (sib, u) in enumerate(zip(siblings, states)):
-                hi = max(CLAMP, 1.0 - sum(x[s] for s in sib) - CLAMP)
+                hi = 1.0 - sum(x[s] for s in sib) - CLAMP
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
                 xi, fi = _golden_max(lambda v, i=i, u=u: probe(i, u, v), CLAMP, hi)

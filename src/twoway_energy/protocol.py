@@ -21,15 +21,15 @@ so it always sends "0". A trial returns the occupancy and the error
 events, not a per-use transcript.
 
 Codebooks are never materialized: a level holds ~2^(length * rate)
-codewords, so each level stores its count K (to 53-bit precision) and
-the set draws any single codeword on demand from a SeedSequence whose
-entropy is (set seed, node, level, message), each split into 32-bit
-words in linear time (see _seed_words). Collision checking against the other K-1
-codewords of a level compares the transmitted codeword with a would-be
-alternative: the probability that at least one alternative equals it is
-computed exactly in log space from the codeword's composition and
-sampled as one Bernoulli event. Decoding failures are outcome data,
-never faults.
+codewords, so each level stores only its codeword count K (to 53-bit
+precision) and the set draws any single codeword on demand from a
+SeedSequence whose entropy is (set seed, node, level, message), each
+split into 32-bit words in linear time (see _seed_words). A collision
+is any of the K-1 other codewords of a level equalling the transmitted
+one: each does so with probability q, fixed by the codeword's
+composition, so the chance of at least one is 1 - (1-q)^(K-1), computed
+in log space and sampled as one Bernoulli event. Decoding failures are
+outcome data, never faults.
 
 Trials are independent given distinct seeds; per-trial state is
 private, so fanning trials out to parallel workers is safe.
@@ -307,11 +307,11 @@ def _seed_words(*values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CodebookLevel:
-    """One node's codebook for one of its own energy levels."""
+    """One node's codebook for one of its own energy levels: size
+    codewords of length i.i.d. Bern(p) symbols."""
 
     length: int
     p: float
-    bits: float  # target log2 of the codeword count, before rounding to size
     size: int  # codeword count (top-53-bit representation for huge books)
 
 
@@ -384,26 +384,22 @@ def build_codebooks(
         raise ValueError(f"delta must be finite and >= -1, got {delta}")
     units = policy.units
     pi = stationary(build_kernel(policy))
-    for u in range(1, units + 1):
-        for mass, who in ((pi[u], "node 1"), (pi[units - u], "node 2")):
-            if mass <= epsilon:
-                raise MarginExhaustedError(
-                    f"occupancy margin epsilon={epsilon} exhausts the state mass "
-                    f"{mass:.6f} backing {who}'s level-{u} codebook; lower epsilon "
-                    "(raising the blocklength does not help once a state's mass is "
-                    "below the margin) or use a policy with fatter state occupancies"
-                )
     levels = {}
     for node in (1, 2):
         probs = policy.p1 if node == 1 else policy.p2
         for lv in range(1, units + 1):
             state = lv if node == 1 else units - lv
+            if pi[state] <= epsilon:
+                raise MarginExhaustedError(
+                    f"occupancy margin epsilon={epsilon} exhausts the state mass "
+                    f"{pi[state]:.6f} backing node {node}'s level-{lv} codebook; lower epsilon "
+                    "(raising the blocklength does not help once a state's mass is "
+                    "below the margin) or use a policy with fatter state occupancies"
+                )
             length = math.ceil(blocklength * (pi[state] - epsilon))
             p = float(probs[lv])
-            bits = max(0.0, length * (binary_entropy(p) - delta))
-            levels[(node, lv)] = CodebookLevel(
-                length=length, p=p, bits=bits, size=_pow2_int(bits)
-            )
+            target = max(0.0, length * (binary_entropy(p) - delta))
+            levels[(node, lv)] = CodebookLevel(length=length, p=p, size=_pow2_int(target))
     return CodebookSet(units=units, blocklength=blocklength, seed=seed, levels=levels, pi=pi)
 
 
@@ -531,24 +527,26 @@ def _collision_sampled(book: CodebookLevel, weight: int, rng) -> bool:
     """Sample whether any of the other size-1 codewords equals the sent one.
 
     Each alternative is i.i.d. Bern(p)^length, so it matches a fixed
-    word of the given weight with probability q = p^w (1-p)^(len-w).
-    log2 of K*q is computed exactly; the union over alternatives is
-    1 - (1-q)^(K-1) ~= -expm1(-K*q), evaluated stably. At p = 0 or 1
-    every codeword is the same word, so with size > 1 (the only case the
-    caller asks about) a collision is certain and no draw is made.
+    word of the given weight with probability q = p^w (1-p)^(len-w), and
+    at least one of the size-1 alternatives does with probability
+    P = 1 - (1-q)^(size-1) = -expm1(-2^L), L = log2(size-1) + log2(-ln(1-q)).
+    Below q = 2^-60, -ln(1-q) equals q to double precision, so log2 q
+    stands in; L is clamped at 7, where P is already exactly 1.0. Needs
+    size > 1 (the only case the caller asks about) and makes one draw,
+    except at p = 0 or 1: then every codeword is the same word, so a
+    collision is certain and no draw is made.
     """
     p = book.p
     if p <= 0.0 or p >= 1.0:
         return True
     log2_q = weight * math.log2(p) + (book.length - weight) * math.log2(1.0 - p)
-    log2_kq = book.bits + log2_q
-    if log2_kq > 7.0:
-        prob = 1.0
-    elif log2_kq < -60.0:
-        prob = 0.0
+    if log2_q < -60.0:
+        log2_rate = log2_q
     else:
-        prob = -math.expm1(-(2.0 ** log2_kq))
-    return bool(rng.random() < prob)
+        q = 2.0 ** log2_q
+        log2_rate = math.log2(-math.log1p(-q)) if q < 1.0 else 7.0  # q rounds to 1: P = 1
+    log2_mean = min(7.0, math.log2(book.size - 1) + log2_rate)
+    return bool(rng.random() < -math.expm1(-(2.0 ** log2_mean)))
 
 
 @dataclass(frozen=True)

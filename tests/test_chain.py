@@ -136,6 +136,15 @@ def test_stationary_survives_overflowing_detailed_balance_product():
         assert np.abs(pi @ k.matrix - pi).max() < 1e-12
 
 
+def test_stationary_rescales_when_only_the_weight_sum_overflows():
+    # weights 1, 1.5e308, 1.5e308: each is finite, their sum is not
+    k = TransitionKernel(up=(1.0, 0.5), down=(1 / 1.5e308, 0.5))
+    pi = stationary(k)
+    assert np.all(np.isfinite(pi))
+    assert pi.sum() == pytest.approx(1.0, abs=1e-15)
+    assert pi[1] == 0.5 and pi[2] == 0.5
+
+
 def test_stationary_matches_linear_solver_oracle():
     rng = np.random.default_rng(3)
     for _ in range(25):

@@ -68,6 +68,31 @@ def test_outer_command(capsys):
     assert "sum_bound: 1.000000" in out
 
 
+def test_stationary_optimized_policy(capsys):
+    assert main(["stationary", "--budget", "2", "--optimized", "--restarts", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "policy p1: " in out
+    assert "policy p1: [0.000000 0.500000 0.500000]" not in out
+
+
+def test_stationary_simulated_occupancy(capsys):
+    argv = ["stationary", "--budget", "3", "--p", "0.3", "--simulate-steps", "500", "--seed", "4"]
+    assert main(argv) == 0
+    assert "simulated occupancy (500 steps)" in capsys.readouterr().out
+
+
+def test_simulate_optimized_policy_beats_the_uniform_rate(capsys):
+    argv = ["simulate", "--budget", "2", "--blocklength", "2000", "--trials", "2"]
+    assert main([*argv, "--optimized", "--restarts", "2"]) == 0
+    (line,) = [s for s in capsys.readouterr().out.splitlines() if "achievable-rate value" in s]
+    assert float(line.split(":")[1]) > 1.5  # fair coins at U = 2 reach 1.5
+
+
+def test_outer_weighted_command(capsys):
+    assert main(["outer", "--budget", "2", "--lambda", "0.7", "--restarts", "3"]) == 0
+    assert "weighted bound, lambda=0.7000" in capsys.readouterr().out
+
+
 def test_sweep_u1_coincides(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code = main(["sweep", "--budget", "1", *FAST, "--out", str(out_path)])

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import expected_handovers, reference_trial_walk
 from twoway_energy import (
+    CodebookLevel,
     MarginalPolicy,
     MarginExhaustedError,
     Transcript,
@@ -22,7 +23,7 @@ from twoway_energy import (
     validate_transcript,
     variable_length_sim,
 )
-from twoway_energy.protocol import _pow2_int
+from twoway_energy.protocol import _collision_sampled, _pow2_int
 
 # Trial walks and one Monte Carlo report recorded with the earlier walk that
 # kept per-node codeword pointers; the per-state walk reproduces them bit for bit.
@@ -265,7 +266,7 @@ def test_build_codebooks_u1_sizes():
     books = build_codebooks(uniform_policy(1, 0.5), 10_000, 0.02, 0.05, seed=0)
     lv1 = books.levels[(1, 1)]
     assert lv1.length == 4800  # ceil(10000 * (0.5 - 0.02))
-    assert lv1.bits == pytest.approx(4560.0)  # 4800 * (1 - 0.05)
+    assert math.log2(lv1.size) == pytest.approx(4560.0)  # 4800 * (1 - 0.05)
     assert books.levels[(2, 1)].length == 4800
     assert books.sum_rate() == pytest.approx(2 * 4560.0 / 10_000)
 
@@ -274,7 +275,6 @@ def test_build_codebooks_degenerate_rate_margin():
     # delta at/above the codebook entropy leaves a single codeword
     books = build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 1.0, seed=0)
     assert books.levels[(1, 1)].size == 1
-    assert books.levels[(1, 1)].bits == 0.0
 
 
 def test_sum_rate_counts_the_rounded_codeword_counts():
@@ -302,7 +302,7 @@ def test_build_codebooks_rejects_delta_below_minus_one(monkeypatch):
     monkeypatch.undo()
     for delta in (-1.0, -0.1):
         books = build_codebooks(uniform_policy(1, 0.5), 100, 0.02, delta, seed=0)
-        assert books.levels[(1, 1)].bits == pytest.approx(48 * (1.0 - delta))
+        assert math.log2(books.levels[(1, 1)].size) == pytest.approx(48 * (1.0 - delta))
 
 
 def test_build_codebooks_rejects_negative_or_nan_epsilon():
@@ -314,6 +314,54 @@ def test_build_codebooks_rejects_negative_or_nan_epsilon():
 def test_build_codebooks_margin_exhaustion():
     with pytest.raises(MarginExhaustedError, match="epsilon"):
         build_codebooks(uniform_policy(1, 0.5), 10_000, 0.6, 0.05, seed=0)
+
+
+class _FixedDraws:
+    """Stand-in RNG whose random() returns a fixed value and counts its calls."""
+
+    def __init__(self, value):
+        self.value = value
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.value
+
+
+def test_collision_law_counts_the_size_minus_one_alternatives():
+    # a length-2 Bern(0.5) book of 3 codewords (target 1.6 bits): a weight-1
+    # word is matched by each of the 2 others w.p. 1/4, so by one w.p. 1 - (3/4)^2
+    book = build_codebooks(uniform_policy(1, 0.5), 4, 0.02, 0.2).levels[(1, 1)]
+    assert (book.length, book.size) == (2, 3)
+    for draw, collides in ((0.437, True), (0.438, False)):
+        rng = _FixedDraws(draw)
+        assert _collision_sampled(book, 1, rng) is collides
+        assert rng.calls == 1
+
+
+@pytest.mark.parametrize("p", [0.5, 0.1, 0.999, 1e-20])  # 1 - 1e-20 rounds to 1: q can too
+@pytest.mark.parametrize("length", [2, 60, 5000])
+def test_collision_sample_makes_one_draw_whenever_p_is_strictly_inside(p, length):
+    for size in (2, 3, 1 << 40, _pow2_int(4560.0)):
+        book = CodebookLevel(length=length, p=p, size=size)
+        for weight in sorted({0, length // 2, length}):
+            rng = _FixedDraws(0.5)
+            _collision_sampled(book, weight, rng)
+            assert rng.calls == 1
+
+
+def test_collision_sample_is_certain_without_a_draw_at_p_zero_or_one():
+    for p in (0.0, 1.0):
+        rng = _FixedDraws(0.99)
+        assert _collision_sampled(CodebookLevel(length=8, p=p, size=5), 0, rng) is True
+        assert rng.calls == 0
+
+
+def test_margin_exhaustion_names_the_starved_book():
+    # U = 2 fair coins: pi = (1/4, 1/2, 1/4) and node 1's level-2 book is
+    # the first whose state mass 1/4 lies below the margin
+    with pytest.raises(MarginExhaustedError, match="backing node 1's level-2 codebook"):
+        build_codebooks(uniform_policy(2, 0.5), 1_000, 0.3, 0.05)
 
 
 def test_codewords_deterministic_in_seed():

@@ -199,8 +199,7 @@ def simulate_chain(
     remaining = steps
     while remaining > 0:
         block = min(remaining, 1 << 16)
-        draws = rng.random(block)
-        for r in draws:
+        for r in rng.random(block).tolist():
             visits[u] += 1
             if r < down[u]:
                 u -= 1

@@ -42,9 +42,11 @@ def reference_trial_walk(books, messages, seed: int = 0):
 
     The symbol-by-symbol form of run_trial's walk: each use reads both
     nodes' symbols from the state's words, or from the time-indexed pads
-    once a word is exhausted. It draws the same pads in the same order, so
-    its visits divided by the blocklength are run_trial's occupancy
-    exactly, and its transcript is the one run_trial walks without keeping.
+    once a word is exhausted. It draws all 2n pads, node 1's n first;
+    run_trial skips in the same stream the pads of the uses it walks on the
+    move lists alone, so every use sees the same pads. Its visits divided
+    by the blocklength are run_trial's occupancy exactly, and its
+    transcript is the one run_trial walks without keeping.
     """
     units = books.units
     n = books.blocklength

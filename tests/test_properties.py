@@ -32,7 +32,7 @@ from twoway_energy import (
 )
 from twoway_energy.inner import CLAMP, _inner_problem, _rates_updown, _search
 from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _unpack
-from twoway_energy.protocol import _seed_words
+from twoway_energy.protocol import _seed_words, _stack_walk_prefix
 
 PROB = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
 
@@ -255,6 +255,63 @@ def test_trial_occupancy_is_the_recording_walks_visits(
     outcome = run_trial(books, messages, seed=seed + 2)
     _, visits = reference_trial_walk(books, messages, seed=seed + 2)
     assert outcome.empirical_occupancy.tolist() == [v / blocklength for v in visits]
+
+
+@st.composite
+def balanced_books(draw):
+    """Books for U <= 8 whose states mostly keep their mass above epsilon.
+
+    The probabilities stay within 0.1 of one level, so the stationary law
+    is not far from flat, and U shrinks as epsilon grows. p = 1 appears
+    only at a node's top level, the one place it keeps the chain
+    irreducible.
+    """
+    epsilon = draw(st.sampled_from([0.0, 0.01, 0.05, 0.15]))
+    units = draw(st.integers(min_value=1, max_value=4 if epsilon > 0.1 else 8))
+    level = draw(st.floats(min_value=0.2, max_value=0.8))
+    near = st.floats(min_value=level - 0.1, max_value=level + 0.1)
+    top = st.just(1.0) | near
+    p1 = [0.0, *draw(st.lists(near, min_size=units - 1, max_size=units - 1)), draw(top)]
+    p2 = [0.0, *draw(st.lists(near, min_size=units - 1, max_size=units - 1)), draw(top)]
+    blocklength = draw(st.integers(min_value=20, max_value=3000))
+    delta = draw(st.floats(min_value=-0.2, max_value=0.5))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    try:
+        books = build_codebooks(MarginalPolicy(p1=p1, p2=p2), blocklength, epsilon, delta, seed)
+    except MarginExhaustedError:
+        assume(False)
+    return books, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=balanced_books())
+def test_trial_switches_to_the_loop_at_the_last_list_walk_visit_to_the_start(case):
+    books, seed = case
+    units, blocklength = books.units, books.blocklength
+    messages = draw_messages(books, seed=seed + 1)
+    outcome = run_trial(books, messages, seed=seed + 2)
+    transcript, visits = reference_trial_walk(books, messages, seed=seed + 2)
+    assert outcome.empirical_occupancy.tolist() == [v / blocklength for v in visits]
+
+    # the first use that steps by pads: the one that finds its state's list used up
+    lengths = [books.levels[(1, v) if v else (2, units)].length for v in range(units + 1)]
+    states = transcript.states.tolist()
+    seen = [0] * (units + 1)
+    first_pad = blocklength
+    for i, v in enumerate(states):
+        if seen[v] == lengths[v]:
+            first_pad = i
+            break
+        seen[v] += 1
+    start = (units + 1) // 2
+    switch = max(i for i in range(first_pad) if states[i] == start)
+    sent = {key: books.codeword(*key, m) for key, m in messages.items()}
+    moves = [
+        np.subtract(sent.get((2, units - v), 0), sent.get((1, v), 0), dtype=np.int8)
+        for v in range(units + 1)
+    ]
+    before = [states[:switch].count(v) for v in range(units + 1)]
+    assert _stack_walk_prefix(moves, start, blocklength) == (switch, before)
 
 
 @settings(max_examples=200, deadline=None)

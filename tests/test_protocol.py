@@ -237,6 +237,11 @@ def test_validator_catches_infeasible_symbol():
         validate_transcript(bad)
 
 
+def test_validator_accepts_an_empty_transcript():
+    empty = np.array([], dtype=np.int16)
+    validate_transcript(Transcript(units=1, states=empty, x1=empty, x2=empty))
+
+
 def test_validator_catches_wrong_evolution():
     bad = Transcript(
         units=1,
@@ -282,6 +287,16 @@ def test_sum_rate_counts_the_rounded_codeword_counts():
     books = build_codebooks(uniform_policy(1, 0.5), 1, 0.0, 0.02, seed=0)
     assert [lv.size for lv in books.levels.values()] == [1, 1]
     assert books.sum_rate() == 0.0
+
+
+def test_build_codebooks_takes_only_integer_blocklengths():
+    policy = uniform_policy(1, 0.5)
+    for bad in (10.5, 10.0, "10", None, 0, -3):
+        with pytest.raises(ValueError, match="blocklength"):
+            build_codebooks(policy, bad, 0.02, 0.1, seed=0)
+    books = build_codebooks(policy, np.int64(1_000), 0.02, 0.1, seed=0)
+    assert type(books.blocklength) is int and books.blocklength == 1_000
+    assert books.levels == build_codebooks(policy, 1_000, 0.02, 0.1, seed=0).levels
 
 
 def test_build_codebooks_rejects_non_finite_delta():
@@ -540,8 +555,10 @@ def test_monte_carlo_deterministic_given_seed():
 
 def test_monte_carlo_validates_trials():
     books = build_codebooks(uniform_policy(1, 0.5), 2_000, 0.02, 0.1, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_error(books, trials=0)
+    for bad in (0, -1, 2.5, 2.0, None):
+        with pytest.raises(ValueError, match="trials"):
+            monte_carlo_error(books, trials=bad)
+    assert monte_carlo_error(books, np.int32(2)).trials == 2
 
 
 def test_code_rate_ladder_approaches_achievable_sum_from_below():

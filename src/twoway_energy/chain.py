@@ -16,6 +16,7 @@ simulator owns a private RNG per call, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,17 @@ _RESCALE = 2.0 ** -1000
 
 class NotIrreducibleError(ValueError):
     """The chain cannot visit every state from every state."""
+
+
+def _count(value, name: str, low: int = 1) -> int:
+    """value as an int >= low (numpy ints too); a ValueError naming it otherwise."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -73,9 +85,7 @@ class MarginalPolicy:
 
 def uniform_policy(units: int, p: float = 0.5) -> MarginalPolicy:
     """Both nodes send "1" with the same probability p at every positive level."""
-    if units < 1:
-        raise ValueError("units must be >= 1")
-    arr = np.full(units + 1, p, dtype=float)
+    arr = np.full(_count(units, "units") + 1, p, dtype=float)
     arr[0] = 0.0
     return MarginalPolicy(p1=arr, p2=arr.copy())
 
@@ -187,15 +197,14 @@ def simulate_chain(
     oracle for stationary().
     """
     units = kernel.units
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if not 0 <= initial_state <= units:
+    steps = _count(steps, "steps")
+    u = _count(initial_state, "initial_state", low=0)
+    if u > units:
         raise ValueError(f"initial_state must lie in [0,{units}]")
     down = (0.0, *kernel.down)
     up_edge = [d + r for d, r in zip(down, (*kernel.up, 0.0))]
     rng = np.random.default_rng(seed)
     visits = [0] * (units + 1)
-    u = initial_state
     remaining = steps
     while remaining > 0:
         block = min(remaining, 1 << 16)

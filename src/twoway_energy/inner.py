@@ -29,7 +29,7 @@ from operator import mul
 
 import numpy as np
 
-from .chain import MarginalPolicy, _stationary_updown
+from .chain import MarginalPolicy, _count, _stationary_updown
 from .entropy import _h
 
 GRID_SEEDS = (0.5, 0.2, 0.35, 0.65, 0.8)
@@ -67,8 +67,7 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        object.__setattr__(self, "restarts", _count(self.restarts, "restarts"))
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
@@ -130,8 +129,7 @@ def _golden_max(f, lo: float, hi: float):
 
 def _checked_search(units: int, lam: float, search: SearchConfig | None) -> SearchConfig:
     """The search config to use, after checking units and lam."""
-    if units < 1:
-        raise ValueError("units must be >= 1")
+    _count(units, "units")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0,1]")
     return search or SearchConfig()

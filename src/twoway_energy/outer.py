@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .chain import MarginalPolicy, uniform_policy
+from .chain import MarginalPolicy, _count, uniform_policy
 from .entropy import JointSymbolDist, _entropy, _h
 from .inner import CLAMP, SearchConfig, _cell_sums, _checked_search, _search
 from .inner import optimize_sum_rate, rates_for_policy
@@ -229,11 +229,9 @@ class SweepRow:
 def sweep_details(u_max: int, search: SearchConfig):
     """Fair-coin, optimized inner and outer sum rates for U = 1..u_max,
     plus the inner optimization results (which seed the outer ascent)."""
-    if u_max < 1:
-        raise ValueError("budget (maximum U) must be >= 1")
     rows = []
     inner_results = []
-    for units in range(1, u_max + 1):
+    for units in range(1, _count(u_max, "u_max") + 1):
         conventional = rates_for_policy(uniform_policy(units)).total
         inner = optimize_sum_rate(units, 0.5, search)
         _, outer_vals = optimize_outer_sum(

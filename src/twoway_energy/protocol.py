@@ -10,24 +10,10 @@ codewords, multiplexed over channel uses according to the realized
 state sequence, with random padding after a codeword is exhausted so
 the state chain stays time-invariant.
 
-The energy state alone drives a trial. State u plays node 1's level-u
-word and node 2's level-(units-u) word, which have the same length, and
-the number of earlier visits to u is the position in both. So a trial
-builds one move list per state once, the symbol differences x2 - x1 of
-its two words, and the walk steps through it; after a state's list is
-exhausted, each use steps by the difference of two fresh pads. A node
-with no energy has no word (it counts as zeros) and pad probability 0,
-so it always sends "0". The walk has two phases. The first is numpy
-alone: as long as no list runs out, the walk is a stack walk whose
-excursions away from the start state end at known list positions, so
-their durations ("excursion clocks") give the time of every visit to the
-start state, and the walk jumps to T, the last of those visits before
-the blocklength n, with the visit counts it has there. The second is a
-per-use loop over uses T..n-1 that steps through the rest of each list
-and then by pad moves computed per state for those uses in advance;
-at n = 1e5 and epsilon = 0.02 it runs the last ~10% of the uses. A
-trial returns the occupancy and the error events, not a per-use
-transcript.
+The energy state alone drives a trial: each state's two words become
+one move list, which the walk steps through before it steps by pads;
+run_trial's docstring describes the walk and its two phases. A trial
+returns the occupancy and the error events, not a per-use transcript.
 
 Codebooks are never materialized: a level holds ~2^(length * rate)
 codewords, so each level stores only its codeword count K (to 53-bit
@@ -53,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import MarginalPolicy, build_kernel, stationary
+from .chain import MarginalPolicy, _count, build_kernel, stationary
 from .entropy import binary_entropy
 
 
@@ -111,12 +97,24 @@ def _holder_transcript(syms) -> Transcript:
 def validate_transcript(t: Transcript) -> None:
     """Check energy feasibility and state evolution at every step.
 
-    A symbol "1" requires the sender to hold at least one unit, and the
-    next state must equal u - x1 + x2. Raises ValueError on the first
-    violation. An empty transcript has no step to check.
+    The states, x1 and x2 must have one length, every state must lie in
+    [0, units] and every symbol must be 0 or 1. A symbol "1" requires the
+    sender to hold at least one unit, and the next state must equal
+    u - x1 + x2. Raises ValueError on the first violation. An empty
+    transcript has no step to check.
     """
+    if not len(t.x1) == len(t.x2) == t.length:
+        raise ValueError(
+            f"states, x1 and x2 must have one length, got {t.length}, {len(t.x1)} and {len(t.x2)}"
+        )
     if t.length == 0:
         return
+    states = np.asarray(t.states)
+    if not np.all((states >= 0) & (states <= t.units)):
+        raise ValueError(f"states must lie in [0, {t.units}]")
+    for name, syms in (("x1", np.asarray(t.x1)), ("x2", np.asarray(t.x2))):
+        if not np.all((syms == 0) | (syms == 1)):
+            raise ValueError(f"{name} symbols must be 0 or 1")
     u = int(t.states[0])
     for i in range(t.length):
         if int(t.states[i]) != u:
@@ -138,7 +136,7 @@ def naive_frame_rate(frame_size: int) -> float:
     The unit holder spends its one "1" in one of the frame's uses,
     conveying log2(frame_size) bits and handing the unit over.
     """
-    f = frame_size
+    f = _count(frame_size, "frame_size")
     if f < 2 or (f & (f - 1)) != 0:
         raise ValueError(f"frame size must be a power of two >= 2, got {frame_size}")
     return math.log2(f) / f
@@ -174,8 +172,7 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
     cost is 3/2 uses per bit, i.e. a sum rate of 2/3. Given bit arrays
     must each hold exactly m bits; missing ones are drawn from seed.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count(m, "m")
     rng = np.random.default_rng(seed)
     b1 = (rng.random(m) < 0.5).astype(np.uint8) if bits1 is None else _as_bits(bits1)
     b2 = (rng.random(m) < 0.5).astype(np.uint8) if bits2 is None else _as_bits(bits2)
@@ -372,17 +369,6 @@ class CodebookSet:
         return replace(self, seed=seed)
 
 
-def _count(value, name: str) -> int:
-    """value as an int >= 1 (numpy ints too); a ValueError naming it otherwise."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}") from None
-    if count < 1:
-        raise ValueError(f"{name} must be >= 1, got {count}")
-    return count
-
-
 def build_codebooks(
     policy: MarginalPolicy,
     blocklength: int,
@@ -486,13 +472,19 @@ def run_trial(
     (pad2[i] < q2[u]) - (pad1[i] < q1[u]), a fresh Bern(p) pad from each
     node. The pads are drawn from this trial's RNG stream, never from the
     codebook stream. Only the visit counts are kept, not the symbols.
-    The walk runs in two phases. The excursion clocks of
-    _stack_walk_prefix find, with numpy alone, the last visit to the
-    start state before n that the walk reaches on the move lists, at use
-    T, and the visit counts there. A per-use loop then walks uses
-    T..n-1, with each state's pad moves for those uses computed up
-    front; the pads of the uses before T are skipped in the stream, so
-    every use still sees the pads it would have drawn.
+    The walk runs in two phases. The first works on the move lists with
+    numpy alone. At a visit to the start state every excursion begun
+    before it has ended, so _stack_walk_prefix builds the visit counts
+    there outward from the start state, each from the steps away and back
+    in a state's list, and the visit's time is their sum. Bisecting on
+    that time gives T, the last visit to the start state before n that
+    the walk reaches before any list runs out. The second phase is a
+    per-use loop over uses T..n-1 that goes on from those counts: it
+    indexes each state's list by the state's visit count, and then steps
+    by pad moves computed per state for those uses in advance. The pads
+    of the uses before T are skipped in the stream, so every use sees
+    the pads it would have drawn. At n = 1e5 and epsilon = 0.02 the loop
+    runs the last ~10% of the uses.
     The decoders reconstruct the occupancy sets from the shared state
     sequence, read each codeword off the first `length` uses of its
     state, and keep the unique matching message; on a shortfall or an
@@ -531,14 +523,12 @@ def run_trial(
         memoryview(np.subtract(pad2 < prob.get(k2, 0.0), pad1 < prob.get(k1, 0.0), dtype=np.int8))
         for k1, k2 in keys
     ]
-    rest = [memoryview(steps)[k:] for steps, k in zip(moves, visits)]
-    left = [len(steps) for steps in rest]
-    extra = [0] * (units + 1)
+    steps = [memoryview(s) for s in moves]
+    lengths = [len(s) for s in moves]
     for i in range(n - switch):
-        k = extra[u]
-        extra[u] = k + 1
-        u += rest[u][k] if k < left[u] else pad_moves[u][i]
-    visits = [a + b for a, b in zip(visits, extra)]
+        k = visits[u]
+        visits[u] = k + 1
+        u += steps[u][k] if k < lengths[u] else pad_moves[u][i]
 
     e1 = set()
     e2 = set()
@@ -562,57 +552,43 @@ def _stack_walk_prefix(moves: list, start: int, n: int):
     that it reaches on the move lists alone: (T, visits before T).
 
     Until some state's list runs out, the k-th visit to v steps by
-    moves[v][k], and an excursion from start outward (above v - 1, or
-    below v + 1) ends at the step back towards start in moves[v]. So the
-    durations of the excursions follow level by level from the outermost
-    state inwards: the j-th excursion beyond v ends after back[j] + 1
-    visits to v plus the durations of the excursions beyond v that those
-    visits began. done[j] holds the summed durations of the first j
-    excursions, exact while below n; n marks one that does not end on the
-    lists or not before n. The d-th visit to start then happens at use
-    d + (durations of the excursions on either side begun before it).
-    The visit counts at T follow outwards from start: a visit count of v
-    ends the m excursions beyond v - 1 that began before T, so it is
-    back[m - 1] + 1, and the excursions it began number m for v + 1.
+    moves[v][k]. At a visit to start, every excursion begun before it has
+    ended, so the visit counts there follow outwards from start: if the
+    first k visits to v began m excursions beyond it (steps away from
+    start), the next state's count is one past its m-th step back towards
+    start. The visit's time is the sum of the counts.
     """
-    sides = []
-    for sign, outward in ((1, moves[start + 1 :]), (-1, moves[:start][::-1])):
-        # per state, the running count of steps away from start (an int32
-        # running sum of a mask is ~3x faster than numpy's default int64
-        # one), and the positions of the steps back
-        marks = [
-            (np.cumsum(s == sign, dtype=np.int32), np.flatnonzero(s == -sign)) for s in outward
-        ]
-        done = np.array([0, n])  # the last n stands for every excursion past the lists
-        for away, back in reversed(marks):
-            ends = back + done[np.minimum(away[back], len(done) - 1)]
-            done = np.concatenate(([0], np.minimum(ends + 1, n), [n]))
-        sides.append((done, marks))
+    # per side, going outward from start: each state's steps away and back
+    sides = [
+        (sign, [(np.flatnonzero(s == sign), np.flatnonzero(s == -sign)) for s in outward])
+        for sign, outward in ((1, moves[start:]), (-1, moves[start::-1]))
+    ]
 
-    steps = moves[start]
-    began = [np.flatnonzero(steps == sign) for sign in (1, -1)]
-
-    def counts(d):
-        """The excursions above and below start begun before its d-th visit."""
-        return [int(np.searchsorted(positions, d)) for positions in began]
+    def visits_at(d):
+        """The visit counts at the d-th visit to start, or None when an
+        excursion begun before it does not end on the lists."""
+        visits = [0] * len(moves)
+        visits[start] = d
+        for sign, levels in sides:
+            k, v = d, start
+            for (away, _), (_, back) in zip(levels, levels[1:]):
+                m = int(np.searchsorted(away, k))
+                if m == 0:
+                    break
+                if m > len(back):
+                    return None
+                v += sign
+                k = visits[v] = int(back[m - 1]) + 1
+        return visits
 
     def visit_time(d):
-        return d + sum(int(done[min(c, len(done) - 1)]) for c, (done, _) in zip(counts(d), sides))
+        visits = visits_at(d)
+        return n if visits is None else sum(visits)
 
-    # the times grow with d, and visit 0 is at use 0 < n
-    last = bisect.bisect_left(range(len(steps)), n, key=visit_time) - 1
-
-    visits = [0] * len(moves)
-    visits[start] = last
-    for direction, m, (_, marks) in zip((1, -1), counts(last), sides):
-        v = start
-        for away, back in marks:
-            if m == 0:
-                break
-            v += direction
-            visits[v] = int(back[m - 1]) + 1
-            m = int(away[back[m - 1]])
-    return visit_time(last), visits
+    # the times grow with d up to the first visit the lists do not reach,
+    # and read n from there on; visit 0 is at use 0 < n
+    last = bisect.bisect_left(range(len(moves[start])), n, key=visit_time) - 1
+    return visit_time(last), visits_at(last)
 
 
 def _collision_sampled(book: CodebookLevel, weight: int, rng) -> bool:

@@ -194,3 +194,18 @@ def test_simulate_validates_arguments():
         simulate_chain(k, steps=0)
     with pytest.raises(ValueError):
         simulate_chain(k, steps=10, initial_state=5)
+    for bad in (2.5, 10.0, None):
+        with pytest.raises(ValueError, match="steps"):
+            simulate_chain(k, bad)
+    for bad in (1.5, 1.0, -1):
+        with pytest.raises(ValueError, match="initial_state"):
+            simulate_chain(k, steps=10, initial_state=bad)
+    a = simulate_chain(k, np.int64(100), initial_state=np.int32(1), seed=3)
+    assert np.array_equal(a, simulate_chain(k, 100, initial_state=1, seed=3))
+
+
+def test_uniform_policy_takes_only_integer_units():
+    for bad in (2.5, 2.0, 0, None):
+        with pytest.raises(ValueError, match="units"):
+            uniform_policy(bad)
+    assert uniform_policy(np.int64(2)).units == 2

@@ -134,6 +134,18 @@ def test_optimize_validates_arguments():
     for tol in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="tol"):
             SearchConfig(tol=tol)
+    for bad in (2.5, 2.0, float("nan"), None):
+        with pytest.raises(ValueError, match="restarts"):
+            SearchConfig(restarts=bad)
+        with pytest.raises(ValueError, match="units"):
+            optimize_sum_rate(bad, search=FAST)
+        with pytest.raises(ValueError, match="units"):
+            optimize_outer_sum(bad, search=FAST)
+    config = SearchConfig(restarts=np.int64(6), tol=1e-6, seed=0)
+    assert type(config.restarts) is int and config == FAST
+    assert optimize_sum_rate(np.int64(1), search=config).objective == optimize_sum_rate(
+        1, search=FAST
+    ).objective
 
 
 def test_region_sweep_single_weight_matches_sum_rate():

@@ -12,6 +12,7 @@ from twoway_energy import (
     optimize_sum_rate,
     outer_values,
     rates_for_policy,
+    sweep_details,
     uniform_policy,
 )
 
@@ -145,6 +146,14 @@ def test_optimize_outer_validates_arguments():
     for optimize in (optimize_outer_sum, optimize_outer_weighted):
         with pytest.raises(ValueError, match="no search start reached a feasible point"):
             optimize(3, search=SearchConfig(restarts=1), seed_policies=stuck)
+
+
+def test_sweep_takes_only_integer_budgets():
+    for bad in (2.5, 2.0, 0, None):
+        with pytest.raises(ValueError, match="u_max"):
+            sweep_details(bad, FAST)
+    rows, _ = sweep_details(np.int64(1), FAST)
+    assert rows == sweep_details(1, FAST)[0]
 
 
 def test_from_marginal_round_trip():

@@ -14,7 +14,6 @@ from twoway_energy import (
     JointSymbolDist,
     MarginalPolicy,
     MarginExhaustedError,
-    NotIrreducibleError,
     SearchConfig,
     binary_entropy,
     build_codebooks,
@@ -234,22 +233,25 @@ def test_trial_transcripts_are_feasible(units, probs, blocklength, delta, seed):
 @given(
     units=st.integers(min_value=1, max_value=4),
     probs=st.lists(
-        st.just(1.0) | st.floats(min_value=0.05, max_value=1.0), min_size=8, max_size=8
+        st.floats(min_value=0.05, max_value=1.0, exclude_max=True), min_size=6, max_size=6
     ),
+    # p = 1 only at a node's top level, the one place it keeps the chain irreducible
+    tops=st.lists(st.just(1.0) | st.floats(min_value=0.05, max_value=1.0), min_size=2, max_size=2),
     blocklength=st.integers(min_value=20, max_value=400),
     epsilon=st.sampled_from([0.0, 0.01]),
     delta=st.floats(min_value=-0.2, max_value=0.5),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_trial_occupancy_is_the_recording_walks_visits(
-    units, probs, blocklength, epsilon, delta, seed
+    units, probs, tops, blocklength, epsilon, delta, seed
 ):
     policy = MarginalPolicy(
-        p1=np.array([0.0, *probs[:units]]), p2=np.array([0.0, *probs[4 : 4 + units]])
+        p1=np.array([0.0, *probs[: units - 1], tops[0]]),
+        p2=np.array([0.0, *probs[3 : 3 + units - 1], tops[1]]),
     )
     try:
         books = build_codebooks(policy, blocklength, epsilon, delta, seed=seed)
-    except (NotIrreducibleError, MarginExhaustedError):
+    except MarginExhaustedError:
         assume(False)
     messages = draw_messages(books, seed=seed + 1)
     outcome = run_trial(books, messages, seed=seed + 2)

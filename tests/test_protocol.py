@@ -72,6 +72,13 @@ def test_naive_frame_rate_rejects_non_powers(bad):
         naive_frame_rate(bad)
 
 
+def test_naive_frame_rate_takes_only_integer_frame_sizes():
+    for bad in (2.0, 4.5, "4", None):
+        with pytest.raises(ValueError, match="frame_size"):
+            naive_frame_rate(bad)
+    assert naive_frame_rate(np.int64(4)) == 0.5
+
+
 # -- variable-length code ------------------------------------------------------
 
 
@@ -115,6 +122,10 @@ def test_variable_length_validates_arguments():
         variable_length_sim(3, bits1=[0, 1], bits2=[1, 0])
     with pytest.raises(ValueError, match="exactly m = 2 bits"):
         variable_length_sim(2, bits1=[0, 1, 1])
+    for bad in (2.5, 2.0, None):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            variable_length_sim(bad)
+    assert variable_length_sim(np.int32(3), seed=1).sum_rate == variable_length_sim(3, seed=1).sum_rate
     for bad in ([0.5, 1], [-1, 1]):
         with pytest.raises(ValueError):
             variable_length_sim(2, bits1=bad, bits2=[0, 1])
@@ -240,6 +251,21 @@ def test_validator_catches_infeasible_symbol():
 def test_validator_accepts_an_empty_transcript():
     empty = np.array([], dtype=np.int16)
     validate_transcript(Transcript(units=1, states=empty, x1=empty, x2=empty))
+
+
+@pytest.mark.parametrize(
+    "states, x1, x2, message",
+    [
+        ([1, 1], [0], [0, 0], "one length"),
+        ([1, 1], [0, 2], [0, 0], "x1 symbols must be 0 or 1"),
+        ([5], [0], [0], r"states must lie in \[0, 1\]"),
+    ],
+    ids=["short-x1", "symbol-2", "state-out-of-range"],
+)
+def test_validator_rejects_malformed_transcripts(states, x1, x2, message):
+    bad = Transcript(units=1, states=np.array(states), x1=np.array(x1), x2=np.array(x2))
+    with pytest.raises(ValueError, match=message):
+        validate_transcript(bad)
 
 
 def test_validator_catches_wrong_evolution():

@@ -203,7 +203,7 @@ def simulate_chain(
         raise ValueError(f"initial_state must lie in [0,{units}]")
     down = (0.0, *kernel.down)
     up_edge = [d + r for d, r in zip(down, (*kernel.up, 0.0))]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", low=0))
     visits = [0] * (units + 1)
     remaining = steps
     while remaining > 0:

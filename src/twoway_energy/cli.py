@@ -264,27 +264,18 @@ def cmd_u1(args) -> int:
     print(f"position coding, frame {frame}: sum rate {naive_frame_rate(frame):.6f}")
 
     vl = variable_length_sim(m, seed=seed)
-    ok = bool(
-        np.array_equal(vl.decoded_bits1, vl.sent_bits1)
-        and np.array_equal(vl.decoded_bits2, vl.sent_bits2)
-    )
-    print(
-        f"variable-length code:   sum rate {vl.sum_rate:.6f} "
-        f"({vl.transcript.length} uses, decode exact: {ok})"
-    )
-
-    rng = np.random.default_rng(seed)
-    bits1 = (rng.random(m) < 0.5).astype(np.uint8)
-    bits2 = (rng.random(m) < 0.5).astype(np.uint8)
-    ts = optimal_timeshare_sim(bits1, bits2)
-    ok = bool(
-        np.array_equal(ts.decoded_bits1, ts.sent_bits1)
-        and np.array_equal(ts.decoded_bits2, ts.sent_bits2)
-    )
-    print(
-        f"verbatim time sharing:  sum rate {ts.sum_rate:.6f} "
-        f"({ts.transcript.length} uses, {ts.handover_uses} handover uses, decode exact: {ok})"
-    )
+    ts = optimal_timeshare_sim(vl.sent_bits1, vl.sent_bits2)
+    for label, res, handovers in (
+        ("variable-length code:", vl, ""),
+        ("verbatim time sharing:", ts, f"{ts.handover_uses} handover uses, "),
+    ):
+        ok = np.array_equal(res.decoded_bits1, res.sent_bits1) and np.array_equal(
+            res.decoded_bits2, res.sent_bits2
+        )
+        print(
+            f"{label:<24}sum rate {res.sum_rate:.6f} "
+            f"({res.transcript.length} uses, {handovers}decode exact: {ok})"
+        )
     return 0
 
 

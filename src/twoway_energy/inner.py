@@ -68,6 +68,7 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "restarts", _count(self.restarts, "restarts"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", low=0))
         if not self.tol > 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 

@@ -4,11 +4,15 @@ Two families live here. The single-unit (units = 1) schemes are small
 deterministic protocols: fixed-frame position coding, the variable-
 length prefix code {1 -> "1", 0 -> "01"}, and verbatim time sharing
 driven by possession of the unit; the state (node 1's energy, 0 or 1)
-says who holds it. The general scheme is the random-coding
-construction: one codebook per node per energy level, i.i.d. Bern(p)
-codewords, multiplexed over channel uses according to the realized
-state sequence, with random padding after a codeword is exhausted so
-the state chain stays time-invariant.
+says who holds it. Both decoders read the transcript by position, with
+no per-use replay: the variable-length one splits it at the uses that
+carry a "1", the time-sharing one takes each node's first m holding
+uses and the zeros the other node sends while holding after its own m
+bits. The general scheme is the random-coding construction: one
+codebook per node per energy level, i.i.d. Bern(p) codewords,
+multiplexed over channel uses according to the realized state
+sequence, with random padding after a codeword is exhausted so the
+state chain stays time-invariant.
 
 The energy state alone drives a trial: each state's two words become
 one move list, which the walk steps through before it steps by pads;
@@ -163,6 +167,14 @@ def _as_bits(bits) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
+def _u1_result(syms, b1, b2, decode, handover_uses: int = 0) -> U1SimResult:
+    """The result of a single-unit run: the holder transcript of syms,
+    the rate 2m / length, the sent bits and decode's reading of them."""
+    t = _holder_transcript(syms)
+    dec1, dec2 = decode(t)
+    return U1SimResult(t, 2.0 * len(b1) / t.length, b1, b2, dec1, dec2, handover_uses)
+
+
 def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimResult:
     """Variable-length code on one energy unit: bit 1 -> "1", bit 0 -> "01".
 
@@ -173,7 +185,7 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
     must each hold exactly m bits; missing ones are drawn from seed.
     """
     m = _count(m, "m")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", low=0))
     b1 = (rng.random(m) < 0.5).astype(np.uint8) if bits1 is None else _as_bits(bits1)
     b2 = (rng.random(m) < 0.5).astype(np.uint8) if bits2 is None else _as_bits(bits2)
     if len(b1) != m or len(b2) != m:
@@ -181,35 +193,22 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
 
     # the holder sends each codeword, and its closing "1" hands the unit over
     bits = np.column_stack((b1, b2)).ravel().tolist()
-    t = _holder_transcript([sym for bit in bits for sym in ((1,) if bit else (0, 1))])
-    dec1, dec2 = _decode_variable_length(t, m)
-    rate = 2.0 * m / t.length
-    return U1SimResult(
-        transcript=t,
-        sum_rate=rate,
-        sent_bits1=b1,
-        sent_bits2=b2,
-        decoded_bits1=dec1,
-        decoded_bits2=dec2,
-    )
+    syms = [sym for bit in bits for sym in ((1,) if bit else (0, 1))]
+    return _u1_result(syms, b1, b2, _decode_variable_length)
 
 
-def _decode_variable_length(t: Transcript, m: int):
-    """Parse the alternating prefix-code stream back into both bit vectors.
+def _decode_variable_length(t: Transcript):
+    """Split the alternating prefix-code stream back into both bit vectors.
 
-    Every codeword ends with the "1" that hands the unit over, so the
-    state at a codeword's first use names its sender.
+    Every codeword ends with the "1" that hands the unit over and the
+    next one starts a use later: a one-use codeword is a 1, a two-use
+    one a 0, and the state at a codeword's first use names its sender.
     """
-    dec = {1: [], 2: []}
-    stream = {1: t.x1.tolist(), 2: t.x2.tolist()}
-    states = t.states.tolist()
-    i = 0
-    while i < t.length and (len(dec[1]) < m or len(dec[2]) < m):
-        sender = 1 if states[i] == 1 else 2
-        bit = stream[sender][i]
-        dec[sender].append(bit)
-        i += 2 - bit  # "1" spans one use, "01" two
-    return np.array(dec[1], dtype=np.uint8), np.array(dec[2], dtype=np.uint8)
+    ends = np.flatnonzero(t.x1 | t.x2)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    bits = (starts == ends).astype(np.uint8)
+    by_node1 = t.states[starts] == 1
+    return bits[by_node1], bits[~by_node1]
 
 
 def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
@@ -221,10 +220,10 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
     blocks nothing until the counterpart needs to send a "1": in that
     case the holder first returns the unit with a non-information "1"
     (one extra channel use). Both sides track pending counts, so those
-    handover uses are unambiguous and decoding is always exact. Whenever
-    the nodes' one-bits interleave (in particular for all-zero inputs
-    and for #ones differing by at most one), no handover is needed and
-    the run takes exactly 2m uses.
+    handover uses are unambiguous and decoding is always exact. Exactly
+    when node 1 holds as many ones as node 2, or one more (all-zero
+    inputs included), the one-bits interleave, no handover is needed and
+    the run takes 2m uses.
     """
     b1, b2 = _as_bits(bits1), _as_bits(bits2)
     if len(b1) != len(b2):
@@ -253,35 +252,24 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
         syms.append(sym)
         u ^= sym  # a "1" hands the unit over
 
-    t = _holder_transcript(syms)
-    dec1, dec2 = _decode_timeshare(t, m)
-    rate = 2.0 * m / t.length
-    return U1SimResult(
-        transcript=t,
-        sum_rate=rate,
-        sent_bits1=b1,
-        sent_bits2=b2,
-        decoded_bits1=dec1,
-        decoded_bits2=dec2,
-        handover_uses=handovers,
-    )
+    return _u1_result(syms, b1, b2, lambda t: _decode_timeshare(t, m), handovers)
 
 
 def _decode_timeshare(t: Transcript, m: int):
-    """Replay the possession schedule to split info bits from handovers.
+    """Split info bits from handovers by who held the unit at each use.
 
-    The state says who holds the unit; an exhausted holder's "1" is a
-    handover use and carries no information.
+    A node's first m holding uses carry its own bits. Once the other node
+    has sent its m bits, each "0" that node sends while holding carries
+    this node's next bit, a 0, and each "1" it sends is a handover.
     """
-    dec = {1: [], 2: []}
-    for u, a, b in zip(t.states.tolist(), t.x1.tolist(), t.x2.tolist()):
-        sym = {1: a, 2: b}
-        holder, other = (1, 2) if u == 1 else (2, 1)
-        if len(dec[holder]) < m:
-            dec[holder].append(sym[holder])
-        elif sym[holder] == 0:
-            dec[other].append(sym[other])
-    return np.array(dec[1], dtype=np.uint8), np.array(dec[2], dtype=np.uint8)
+    holding = {1: np.flatnonzero(t.states == 1), 2: np.flatnonzero(t.states == 0)}
+    syms = {1: t.x1, 2: t.x2}
+    decoded = []
+    for node, other in ((1, 2), (2, 1)):
+        late = holding[other][m:]  # the other node has sent its m bits
+        uses = np.sort(np.concatenate((holding[node][:m], late[syms[other][late] == 0])))
+        decoded.append(syms[node][uses])  # a node sends 0 while the other holds
+    return tuple(decoded)
 
 
 # -- random-coding codebooks -------------------------------------------------
@@ -343,8 +331,7 @@ class CodebookSet:
     pi: np.ndarray
 
     def __post_init__(self):
-        if operator.index(self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _count(self.seed, "seed", low=0))
 
     def codeword(self, node: int, level: int, message: int) -> np.ndarray:
         """Materialize one codeword on demand; deterministic in all args.
@@ -413,7 +400,7 @@ def build_codebooks(
 
 def draw_messages(codebooks: CodebookSet, seed: int = 0) -> dict:
     """Uniform message index per (node, level); arbitrary-precision safe."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", low=0))
     out = {}
     for key, lv in sorted(codebooks.levels.items()):
         out[key] = _uniform_message(rng, lv.size)
@@ -499,7 +486,7 @@ def run_trial(
         )
     units = codebooks.units
     n = codebooks.blocklength
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", low=0))
 
     sent = {key: codebooks.codeword(*key, m) for key, m in messages.items()}
     prob = {key: book.p for key, book in codebooks.levels.items()}
@@ -641,7 +628,7 @@ def monte_carlo_error(
     trials in which either message failed to decode.
     """
     trials = _count(trials, "trials")
-    root = np.random.SeedSequence(seed)
+    root = np.random.SeedSequence(_count(seed, "seed", low=0))
     children = root.spawn(trials)
     errors = 0
     occupancy = np.zeros(codebooks.units + 1)

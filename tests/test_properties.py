@@ -1,6 +1,6 @@
 """Property tests of the chain, the bounds, the shared search, the codeword
-seeds, the trial walk against its recording oracle and the single-unit
-time-sharing schedule."""
+seeds, the trial walk against its recording oracle and the two single-unit
+schedules (verbatim time sharing and the variable-length code)."""
 
 import math
 
@@ -28,6 +28,7 @@ from twoway_energy import (
     stationary,
     uniform_policy,
     validate_transcript,
+    variable_length_sim,
 )
 from twoway_energy.inner import CLAMP, _inner_problem, _rates_updown, _search
 from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _unpack
@@ -361,3 +362,16 @@ def test_timeshare_decodes_exactly_with_the_minimal_handovers(bits):
     handovers = expected_handovers(b1, b2)
     assert res.handover_uses == handovers
     assert res.transcript.length == 2 * len(b1) + handovers
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=bit_vector_pairs())
+def test_variable_length_decodes_exactly_in_4m_uses_less_the_ones(bits):
+    b1, b2 = bits
+    m = len(b1)
+    res = variable_length_sim(m, bits1=b1, bits2=b2)
+    validate_transcript(res.transcript)
+    assert np.array_equal(res.decoded_bits1, b1)
+    assert np.array_equal(res.decoded_bits2, b2)
+    # a 1 costs one use and a 0 two
+    assert res.transcript.length == 4 * m - int(b1.sum()) - int(b2.sum())

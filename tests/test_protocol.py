@@ -11,14 +11,18 @@ from twoway_energy import (
     CodebookLevel,
     MarginalPolicy,
     MarginExhaustedError,
+    SearchConfig,
     Transcript,
     build_codebooks,
+    build_kernel,
     draw_messages,
     monte_carlo_error,
     naive_frame_rate,
     optimal_timeshare_sim,
+    optimize_sum_rate,
     rates_for_policy,
     run_trial,
+    simulate_chain,
     uniform_policy,
     validate_transcript,
     variable_length_sim,
@@ -468,11 +472,41 @@ def test_codeword_rejects_float_and_negative_messages():
 
 
 def test_codebooks_reject_a_negative_seed():
-    with pytest.raises(ValueError, match="seed"):
-        build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 0.1, seed=-1)
     books = build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 0.1, seed=0)
-    with pytest.raises(ValueError, match="seed"):
-        books.regenerate(seed=-1)
+    for bad in (-1, 2.5, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 0.1, seed=bad)
+        with pytest.raises(ValueError, match="seed"):
+            books.regenerate(seed=bad)
+    assert type(books.regenerate(seed=np.int64(3)).seed) is int
+
+
+_BOOKS1 = build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 0.1, seed=0)
+# each entry point that takes a seed, run at a given seed, to a comparable value
+_SEEDED = {
+    "SearchConfig": lambda seed: optimize_sum_rate(
+        1, search=SearchConfig(restarts=2, seed=seed)
+    ).objective,
+    "simulate_chain": lambda seed: simulate_chain(
+        build_kernel(uniform_policy(2, 0.5)), 100, seed=seed
+    ).tolist(),
+    "monte_carlo_error": lambda seed: monte_carlo_error(
+        _BOOKS1, 2, seed=seed
+    ).mean_occupancy.tolist(),
+    "draw_messages": lambda seed: draw_messages(_BOOKS1, seed=seed),
+    "run_trial": lambda seed: run_trial(
+        _BOOKS1, {key: 1 for key in _BOOKS1.levels}, seed=seed
+    ).empirical_occupancy.tolist(),
+    "variable_length_sim": lambda seed: variable_length_sim(5, seed=seed).transcript.to_lines(),
+}
+
+
+@pytest.mark.parametrize("run", _SEEDED.values(), ids=_SEEDED.keys())
+def test_seeds_are_checked_like_counts(run):
+    for bad in (-1, 2.5, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            run(bad)
+    assert run(np.int64(3)) == run(np.uint8(3)) == run(3)
 
 
 def test_codeword_composition_tracks_generation_probability():

@@ -1,18 +1,16 @@
 """Executable communication strategies for the energy-exchange channel.
 
 Two families live here. The single-unit (units = 1) schemes are small
-deterministic protocols: fixed-frame position coding, the variable-
-length prefix code {1 -> "1", 0 -> "01"}, and verbatim time sharing
-driven by possession of the unit; the state (node 1's energy, 0 or 1)
-says who holds it. Both decoders read the transcript by position, with
-no per-use replay: the variable-length one splits it at the uses that
-carry a "1", the time-sharing one takes each node's first m holding
-uses and the zeros the other node sends while holding after its own m
-bits. The general scheme is the random-coding construction: one
+deterministic protocols: fixed-frame position coding, the
+variable-length prefix code {1 -> "1", 0 -> "01"}, and verbatim time
+sharing driven by possession of the unit; the state (node 1's energy, 0
+or 1) says who holds it. Their encoders and decoders work on whole
+arrays, by position, with no per-use loop; each one's docstring gives
+its rule. The general scheme is the random-coding construction: one
 codebook per node per energy level, i.i.d. Bern(p) codewords,
-multiplexed over channel uses according to the realized state
-sequence, with random padding after a codeword is exhausted so the
-state chain stays time-invariant.
+multiplexed over channel uses according to the realized state sequence,
+with random padding after a codeword is exhausted so the state chain
+stays time-invariant.
 
 The energy state alone drives a trial: each state's two words become
 one move list, which the walk steps through before it steps by pads;
@@ -101,11 +99,12 @@ def _holder_transcript(syms) -> Transcript:
 def validate_transcript(t: Transcript) -> None:
     """Check energy feasibility and state evolution at every step.
 
-    The states, x1 and x2 must have one length, every state must lie in
-    [0, units] and every symbol must be 0 or 1. A symbol "1" requires the
-    sender to hold at least one unit, and the next state must equal
-    u - x1 + x2. Raises ValueError on the first violation. An empty
-    transcript has no step to check.
+    The states, x1 and x2 must have one length, every state must be an
+    integer in [0, units] and every symbol must be 0 or 1. A symbol "1"
+    requires the sender to hold at least one unit, and the next state
+    must equal u - x1 + x2. Raises ValueError on the first violation, and
+    at one use names a wrong evolution before node 1's fault and that
+    before node 2's. An empty transcript has no step to check.
     """
     if not len(t.x1) == len(t.x2) == t.length:
         raise ValueError(
@@ -116,19 +115,26 @@ def validate_transcript(t: Transcript) -> None:
     states = np.asarray(t.states)
     if not np.all((states >= 0) & (states <= t.units)):
         raise ValueError(f"states must lie in [0, {t.units}]")
+    u = states.astype(np.int64)  # in range, so exact; int64 so no difference wraps
+    if not np.array_equal(u, states):
+        raise ValueError("states must be integers")
     for name, syms in (("x1", np.asarray(t.x1)), ("x2", np.asarray(t.x2))):
         if not np.all((syms == 0) | (syms == 1)):
             raise ValueError(f"{name} symbols must be 0 or 1")
-    u = int(t.states[0])
-    for i in range(t.length):
-        if int(t.states[i]) != u:
-            raise ValueError(f"use {i + 1}: recorded state {t.states[i]} != evolved state {u}")
-        a, b = int(t.x1[i]), int(t.x2[i])
-        if a == 1 and u < 1:
-            raise ValueError(f"use {i + 1}: node 1 sends '1' without energy")
-        if b == 1 and t.units - u < 1:
-            raise ValueError(f"use {i + 1}: node 2 sends '1' without energy")
-        u = u - a + b
+    x1, x2 = np.asarray(t.x1, dtype=np.int64), np.asarray(t.x2, dtype=np.int64)
+    evolved = np.concatenate((u[:1], u[:-1] - x1[:-1] + x2[:-1]))
+    faults = (
+        u != evolved,
+        (x1 == 1) & (u < 1),
+        (x2 == 1) & (u > t.units - 1),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce(faults))
+    if len(bad) == 0:
+        return
+    i = int(bad[0])
+    if faults[0][i]:
+        raise ValueError(f"use {i + 1}: recorded state {t.states[i]} != evolved state {evolved[i]}")
+    raise ValueError(f"use {i + 1}: node {1 if faults[1][i] else 2} sends '1' without energy")
 
 
 # -- single-unit strategies --------------------------------------------------
@@ -191,9 +197,10 @@ def variable_length_sim(m: int, seed: int = 0, bits1=None, bits2=None) -> U1SimR
     if len(b1) != m or len(b2) != m:
         raise ValueError(f"each node must hold exactly m = {m} bits, got {len(b1)} and {len(b2)}")
 
-    # the holder sends each codeword, and its closing "1" hands the unit over
-    bits = np.column_stack((b1, b2)).ravel().tolist()
-    syms = [sym for bit in bits for sym in ((1,) if bit else (0, 1))]
+    # the holder sends each codeword, and its closing "1" hands the unit over:
+    # every bit is a "1", and a 0 gets a "0" before it
+    bits = np.column_stack((b1, b2)).ravel()
+    syms = np.insert(np.ones_like(bits), np.flatnonzero(bits == 0), 0)
     return _u1_result(syms, b1, b2, _decode_variable_length)
 
 
@@ -215,15 +222,17 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
     """Verbatim time sharing on one energy unit, initially at node 1.
 
     The unit holder transmits its pending bits verbatim until the first
-    "1" (which hands the unit over) or until it runs out of bits; the
-    other node then continues. Zeros are free, so an exhausted holder
-    blocks nothing until the counterpart needs to send a "1": in that
-    case the holder first returns the unit with a non-information "1"
-    (one extra channel use). Both sides track pending counts, so those
-    handover uses are unambiguous and decoding is always exact. Exactly
-    when node 1 holds as many ones as node 2, or one more (all-zero
-    inputs included), the one-bits interleave, no handover is needed and
-    the run takes 2m uses.
+    "1", which hands the unit over. Zeros are free, so the order is fixed
+    by rounds: a bit that follows s of its node's ones goes out in round
+    2s at node 1 and round 2s + 1 at node 2, and the bits go out by round,
+    each node's in its own order. With k1 and k2 the nodes' one counts,
+    a "1" is late when it is node 1's with s > k2 or node 2's with
+    s >= k1: the other node holds the unit then with no bits left, so it
+    first returns the unit with a non-information "1" (one extra channel
+    use). That makes max(k2 - k1, 0) + max(k1 - k2 - 1, 0) handover uses,
+    and since the holder is known at every use the decoding is always
+    exact. Exactly when node 1 holds as many ones as node 2, or one more
+    (all-zero inputs included), no "1" is late and the run takes 2m uses.
     """
     b1, b2 = _as_bits(bits1), _as_bits(bits2)
     if len(b1) != len(b2):
@@ -231,28 +240,14 @@ def optimal_timeshare_sim(bits1, bits2) -> U1SimResult:
     if len(b1) < 1:
         raise ValueError("need at least one bit per node")
 
-    pend = {1: b1.tolist(), 2: b2.tolist()}
-    ptr = {1: 0, 2: 0}
-    m = len(b1)
-    syms = []
-    handovers = 0
-    u = 1  # node 1's energy: node 1 holds the unit iff u == 1
-    while ptr[1] < m or ptr[2] < m:
-        holder, other = (1, 2) if u == 1 else (2, 1)
-        if ptr[holder] < m:
-            sym = pend[holder][ptr[holder]]
-            ptr[holder] += 1
-        elif pend[other][ptr[other]] == 0:
-            ptr[other] += 1
-            sym = 0
-        else:
-            # counterpart needs energy for its "1": return the unit first
-            sym = 1
-            handovers += 1
-        syms.append(sym)
-        u ^= sym  # a "1" hands the unit over
-
-    return _u1_result(syms, b1, b2, lambda t: _decode_timeshare(t, m), handovers)
+    m, k1, k2 = len(b1), int(b1.sum()), int(b2.sum())
+    s1 = np.cumsum(b1, dtype=np.int64) - b1  # ones before each bit
+    s2 = np.cumsum(b2, dtype=np.int64) - b2
+    order = np.argsort(np.concatenate((2 * s1, 2 * s2 + 1)), kind="stable")
+    bits = np.concatenate((b1, b2))[order]
+    late = np.concatenate(((b1 == 1) & (s1 > k2), (b2 == 1) & (s2 >= k1)))[order]
+    syms = np.insert(bits, np.flatnonzero(late), 1)  # a handover before each late "1"
+    return _u1_result(syms, b1, b2, lambda t: _decode_timeshare(t, m), int(late.sum()))
 
 
 def _decode_timeshare(t: Transcript, m: int):

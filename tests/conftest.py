@@ -34,6 +34,42 @@ def expected_handovers(bits1, bits2) -> int:
     return max(k2 - k1, 0) + max(k1 - k2 - 1, 0)
 
 
+# -- per-use time-sharing schedule ---------------------------------------------
+
+
+def reference_timeshare_syms(b1, b2):
+    """The verbatim time-sharing schedule built one use at a time:
+    (the holder's symbol stream, the handover count).
+
+    The unit holder sends its next pending bit; once it has none, a "0"
+    the other node has pending goes out free, and a "1" it has pending
+    needs the unit back first, which takes a non-information "1". A "1"
+    hands the unit over. optimal_timeshare_sim builds the same stream from
+    each bit's round.
+    """
+    pend = {1: np.asarray(b1).tolist(), 2: np.asarray(b2).tolist()}
+    ptr = {1: 0, 2: 0}
+    m = len(pend[1])
+    syms = []
+    handovers = 0
+    u = 1  # node 1's energy: node 1 holds the unit iff u == 1
+    while ptr[1] < m or ptr[2] < m:
+        holder, other = (1, 2) if u == 1 else (2, 1)
+        if ptr[holder] < m:
+            sym = pend[holder][ptr[holder]]
+            ptr[holder] += 1
+        elif pend[other][ptr[other]] == 0:
+            ptr[other] += 1
+            sym = 0
+        else:
+            # counterpart needs energy for its "1": return the unit first
+            sym = 1
+            handovers += 1
+        syms.append(sym)
+        u ^= sym  # a "1" hands the unit over
+    return syms, handovers
+
+
 # -- recording trial walk ------------------------------------------------------
 
 

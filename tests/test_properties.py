@@ -8,7 +8,12 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import expected_handovers, marginals_and_conditionals, reference_trial_walk
+from conftest import (
+    expected_handovers,
+    marginals_and_conditionals,
+    reference_timeshare_syms,
+    reference_trial_walk,
+)
 from twoway_energy import (
     JointStatePolicy,
     JointSymbolDist,
@@ -32,7 +37,7 @@ from twoway_energy import (
 )
 from twoway_energy.inner import CLAMP, _inner_problem, _rates_updown, _search
 from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _unpack
-from twoway_energy.protocol import _seed_words, _stack_walk_prefix
+from twoway_energy.protocol import _holder_transcript, _seed_words, _stack_walk_prefix
 
 PROB = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
 
@@ -362,6 +367,10 @@ def test_timeshare_decodes_exactly_with_the_minimal_handovers(bits):
     handovers = expected_handovers(b1, b2)
     assert res.handover_uses == handovers
     assert res.transcript.length == 2 * len(b1) + handovers
+    # the same schedule, symbol for symbol, as the per-use state machine
+    syms, reference_handovers = reference_timeshare_syms(b1, b2)
+    assert res.transcript.to_lines() == _holder_transcript(syms).to_lines()
+    assert res.handover_uses == reference_handovers
 
 
 @settings(max_examples=150, deadline=None)
@@ -375,3 +384,6 @@ def test_variable_length_decodes_exactly_in_4m_uses_less_the_ones(bits):
     assert np.array_equal(res.decoded_bits2, b2)
     # a 1 costs one use and a 0 two
     assert res.transcript.length == 4 * m - int(b1.sum()) - int(b2.sum())
+    # the nodes' bits alternate, node 1 first, each as its codeword
+    syms = [s for b, c in zip(b1, b2) for bit in (b, c) for s in ((1,) if bit else (0, 1))]
+    assert res.transcript.to_lines() == _holder_transcript(syms).to_lines()

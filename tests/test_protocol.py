@@ -263,8 +263,9 @@ def test_validator_accepts_an_empty_transcript():
         ([1, 1], [0], [0, 0], "one length"),
         ([1, 1], [0, 2], [0, 0], "x1 symbols must be 0 or 1"),
         ([5], [0], [0], r"states must lie in \[0, 1\]"),
+        ([0.5, 0.5], [0, 0], [0, 0], "states must be integers"),
     ],
-    ids=["short-x1", "symbol-2", "state-out-of-range"],
+    ids=["short-x1", "symbol-2", "state-out-of-range", "fractional-state"],
 )
 def test_validator_rejects_malformed_transcripts(states, x1, x2, message):
     bad = Transcript(units=1, states=np.array(states), x1=np.array(x1), x2=np.array(x2))
@@ -280,6 +281,17 @@ def test_validator_catches_wrong_evolution():
         x2=np.array([0, 0]),
     )
     with pytest.raises(ValueError, match="evolved"):
+        validate_transcript(bad)
+
+
+def test_validator_names_the_earliest_of_separate_faults():
+    bad = Transcript(
+        units=1,
+        states=np.array([0, 0, 0, 1]),  # use 4 should still be at state 0
+        x1=np.array([1, 0, 0, 0]),  # node 1 sends '1' with no energy at use 1
+        x2=np.array([1, 0, 0, 0]),
+    )
+    with pytest.raises(ValueError, match="^use 1: node 1 sends '1' without energy$"):
         validate_transcript(bad)
 
 

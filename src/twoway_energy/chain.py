@@ -146,25 +146,32 @@ def build_kernel(policy) -> TransitionKernel:
     )
 
 
-def _stationary_updown(up, down) -> list[float]:
-    """Stationary law from up[u]=q(u,u+1), down[u]=q(u+1,u); detailed balance."""
-    for u, r in enumerate(up):
-        if r <= 0.0:
-            raise NotIrreducibleError(
-                f"state {u} cannot reach state {u + 1} (up-move probability is 0)"
-            )
-    for u, r in enumerate(down):
-        if r <= 0.0:
-            raise NotIrreducibleError(
-                f"state {u + 1} cannot reach state {u} (down-move probability is 0)"
-            )
-    w = [1.0]
-    for u in range(len(up)):
-        x = w[-1] * up[u] / down[u]
+def _weights(up, down, w):
+    """Extend the detailed-balance weights w of states 0..len(w)-1 by
+    w[u+1] = w[u] * up[u] / down[u] through state len(up), after checking
+    that every move is possible. While a weight overflows the whole list is
+    rescaled by _RESCALE, so w[0] stays 1 only in an unscaled list."""
+    if min(up) <= 0.0:
+        u = next(u for u, r in enumerate(up) if r <= 0.0)
+        raise NotIrreducibleError(f"state {u} cannot reach state {u + 1} (up-move probability is 0)")
+    if min(down) <= 0.0:
+        u = next(u for u, r in enumerate(down) if r <= 0.0)
+        raise NotIrreducibleError(f"state {u + 1} cannot reach state {u} (down-move probability is 0)")
+    x = w[-1]
+    for u in range(len(w) - 1, len(up)):
+        x = x * up[u] / down[u]
         while x == math.inf:
             w = [v * _RESCALE for v in w]
             x = w[-1] * up[u] / down[u]
         w.append(x)
+    return w
+
+
+def _stationary_updown(up, down, w=None) -> list[float]:
+    """Stationary law from up[u]=q(u,u+1), down[u]=q(u+1,u); detailed balance.
+    w may be a fresh list of the unscaled weights of the first states, which
+    only the moves among them set; the sum always runs over the whole list."""
+    w = _weights(up, down, w or [1.0])
     total = sum(w)
     if total == math.inf:
         w = [v * _RESCALE for v in w]

@@ -12,9 +12,11 @@ The objective is smooth but nonconvex in the 2*units free
 probabilities, so the maximizer runs multi-start coordinate ascent
 (`_search`, which the outer bound shares): constant grid seeds plus
 random restarts, each refined by coordinate-wise golden-section search
-on [CLAMP, 1-CLAMP]; a coordinate enters one state's cell (`states`),
-so a probe recomputes that cell alone and `value` maps the chain's
-reward sums to the objective. The clamp keeps every policy strictly
+on [CLAMP, 1-CLAMP]. A coordinate enters one state's cell (`states`),
+so a probe recomputes that cell alone and reuses the accepted chain's
+detailed-balance weights of the states below it; the cells carry only
+the reward columns that `value` reads, and `value` maps the chain's
+sums of them to the objective. The clamp keeps every policy strictly
 interior, hence the chain irreducible; the boundary of the rate region
 is approached but never evaluated at degenerate policies. Restarts are
 independent and the reduction (max by objective, first within 1e-9
@@ -29,7 +31,7 @@ from operator import mul
 
 import numpy as np
 
-from .chain import MarginalPolicy, _count, _stationary_updown
+from .chain import MarginalPolicy, _count, _stationary_updown, _weights
 from .entropy import _h
 
 GRID_SEEDS = (0.5, 0.2, 0.35, 0.65, 0.8)
@@ -87,11 +89,12 @@ def _inner_cell(a, b):
     return a * (1.0 - b), (1.0 - a) * b, True, _h(a), _h(b)
 
 
-def _cell_sums(columns):
+def _cell_sums(columns, w=None):
     """(pi, [sum_u pi[u] * col[u] for each reward column]) of the chain with
     cell columns (down, up, feasible, *rewards), each sum taken left to
-    right over the states."""
-    pi = _stationary_updown(columns[1][:-1], columns[0][1:])
+    right over the states; w is an optional prefix of the chain's unscaled
+    detailed-balance weights (see _stationary_updown)."""
+    pi = _stationary_updown(columns[1][:-1], columns[0][1:], w)
     return pi, [sum(map(mul, pi, col)) for col in columns[3:]]
 
 
@@ -140,11 +143,13 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
     """Best (x, f) of multi-start coordinate ascent of a chain objective.
 
     f(x) is value(sums) of the chain whose state u has cell(x, u), or -inf
-    while a cell is infeasible. Coordinate i enters only state states[i]'s
-    cell: a probe splices that cell into the restart's cached columns,
-    sums the chain and restores the old cell, so it returns the float a
-    full evaluation would. The starts are `fixed`, then draw(rng) until
-    config.restarts, clipped into [CLAMP, 1-CLAMP]. Coordinate i ranges over
+    while a cell is infeasible. Coordinate i enters only state u =
+    states[i]'s cell: a probe splices that cell into the restart's cached
+    columns, goes on from the accepted chain's unscaled weights of states
+    0..u-1 (refreshed when a move is accepted), sums the whole chain and
+    restores the old cell, so it returns the float a full evaluation would.
+    The starts are `fixed`, then draw(rng) until config.restarts, clipped
+    into [CLAMP, 1-CLAMP]. Coordinate i ranges over
     [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while that range
     is no longer than the line search's tolerance, and is refined by
     golden-section search; an ascent stops when a full sweep gains
@@ -165,18 +170,24 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
             for col, r in zip(cols, c):
                 col[u] = r
 
-        def objective():
-            return -math.inf if False in cols[2] else value(_cell_sums(cols)[1])
+        def accepted():
+            """(count of infeasible cells, unscaled weights or None) of cols."""
+            w = _weights(cols[1][:-1], cols[0][1:], [1.0])
+            return cols[2].count(False), w if w[0] == 1.0 else None
 
         def probe(i, u, v):
             old, x[i] = x[i], v
-            put(u, cell(x, u))
+            c = cell(x, u)
             x[i] = old
-            val = objective()
+            if bad + cells[u][2] - c[2]:  # infeasible cells with c in place
+                return -math.inf
+            put(u, c)
+            val = value(_cell_sums(cols, w and w[: u or 1])[1])  # u = 0 keeps w[0] = 1
             put(u, cells[u])
             return val
 
-        f = objective()
+        bad, w = accepted()
+        f = -math.inf if bad else value(_cell_sums(cols)[1])
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
             for i, (sib, u) in enumerate(zip(siblings, states)):
@@ -190,6 +201,7 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
                     f = fi
                     cells[u] = cell(x, u)
                     put(u, cells[u])
+                    bad, w = accepted()
             if gained < config.tol:
                 break
         if f > best_f + 1e-9:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -81,11 +82,14 @@ class OuterBoundValues:
     stationary: np.ndarray
 
 
-def _outer_cell(d):
+def _outer_cell(d, rates=True):
     """Cell of a state with joint d = (p00, p01, p10, p11): moves p10 and
     p01, feasible (only the search asks) while p00 >= CLAMP/2, rewards
-    H(X1,X2) - H(X2), H(X1,X2) - H(X1) and H(X1,X2)."""
+    H(X1,X2) - H(X2), H(X1,X2) - H(X1) and H(X1,X2), or H(X1,X2) alone
+    when not rates."""
     h = _entropy(d)
+    if not rates:
+        return d[2], d[1], not d[0] < CLAMP * 0.5, h
     return d[2], d[1], not d[0] < CLAMP * 0.5, h - _h(d[1] + d[3]), h - _h(d[2] + d[3]), h
 
 
@@ -138,28 +142,38 @@ def _pack(policy: JointStatePolicy, slots):
     return [d.as_tuple()[s] for d, free in zip(policy.dists, slots) for s in free]
 
 
-def _outer_problem(units, weight):
-    """(siblings, states, cell, value) of weight(r1, r2, sum) over the search
-    vector of _free_slots(units); siblings are the other entries of a state."""
+def _outer_problem(units, lam=None):
+    """(siblings, states, cell, value) over the search vector of
+    _free_slots(units) of the sum bound, or of 2*(lam*r1 + (1-lam)*r2) when
+    lam is given; a cell carries only the reward columns its objective
+    reads, and siblings are the other entries of a state."""
     slots = _free_slots(units)
     at = list(accumulate(map(len, slots), initial=0))
     states = [u for u, free in enumerate(slots) for _ in free]
     siblings = [tuple(j for j in range(at[u], at[u + 1]) if j != i) for i, u in enumerate(states)]
+    if lam is None:
+
+        def joint_cell(x, u):
+            return _outer_cell(_dist(x, at[u], slots[u]), rates=False)
+
+        return siblings, states, joint_cell, itemgetter(0)
 
     def cell(x, u):
-        return _outer_cell(_dist(x, at[u], slots[u]))
+        return _outer_cell(_dist(x, at[u], slots[u]))[:5]
 
     def value(sums):
-        return weight(max(sums[0], 0.0), max(sums[1], 0.0), sums[2])
+        return 2.0 * (lam * max(sums[0], 0.0) + (1.0 - lam) * max(sums[1], 0.0))
 
     return siblings, states, cell, value
 
 
-def _optimize_outer(units, lam, search, seed_policies, weight):
-    """Multi-start ascent of weight(r1, r2, sum). Starts: the seed policies
-    (by default a quick inner optimum at lam), the uniform product policy,
-    then random ones, up to search.restarts."""
-    config = _checked_search(units, lam, search)
+def _optimize_outer(units, lam, search, seed_policies):
+    """Multi-start ascent of the sum bound (lam None) or of the weighted
+    rate bound. Starts: the seed policies (by default a quick inner optimum
+    at lam, or 0.5), the uniform product policy, then random ones, up to
+    search.restarts."""
+    inner_lam = 0.5 if lam is None else lam
+    config = _checked_search(units, inner_lam, search)
     seeds = list(seed_policies)
     for sp in seeds:
         if sp.units != units:
@@ -168,7 +182,7 @@ def _optimize_outer(units, lam, search, seed_policies, weight):
         quick = SearchConfig(
             restarts=max(2, config.restarts // 8), tol=config.tol, seed=config.seed + 1
         )
-        seeds.append(JointStatePolicy.from_marginal(optimize_sum_rate(units, lam, quick).policy))
+        seeds.append(JointStatePolicy.from_marginal(optimize_sum_rate(units, inner_lam, quick).policy))
     slots = _free_slots(units)
     fixed = [_pack(sp, slots) for sp in seeds]
     if len(fixed) < config.restarts:
@@ -183,7 +197,7 @@ def _optimize_outer(units, lam, search, seed_policies, weight):
                 vals.extend(rng.dirichlet((1.0,) * (len(free) + 1))[1:])
         return vals
 
-    best_x, _ = _search(fixed, draw, *_outer_problem(units, weight), config)
+    best_x, _ = _search(fixed, draw, *_outer_problem(units, lam), config)
     dists = [JointSymbolDist(*(max(0.0, p) for p in d)) for d in _unpack(best_x, slots)]
     policy = JointStatePolicy(dists=tuple(dists))
     return policy, outer_values(policy)
@@ -201,7 +215,7 @@ def optimize_outer_sum(
     supplies one, so the returned bound dominates the best product
     policy it can find.
     """
-    return _optimize_outer(units, 0.5, search, seed_policies, lambda r1, r2, s: s)
+    return _optimize_outer(units, None, search, seed_policies)
 
 
 def optimize_outer_weighted(
@@ -211,9 +225,7 @@ def optimize_outer_weighted(
     seed_policies=(),
 ) -> tuple[JointStatePolicy, OuterBoundValues]:
     """Maximize 2*(lam*r1_bound + (1-lam)*r2_bound) over joint-state policies."""
-    return _optimize_outer(
-        units, lam, search, seed_policies, lambda r1, r2, s: 2.0 * (lam * r1 + (1.0 - lam) * r2)
-    )
+    return _optimize_outer(units, lam, search, seed_policies)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,22 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import random_policy, stationary_linear_oracle
 from twoway_energy import (
+    JointStatePolicy,
+    JointSymbolDist,
     MarginalPolicy,
     NotIrreducibleError,
     TransitionKernel,
     build_kernel,
+    outer_values,
     simulate_chain,
     stationary,
     uniform_policy,
 )
+from twoway_energy.chain import _stationary_updown
 
 
 def test_policy_validation():
@@ -73,6 +79,26 @@ def test_no_down_moves_makes_top_state_absorbing():
         stationary(k)
 
 
+@pytest.mark.parametrize(
+    "up, down, message",
+    [
+        ((0.5, 0.0, 0.5), (0.5, 0.5, 0.5), "state 1 cannot reach state 2 (up-move probability is 0)"),
+        ((0.5, 0.5, 0.5), (0.5, 0.0, 0.5), "state 2 cannot reach state 1 (down-move probability is 0)"),
+        # with both kinds of zero, the first zero up move is named
+        ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), "state 2 cannot reach state 3 (up-move probability is 0)"),
+    ],
+)
+def test_unreachable_state_is_named(up, down, message):
+    exactly = f"^{re.escape(message)}$"
+    with pytest.raises(NotIrreducibleError, match=exactly):
+        stationary(TransitionKernel(up=up, down=down))
+    # the same chain from joints: state u's up move is its p01, its down move its p10
+    moves = zip((0.0, *down), (*up, 0.0))
+    dists = tuple(JointSymbolDist(1.0 - d - r, r, d, 0.0) for d, r in moves)
+    with pytest.raises(NotIrreducibleError, match=exactly):
+        outer_values(JointStatePolicy(dists=dists))
+
+
 def test_stationary_u1_symmetric():
     pi = stationary(build_kernel(uniform_policy(1, 0.5)))
     assert pi == pytest.approx(np.array([0.5, 0.5]))
@@ -115,6 +141,24 @@ def test_stationary_matches_unscaled_recursion_bit_for_bit_where_finite():
         if not np.isfinite(total):
             continue
         assert stationary(k).tolist() == [x / total for x in w]
+
+
+def test_stationary_goes_on_from_any_unscaled_weight_prefix_bit_for_bit():
+    # up/down ratios up to 1e14 per step: 17 of the 50 weight lists overflow
+    # and are rescaled after the prefix
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        units = int(rng.integers(1, 80))
+        up = (10.0 ** rng.uniform(-2.0, 0.0, units)).tolist()
+        down = (10.0 ** rng.uniform(-14.0, 0.0, units)).tolist()
+        w = [1.0]
+        for u in range(units):
+            w.append(w[-1] * up[u] / down[u])
+        full = _stationary_updown(up, down)
+        for k in range(1, units + 2):
+            if w[k - 1] == np.inf:
+                break
+            assert _stationary_updown(up, down, w[:k]) == full
 
 
 def test_stationary_survives_overflowing_detailed_balance_product():

@@ -3,8 +3,9 @@
 Every command is deterministic given --seed. Option precedence is
 flags > --config JSON > built-in defaults; the defaults are shown by
 --help. Each option's flag, type, default, help text and allowed range
-are written once, in the OPTIONS table. Exit codes: 0 ok, 1 runtime
-failure, 2 usage error.
+are written once, in the OPTIONS table; which command takes which
+options is written once, in the COMMANDS table. Exit codes: 0 ok,
+1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -67,20 +69,6 @@ OPTIONS = {
 
 class UsageError(Exception):
     """Bad invocation or malformed input file."""
-
-
-def _add_common(parser: argparse.ArgumentParser, keys) -> None:
-    """Add one flag per key; main resolves every key before the command runs."""
-    for key in keys:
-        flag, kind, default, help_text, _, _ = OPTIONS[key]
-        parser.add_argument(
-            flag, dest=key, type=kind, default=None, help=f"{help_text} (default: {default})"
-        )
-    parser.add_argument(
-        "--config", type=str, default=None,
-        help="JSON file with defaults for any of the above keys",
-    )
-    parser.set_defaults(keys=tuple(keys))
 
 
 def _resolve(args, key):
@@ -142,8 +130,6 @@ def _policy_from_args(args) -> MarginalPolicy:
 
 def cmd_stationary(args) -> int:
     steps = args.simulate_steps
-    if steps is not None and steps < 1:
-        raise UsageError(f"simulate_steps must be in [1, inf], got {steps}")
     policy = _policy_from_args(args)
     kernel = build_kernel(policy)
     pi = stationary(kernel)
@@ -213,20 +199,19 @@ def render_sweep_csv(rows) -> str:
 
 
 def cmd_sweep(args) -> int:
-    rows, _ = sweep_details(args.budget, _search_config(args))
-    for row in rows:
-        if not (
-            row.sum_conventional <= row.sum_optimized <= row.sum_outer + 1e-6
-            and row.sum_outer <= 2.0
-        ):
-            raise RuntimeError(f"bound ordering violated at U={row.units}: {row}")
-    text = render_sweep_csv(rows)
+    # the output file is opened first, so that a bad path fails before the sweep
+    out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        rows, _ = sweep_details(args.budget, _search_config(args))
+        for row in rows:
+            if not (
+                row.sum_conventional <= row.sum_optimized <= row.sum_outer + 1e-6
+                and row.sum_outer <= 2.0
+            ):
+                raise RuntimeError(f"bound ordering violated at U={row.units}: {row}")
+        fh.write(render_sweep_csv(rows))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -282,6 +267,44 @@ def cmd_u1(args) -> int:
 # -- wiring ------------------------------------------------------------------
 
 
+def _steps(text):
+    """The --simulate-steps value; argparse names the flag in its error."""
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be int, got {text!r}") from None
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"must be in [1, inf], got {steps}")
+    return steps
+
+
+# Flag-only options, one group each; a group of several is one exclusive choice.
+_POLICY_SOURCE = (  # neither flag: the uniform policy of --budget and --p
+    ("--policy", dict(help="JSON file with explicit p1/p2 arrays")),
+    ("--optimized", dict(action="store_true",
+                         help="use the optimized policy instead of the uniform one")),
+)
+_SIMULATE_STEPS = (
+    ("--simulate-steps",
+     dict(type=_steps, help="also print simulated occupancy over this many steps")),
+)
+_OUT = (("--out", dict(help="CSV output path (default: stdout)")),)
+
+# One row per command: run function, help text, OPTIONS keys, flag-only groups.
+COMMANDS = {
+    "stationary": (cmd_stationary, "energy-chain table for a policy",
+                   "budget p restarts tol seed lam", (_POLICY_SOURCE, _SIMULATE_STEPS)),
+    "inner": (cmd_inner, "maximize the achievable weighted sum rate",
+              "budget lam restarts tol seed", ()),
+    "outer": (cmd_outer, "maximize the outer bound", "budget lam restarts tol seed", ()),
+    "sweep": (cmd_sweep, "bounds versus units, as CSV", "budget restarts tol seed", (_OUT,)),
+    "simulate": (cmd_simulate, "Monte Carlo run of the random-coding scheme",
+                 "budget blocklength epsilon delta trials seed p restarts tol lam",
+                 (_POLICY_SOURCE,)),
+    "u1": (cmd_u1, "run the three single-unit strategies", "bits frame seed", ()),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twoway-energy",
@@ -292,46 +315,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stationary", help="energy-chain table for a policy")
-    _add_common(p, ["budget", "p", "restarts", "tol", "seed", "lam"])
-    p.add_argument("--policy", type=str, default=None,
-                   help="JSON file with explicit p1/p2 arrays")
-    p.add_argument("--optimized", action="store_true",
-                   help="use the optimized policy instead of the uniform one")
-    p.add_argument("--simulate-steps", type=int, default=None,
-                   help="also print simulated occupancy over this many steps")
-    p.set_defaults(run=cmd_stationary)
-
-    p = sub.add_parser("inner", help="maximize the achievable weighted sum rate")
-    _add_common(p, ["budget", "lam", "restarts", "tol", "seed"])
-    p.set_defaults(run=cmd_inner)
-
-    p = sub.add_parser("outer", help="maximize the outer bound")
-    _add_common(p, ["budget", "lam", "restarts", "tol", "seed"])
-    p.set_defaults(run=cmd_outer)
-
-    p = sub.add_parser("sweep", help="bounds versus units, as CSV")
-    _add_common(p, ["budget", "restarts", "tol", "seed"])
-    p.add_argument("--out", type=str, default=None, help="CSV output path (default: stdout)")
-    p.set_defaults(run=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="Monte Carlo run of the random-coding scheme")
-    _add_common(
-        p,
-        ["budget", "blocklength", "epsilon", "delta", "trials", "seed", "p",
-         "restarts", "tol", "lam"],
-    )
-    p.add_argument("--policy", type=str, default=None,
-                   help="JSON file with explicit p1/p2 arrays")
-    p.add_argument("--optimized", action="store_true",
-                   help="simulate the optimized policy instead of the uniform one")
-    p.set_defaults(run=cmd_simulate)
-
-    p = sub.add_parser("u1", help="run the three single-unit strategies")
-    _add_common(p, ["bits", "frame", "seed"])
-    p.set_defaults(run=cmd_u1)
-
+    for name, (_, help_text, keys, groups) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in keys.split():  # main resolves every key before the command runs
+            flag, kind, default, key_help, _, _ = OPTIONS[key]
+            p.add_argument(flag, dest=key, type=kind, help=f"{key_help} (default: {default})")
+        p.add_argument("--config", help="JSON file with defaults for any of the above keys")
+        for group in groups:
+            target = p.add_mutually_exclusive_group() if len(group) > 1 else p
+            for flag, kwargs in group:
+                target.add_argument(flag, **kwargs)
     return parser
 
 
@@ -349,9 +342,10 @@ def main(argv=None) -> int:
         unknown = set(args._config) - set(OPTIONS)
         if unknown:
             raise UsageError(f"config {args.config!r} has unknown keys: {sorted(unknown)}")
-        for key in (*args.keys, *args._config):  # checks a shared file in full
+        run, _, keys, _ = COMMANDS[args.command]
+        for key in (*keys.split(), *args._config):  # checks a shared file in full
             setattr(args, key, _resolve(args, key))
-        return args.run(args)
+        return run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

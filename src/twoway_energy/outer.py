@@ -48,6 +48,11 @@ class JointStatePolicy:
         dists = tuple(self.dists)
         if len(dists) < 2:
             raise ValueError("need at least one energy unit (>= 2 states)")
+        for d in dists:
+            if not isinstance(d, JointSymbolDist):
+                raise ValueError(
+                    f"each state's dist must be a JointSymbolDist, got {type(d).__name__}"
+                )
         lo, hi = dists[0], dists[-1]
         if lo.p10 != 0.0 or lo.p11 != 0.0:
             raise ValueError("state 0: node 1 has no energy, its '1' mass must be 0")
@@ -176,6 +181,8 @@ def _optimize_outer(units, lam, search, seed_policies):
     config = _checked_search(units, inner_lam, search)
     seeds = list(seed_policies)
     for sp in seeds:
+        if not isinstance(sp, JointStatePolicy):
+            raise ValueError(f"seed policy must be a JointStatePolicy, got {type(sp).__name__}")
         if sp.units != units:
             raise ValueError(f"seed policy has {sp.units} units, expected {units}")
     if not seeds:

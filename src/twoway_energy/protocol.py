@@ -335,7 +335,9 @@ class CodebookSet:
         (seed, node, level, message), the stream that
         SeedSequence([seed, node, level, message]) gives.
         """
-        lv = self.levels[(node, level)]
+        lv = self.levels.get((node, level))
+        if lv is None:
+            raise ValueError(f"no codebook for node {node} level {level}")
         if not 1 <= message <= lv.size:
             raise ValueError(f"message {message} outside [1, {lv.size}]")
         words = _seed_words(self.seed, node, level, message)
@@ -624,12 +626,14 @@ def monte_carlo_error(
     """
     trials = _count(trials, "trials")
     root = np.random.SeedSequence(_count(seed, "seed", low=0))
-    children = root.spawn(trials)
     errors = 0
     occupancy = np.zeros(codebooks.units + 1)
     e1_counts = {key: 0 for key in codebooks.levels}
     e2_counts = {key: 0 for key in codebooks.levels}
-    for child in children:
+    for _ in range(trials):
+        # one child at a time: the same seeds as root.spawn(trials), without
+        # holding every trial's SeedSequence at once
+        (child,) = root.spawn(1)
         sub = child.generate_state(3)
         books = codebooks.regenerate(seed=int(sub[0]))
         messages = draw_messages(books, seed=int(sub[1]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twoway_energy import SweepRow, sweep_details
+from twoway_energy import cli
 from twoway_energy.cli import main, render_sweep_csv
 from twoway_energy.inner import SearchConfig
 
@@ -51,7 +52,7 @@ def test_missing_command_is_usage_error():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
-    for command in ("stationary", "inner", "outer", "sweep", "simulate", "u1"):
+    for command in cli.COMMANDS:
         assert main([command, "--help"]) == 0
 
 
@@ -73,6 +74,16 @@ def test_stationary_optimized_policy(capsys):
     out = capsys.readouterr().out
     assert "policy p1: " in out
     assert "policy p1: [0.000000 0.500000 0.500000]" not in out
+
+
+@pytest.mark.parametrize("command", ["stationary", "simulate"])
+def test_policy_file_and_optimized_are_one_choice(tmp_path, capsys, command):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps({"p1": [0.0, 0.5], "p2": [0.0, 0.5]}))
+    assert main([command, "--policy", str(path), "--optimized"]) == 2
+    captured = capsys.readouterr()
+    assert "not allowed with" in captured.err
+    assert captured.out == ""
 
 
 def test_stationary_simulated_occupancy(capsys):
@@ -147,6 +158,18 @@ def test_sweep_footer_skips_the_u1_coincidence():
     assert footer.startswith("#") and "from U=4" in footer
     footer = render_sweep_csv(rows[:3]).splitlines()[-1]
     assert footer.startswith("# sum_optimized never within 0.01")
+
+
+def test_sweep_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran before the output file was opened")
+
+    monkeypatch.setattr(cli, "sweep_details", no_sweep)
+    out_path = tmp_path / "missing-dir" / "sweep.csv"
+    assert main(["sweep", "--budget", "16", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert "missing-dir" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_stdout_when_no_out(capsys):

@@ -43,6 +43,11 @@ def test_boundary_zero_validation():
         )
 
 
+def test_joint_policy_rejects_dists_of_the_wrong_type():
+    with pytest.raises(ValueError, match="JointSymbolDist, got tuple"):
+        JointStatePolicy(dists=((1.0, 0, 0, 0), (1.0, 0, 0, 0)))
+
+
 def test_outer_values_u1_single_bit_per_state():
     pol = JointStatePolicy(
         dists=(
@@ -105,6 +110,11 @@ def test_optimize_outer_accepts_seed_policies():
     seed_pol = JointStatePolicy.from_marginal(inner.policy)
     _, vals = optimize_outer_sum(3, search=FAST, seed_policies=[seed_pol])
     assert vals.sum_bound >= inner.objective - 1e-9
+
+
+def test_optimize_outer_rejects_a_marginal_seed_policy():
+    with pytest.raises(ValueError, match="JointStatePolicy, got MarginalPolicy"):
+        optimize_outer_sum(2, search=FAST, seed_policies=[uniform_policy(2)])
 
 
 def test_optimize_outer_nondecreasing_in_units():

@@ -483,6 +483,13 @@ def test_codeword_rejects_float_and_negative_messages():
         books.codeword(1, 1, -1)
 
 
+def test_codeword_names_a_pair_without_a_book():
+    books = build_codebooks(uniform_policy(2, 0.5), 5_000, 0.02, 0.05, seed=3)
+    for node, level in ((3, 1), (1, 0), (2, 3)):
+        with pytest.raises(ValueError, match=f"no codebook for node {node} level {level}"):
+            books.codeword(node, level, 1)
+
+
 def test_codebooks_reject_a_negative_seed():
     books = build_codebooks(uniform_policy(1, 0.5), 1_000, 0.02, 0.1, seed=0)
     for bad in (-1, 2.5, "1", None):

@@ -146,36 +146,51 @@ def build_kernel(policy) -> TransitionKernel:
     )
 
 
-def _weights(up, down, w):
-    """Extend the detailed-balance weights w of states 0..len(w)-1 by
-    w[u+1] = w[u] * up[u] / down[u] through state len(up), after checking
-    that every move is possible. While a weight overflows the whole list is
-    rescaled by _RESCALE, so w[0] stays 1 only in an unscaled list."""
-    if min(up) <= 0.0:
-        u = next(u for u, r in enumerate(up) if r <= 0.0)
-        raise NotIrreducibleError(f"state {u} cannot reach state {u + 1} (up-move probability is 0)")
-    if min(down) <= 0.0:
-        u = next(u for u, r in enumerate(down) if r <= 0.0)
-        raise NotIrreducibleError(f"state {u + 1} cannot reach state {u} (down-move probability is 0)")
+def _weights(downs, ups, w, u=None):
+    """(weights, their sum) of the detailed-balance recursion
+    w[k] = w[k-1] * ups[k-1] / downs[k] over states 0..len(downs)-1, where
+    downs[k] = q(k, k-1) and ups[k] = q(k, k+1) are state k's moves
+    (downs[0] and ups[len(downs)-1] are not read).
+
+    w holds the weights of the first states and is extended in place. While
+    a weight, and then the sum, overflows, the whole list is rescaled by
+    _RESCALE into a new list, so w itself keeps the unscaled weights up to
+    the first that overflows. The moves are checked first: those of state
+    u alone, the one cell new to an already checked chain, or every state's
+    when u is None. The first impossible up move is named, else the first
+    impossible down move.
+    """
+    top = len(downs) - 1
+    if u is None:
+        unreachable = min(ups[:top]) <= 0.0 or min(downs[1:]) <= 0.0
+    else:
+        unreachable = (u < top and ups[u] <= 0.0) or (u > 0 and downs[u] <= 0.0)
+    if unreachable:
+        states = range(top + 1) if u is None else (u,)
+        k = next((k for k in states if k < top and ups[k] <= 0.0), None)
+        if k is not None:
+            raise NotIrreducibleError(f"state {k} cannot reach state {k + 1} (up-move probability is 0)")
+        k = next(k for k in states if k > 0 and downs[k] <= 0.0)
+        raise NotIrreducibleError(f"state {k} cannot reach state {k - 1} (down-move probability is 0)")
     x = w[-1]
-    for u in range(len(w) - 1, len(up)):
-        x = x * up[u] / down[u]
+    for k in range(len(w), len(downs)):
+        x = x * ups[k - 1] / downs[k]
         while x == math.inf:
             w = [v * _RESCALE for v in w]
-            x = w[-1] * up[u] / down[u]
+            x = w[-1] * ups[k - 1] / downs[k]
         w.append(x)
-    return w
+    total = sum(w)
+    if total == math.inf:
+        w = [v * _RESCALE for v in w]
+        total = sum(w)
+    return w, total
 
 
 def _stationary_updown(up, down, w=None) -> list[float]:
     """Stationary law from up[u]=q(u,u+1), down[u]=q(u+1,u); detailed balance.
     w may be a fresh list of the unscaled weights of the first states, which
     only the moves among them set; the sum always runs over the whole list."""
-    w = _weights(up, down, w or [1.0])
-    total = sum(w)
-    if total == math.inf:
-        w = [v * _RESCALE for v in w]
-        total = sum(w)
+    w, total = _weights((0.0, *down), up, w or [1.0])
     return [x / total for x in w]
 
 

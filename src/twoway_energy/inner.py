@@ -13,25 +13,26 @@ probabilities, so the maximizer runs multi-start coordinate ascent
 (`_search`, which the outer bound shares): constant grid seeds plus
 random restarts, each refined by coordinate-wise golden-section search
 on [CLAMP, 1-CLAMP]. A coordinate enters one state's cell (`states`),
-so a probe recomputes that cell alone and reuses the accepted chain's
-detailed-balance weights of the states below it; the cells carry only
-the reward columns that `value` reads, and `value` maps the chain's
-sums of them to the objective. The clamp keeps every policy strictly
-interior, hence the chain irreducible; the boundary of the rate region
-is approached but never evaluated at degenerate policies. Restarts are
-independent and the reduction (max by objective, first within 1e-9
-wins) is deterministic given the seed.
+so a probe recomputes that cell alone, checks only its two moves and
+reuses the accepted chain's detailed-balance weights of the states below
+it; the cells carry only the reward columns that `value` reads, and
+`value` maps the chain's sums of them to the objective. The clamp keeps
+every policy strictly interior, hence the chain irreducible; the
+boundary of the rate region is approached but never evaluated at
+degenerate policies. Restarts are independent and the reduction (max by
+objective, first within 1e-9 wins) is deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from itertools import repeat
+from operator import mul, truediv
 
 import numpy as np
 
-from .chain import MarginalPolicy, _count, _stationary_updown, _weights
+from .chain import MarginalPolicy, _count, _weights
 from .entropy import _h
 
 GRID_SEEDS = (0.5, 0.2, 0.35, 0.65, 0.8)
@@ -89,20 +90,22 @@ def _inner_cell(a, b):
     return a * (1.0 - b), (1.0 - a) * b, True, _h(a), _h(b)
 
 
-def _cell_sums(columns, w=None):
-    """(pi, [sum_u pi[u] * col[u] for each reward column]) of the chain with
-    cell columns (down, up, feasible, *rewards), each sum taken left to
-    right over the states; w is an optional prefix of the chain's unscaled
-    detailed-balance weights (see _stationary_updown)."""
-    pi = _stationary_updown(columns[1][:-1], columns[0][1:], w)
-    return pi, [sum(map(mul, pi, col)) for col in columns[3:]]
+def _cell_sums(columns, w=None, u=None):
+    """([sum_k pi[k] * col[k] for each reward column], weights, total) of the
+    chain with cell columns (down, up, feasible, *rewards), where
+    pi = weights / total is its stationary law and each sum is one sum() over
+    the whole column; w is an optional prefix of the chain's unscaled
+    detailed-balance weights, and u the one state whose moves are not yet
+    checked (see _weights)."""
+    w, total = _weights(columns[0], columns[1], w or [1.0], u)
+    return [sum(map(mul, map(truediv, w, repeat(total)), col)) for col in columns[3:]], w, total
 
 
 def _rates_updown(p1, p2):
     """(r1, r2, pi) for policy lists with the forced zeros at index 0."""
     cells = [_inner_cell(a, b) for a, b in zip(p1, p2[::-1])]  # p2[e] acts in state units-e
-    pi, (r1, r2) = _cell_sums(list(zip(*cells)))
-    return r1, r2, pi
+    (r1, r2), w, total = _cell_sums(list(zip(*cells)))
+    return r1, r2, [x / total for x in w]
 
 
 def rates_for_policy(policy: MarginalPolicy) -> RatePair:
@@ -144,17 +147,20 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
 
     f(x) is value(sums) of the chain whose state u has cell(x, u), or -inf
     while a cell is infeasible. Coordinate i enters only state u =
-    states[i]'s cell: a probe splices that cell into the restart's cached
-    columns, goes on from the accepted chain's unscaled weights of states
-    0..u-1 (refreshed when a move is accepted), sums the whole chain and
-    restores the old cell, so it returns the float a full evaluation would.
-    The starts are `fixed`, then draw(rng) until config.restarts, clipped
-    into [CLAMP, 1-CLAMP]. Coordinate i ranges over
-    [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while that range
-    is no longer than the line search's tolerance, and is refined by
-    golden-section search; an ascent stops when a full sweep gains
-    < config.tol. A later start wins only by more than 1e-9. Raises
-    ValueError when every start ends at -inf.
+    states[i]'s cell: a probe writes that cell into the restart's cached
+    columns, checks only its two moves (the others were checked when the
+    chain was accepted, and a probe that makes one impossible raises the
+    NotIrreducibleError a full solve would), goes on from the accepted
+    chain's unscaled weights of states 0..u-1, or of as many as precede its
+    first overflow (refreshed when a move is accepted), and sums the whole
+    chain, so it returns the float a full evaluation would. The accepted
+    cell is written back when the line search ends. The starts are `fixed`,
+    then draw(rng) until config.restarts, clipped into [CLAMP, 1-CLAMP].
+    Coordinate i ranges over [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is
+    skipped while that range is no longer than the line search's
+    tolerance, and is refined by golden-section search; an ascent stops
+    when a full sweep gains < config.tol. A later start wins only by more
+    than 1e-9. Raises ValueError when every start ends at -inf.
     """
     rng = np.random.default_rng(config.seed)
     starts = list(fixed)
@@ -171,30 +177,38 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
                 col[u] = r
 
         def accepted():
-            """(count of infeasible cells, unscaled weights or None) of cols."""
-            w = _weights(cols[1][:-1], cols[0][1:], [1.0])
-            return cols[2].count(False), w if w[0] == 1.0 else None
+            """(count of infeasible cells, unscaled weights of cols up to the
+            first that overflows)."""
+            w = [1.0]
+            _weights(cols[0], cols[1], w)
+            return cols[2].count(False), w
 
-        def probe(i, u, v):
-            old, x[i] = x[i], v
-            c = cell(x, u)
-            x[i] = old
-            if bad + cells[u][2] - c[2]:  # infeasible cells with c in place
-                return -math.inf
-            put(u, c)
-            val = value(_cell_sums(cols, w and w[: u or 1])[1])  # u = 0 keeps w[0] = 1
-            put(u, cells[u])
-            return val
+        def line(i, u):
+            """f along coordinate i, which enters state u's cell only. A probe
+            leaves its cell in cols; the line search's caller restores it."""
+            base = bad + cells[u][2]  # minus c[2]: infeasible cells with c in place
+            head = u or 1  # the accepted weights a probe goes on from; w[0] = 1 at u = 0
+
+            def probe(v):
+                old, x[i] = x[i], v
+                c = cell(x, u)
+                x[i] = old
+                if base - c[2]:
+                    return -math.inf
+                put(u, c)
+                return value(_cell_sums(cols, w[:head], u)[0])
+
+            return probe
 
         bad, w = accepted()
-        f = -math.inf if bad else value(_cell_sums(cols)[1])
+        f = -math.inf if bad else value(_cell_sums(cols)[0])
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
             for i, (sib, u) in enumerate(zip(siblings, states)):
                 hi = 1.0 - sum(x[s] for s in sib) - CLAMP
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
-                xi, fi = _golden_max(lambda v, i=i, u=u: probe(i, u, v), CLAMP, hi)
+                xi, fi = _golden_max(line(i, u), CLAMP, hi)
                 if fi > f:
                     gained += fi - f
                     x[i] = xi
@@ -202,6 +216,8 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
                     cells[u] = cell(x, u)
                     put(u, cells[u])
                     bad, w = accepted()
+                else:
+                    put(u, cells[u])  # over the last probe's cell
             if gained < config.tol:
                 break
         if f > best_f + 1e-9:

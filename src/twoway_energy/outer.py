@@ -101,8 +101,8 @@ def _outer_cell(d, rates=True):
 def _outer_terms(dists):
     """(r1, r2, sum, pi) from raw (p00, p01, p10, p11) sequences; rounding
     can leave a zero bound just below 0."""
-    pi, (r1, r2, total) = _cell_sums(list(zip(*map(_outer_cell, dists))))
-    return max(r1, 0.0), max(r2, 0.0), total, pi
+    (r1, r2, total), w, weight = _cell_sums(list(zip(*map(_outer_cell, dists))))
+    return max(r1, 0.0), max(r2, 0.0), total, [x / weight for x in w]
 
 
 def outer_values(policy: JointStatePolicy) -> OuterBoundValues:

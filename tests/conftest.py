@@ -187,13 +187,22 @@ def compensated_sum(iterable, start=0):
 
 @contextlib.contextmanager
 def library_sum(fn):
-    """Run the bounds code (chain, entropy, inner, outer) with fn as its sum;
-    the builtin sum leaves the modules as they are."""
-    modules = () if fn is sum else (chain, entropy, inner, outer)
+    """Run the bounds code (chain, entropy, inner, outer) with fn as its sum.
+    Yields the lengths of the lists summed, one per call and in call order,
+    so that a test can check that the code did sum with fn: a sum bound
+    locally (a default argument or a module alias) would escape the swap."""
+    sizes = []
+
+    def counted(iterable, start=0):
+        items = list(iterable)
+        sizes.append(len(items))
+        return fn(items, start)
+
+    modules = (chain, entropy, inner, outer)
     for module in modules:
-        module.sum = fn
+        module.sum = counted
     try:
-        yield
+        yield sizes
     finally:
         for module in modules:
             del module.sum

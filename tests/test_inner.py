@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from twoway_energy import (
     region_sweep,
     uniform_policy,
 )
+from twoway_energy.chain import NotIrreducibleError
+from twoway_energy.inner import _cell_sums, _inner_problem, _search
 
 FAST = SearchConfig(restarts=6, tol=1e-6, seed=0)
 
@@ -146,6 +150,39 @@ def test_optimize_validates_arguments():
     assert optimize_sum_rate(np.int64(1), search=config).objective == optimize_sum_rate(
         1, search=FAST
     ).objective
+
+
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        (1, "state 2 cannot reach state 3 (up-move probability is 0)"),
+        (0, "state 2 cannot reach state 1 (down-move probability is 0)"),
+    ],
+)
+def test_a_probe_names_the_impossible_move_of_its_state(move, message):
+    # A probe checks only its own state's two moves. Coordinate 1 is p1[2],
+    # which enters state 2 alone; its line search's second probe, near 0.62,
+    # gets a zero move, and the search raises what a full solve of that
+    # chain raises.
+    units = 4
+    siblings, states, cell, value = _inner_problem(units, 0.5)
+    probed = []
+
+    def zeroing_cell(x, u):
+        probed[:] = x
+        c = list(cell(x, u))
+        if u == 2 and x[1] > 0.6:
+            c[move] = 0.0
+        return tuple(c)
+
+    exactly = f"^{re.escape(message)}$"
+    start = [0.5] * (2 * units)
+    with pytest.raises(NotIrreducibleError, match=exactly):
+        _search([start], None, siblings, states, zeroing_cell, value, SearchConfig(restarts=1))
+    assert probed[1] > 0.6
+    columns = list(zip(*(zeroing_cell(probed, u) for u in range(units + 1))))
+    with pytest.raises(NotIrreducibleError, match=exactly):
+        _cell_sums(columns)
 
 
 def test_region_sweep_single_weight_matches_sum_rate():

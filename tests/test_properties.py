@@ -6,6 +6,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -151,6 +152,35 @@ def _fresh_value(problem, units, lam, x):
     return _weight(problem, lam)(r1, r2, total)
 
 
+def _checked_problem(problem, units, lam, sizes):
+    """(siblings, states, cell, value, probed) of a search problem whose
+    value() asserts that the search summed each probe's chain with the sum
+    under test, once over its weights and once per reward column (sizes is
+    what library_sum yields), and that the probe's value equals a fresh
+    evaluation of the probed vector bit for bit. probed lists the vector of
+    every cell(x, u) call; the last one is what the next value() prices."""
+    if problem == "inner":
+        siblings, states, cell, value = _inner_problem(units, lam)
+    else:
+        siblings, states, cell, value = _outer_problem(units, None if problem == "outer sum" else lam)
+    probed = []
+    seen = [len(sizes)]  # sums made before this probe's
+
+    def recording_cell(x, u):
+        probed.append(list(x))
+        return cell(x, u)
+
+    def checked_value(sums):
+        # a chain has units + 1 states; a sibling sum has 2 terms at most, and none at U = 1
+        assert sizes[seen[0] :].count(units + 1) >= 1 + len(sums)
+        val = value(sums)
+        assert val == _fresh_value(problem, units, lam, probed[-1])
+        seen[0] = len(sizes)
+        return val
+
+    return siblings, states, recording_cell, checked_value, probed
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     problem=st.sampled_from(["inner", "outer sum", "outer weighted"]),
@@ -166,40 +196,87 @@ def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, s
     lost. Outer starts put each free entry in [0, 0.45], so some states
     start infeasible (p00 < CLAMP/2). Under CPython 3.12's compensated
     sum a probe that resumed a partial sum of the chain would differ, so
-    the library runs under that sum too."""
-    if problem == "inner":
-        siblings, states, cell, value = _inner_problem(units, lam)
-        high = 1.0
-    else:
-        siblings, states, cell, value = _outer_problem(units, None if problem == "outer sum" else lam)
-        high = 0.45
-    probed = []  # the vector of the last cell(x, u) call, which the next value() prices
+    the library runs under that sum too, and every probe must have summed
+    with it."""
+    high = 1.0 if problem == "inner" else 0.45
+    with library_sum(summer) as sizes:
+        siblings, states, cell, value, _ = _checked_problem(problem, units, lam, sizes)
 
-    def recording_cell(x, u):
-        probed[:] = x
-        return cell(x, u)
+        def draw(rng):
+            return rng.uniform(0.0, high, len(states))
 
-    def checked_value(sums):
-        val = value(sums)
-        assert val == _fresh_value(problem, units, lam, probed)
-        return val
-
-    def draw(rng):
-        return rng.uniform(0.0, high, len(states))
-
-    rng = np.random.default_rng(seed)  # the search's own draws, replayed
-    starts = [[min(max(v, CLAMP), 1.0 - CLAMP) for v in draw(rng)] for _ in range(restarts)]
-    config = SearchConfig(restarts=restarts, seed=seed)
-    with library_sum(summer):
+        rng = np.random.default_rng(seed)  # the search's own draws, replayed
+        starts = [[min(max(v, CLAMP), 1.0 - CLAMP) for v in draw(rng)] for _ in range(restarts)]
+        config = SearchConfig(restarts=restarts, seed=seed)
         start_values = [_fresh_value(problem, units, lam, s) for s in starts]
         try:
-            x, f = _search([], draw, siblings, states, recording_cell, checked_value, config)
+            x, f = _search([], draw, siblings, states, cell, value, config)
         except ValueError:
             # The search gives up only when no start, and so no ascent, was feasible
             assert max(start_values) == -math.inf
             return
         assert f >= max(start_values) - 1e-9
         assert f == _fresh_value(problem, units, lam, x)
+
+
+def _overflows(problem, units, x):
+    """Whether the plain detailed-balance product of x's chain, or its sum,
+    overflows."""
+    if problem == "inner":
+        cell = _inner_problem(units, 0.5)[2]
+    else:
+        cell = _outer_problem(units)[2]
+    cells = [cell(x, u) for u in range(units + 1)]
+    w = [1.0]
+    for k in range(1, units + 1):
+        w.append(w[-1] * cells[k - 1][1] / cells[k][0])
+    return math.inf in w or sum(w) == math.inf
+
+
+def _one_sweep(problem, units, start, summer):
+    """One checked sweep of the search from start, under summer; returns
+    every probed vector."""
+    with library_sum(summer) as sizes:
+        siblings, states, cell, value, probed = _checked_problem(problem, units, 0.5, sizes)
+        config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
+        x, f = _search([start], None, siblings, states, cell, value, config)
+        assert f == _fresh_value(problem, units, 0.5, x)
+    return probed
+
+
+@pytest.mark.parametrize("summer", [sum, compensated_sum])
+@pytest.mark.parametrize(
+    "problem, units",
+    [
+        # p1 = CLAMP and p2 = 1 - CLAMP: each weight is about 1e12 times the
+        # last, so the start's weights overflow, at U = 60 twice
+        ("inner", 30),
+        ("inner", 60),
+        # p01 = 0.98 and p10 = p11 = CLAMP: about 1e6 per state
+        ("outer sum", 60),
+    ],
+)
+def test_search_probes_of_a_rescaled_chain_are_fresh_evaluations(problem, units, summer):
+    if problem == "inner":
+        start = [CLAMP] * units + [1.0 - CLAMP] * units
+    else:
+        start = [0.98, *[0.98, CLAMP, CLAMP] * (units - 1), CLAMP]
+    assert _overflows(problem, units, start)
+    _one_sweep(problem, units, start, summer)
+
+
+@pytest.mark.parametrize("summer", [sum, compensated_sum])
+def test_search_probes_that_overflow_an_unscaled_chain_are_fresh_evaluations(summer):
+    # As above at U = 27, but p1[1] = 0.5 and p1[2] = 0.0075 put the start's
+    # top weight at about 1.3e308, so it stays finite. The first probe,
+    # p1[1] = 0.38, raises it past the largest float.
+    units = 27
+    start = [0.5, 0.0075] + [CLAMP] * (units - 2) + [1.0 - CLAMP] * units
+    assert not _overflows("inner", units, start)
+    probed = _one_sweep("inner", units, start, summer)
+    first_probe = probed[units + 1]  # after the start's units + 1 cells
+    assert first_probe[0] != start[0] and first_probe[1:] == start[1:]
+    assert _overflows("inner", units, first_probe)
 
 
 @settings(max_examples=200, deadline=None)

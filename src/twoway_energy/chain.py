@@ -186,14 +186,6 @@ def _weights(downs, ups, w, u=None):
     return w, total
 
 
-def _stationary_updown(up, down, w=None) -> list[float]:
-    """Stationary law from up[u]=q(u,u+1), down[u]=q(u+1,u); detailed balance.
-    w may be a fresh list of the unscaled weights of the first states, which
-    only the moves among them set; the sum always runs over the whole list."""
-    w, total = _weights((0.0, *down), up, w or [1.0])
-    return [x / total for x in w]
-
-
 def stationary(kernel: TransitionKernel) -> np.ndarray:
     """Unique stationary distribution of an irreducible birth-death kernel.
 
@@ -203,7 +195,8 @@ def stationary(kernel: TransitionKernel) -> np.ndarray:
     NotIrreducibleError naming the first unreachable boundary when some
     adjacent move has probability zero.
     """
-    return np.array(_stationary_updown(kernel.up, kernel.down))
+    w, total = _weights((0.0, *kernel.down), kernel.up, [1.0])
+    return np.array([x / total for x in w])
 
 
 def simulate_chain(

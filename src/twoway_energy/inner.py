@@ -15,7 +15,8 @@ random restarts, each refined by coordinate-wise golden-section search
 on [CLAMP, 1-CLAMP]. A coordinate enters one state's cell (`states`),
 so a probe recomputes that cell alone, checks only its two moves and
 reuses the accepted chain's detailed-balance weights of the states below
-it; the cells carry only the reward columns that `value` reads, and
+it, and a line search's last probe is the accepted chain when it gains;
+the cells carry only the reward columns that `value` reads, and
 `value` maps the chain's sums of them to the objective. The clamp keeps
 every policy strictly interior, hence the chain irreducible; the
 boundary of the rate region is approached but never evaluated at
@@ -115,8 +116,9 @@ def rates_for_policy(policy: MarginalPolicy) -> RatePair:
     return RatePair(r1=r1, r2=r2)
 
 
-def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximization of a unimodal-ish f on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> float:
+    """Midpoint of the last bracket of golden-section maximization of a
+    unimodal-ish f on [lo, hi]; f is not called there."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -130,8 +132,7 @@ def _golden_max(f, lo: float, hi: float):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return 0.5 * (a + b)
 
 
 def _checked_search(units: int, lam: float, search: SearchConfig | None) -> SearchConfig:
@@ -148,13 +149,16 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
     f(x) is value(sums) of the chain whose state u has cell(x, u), or -inf
     while a cell is infeasible. Coordinate i enters only state u =
     states[i]'s cell: a probe writes that cell into the restart's cached
-    columns, checks only its two moves (the others were checked when the
-    chain was accepted, and a probe that makes one impossible raises the
-    NotIrreducibleError a full solve would), goes on from the accepted
-    chain's unscaled weights of states 0..u-1, or of as many as precede its
-    first overflow (refreshed when a move is accepted), and sums the whole
-    chain, so it returns the float a full evaluation would. The accepted
-    cell is written back when the line search ends. The starts are `fixed`,
+    columns, checks only its two moves (the others were checked when their
+    states were probed, or at the start's one full solve, and a probe that
+    makes one impossible raises the NotIrreducibleError a full solve would),
+    goes on from the accepted chain's unscaled weights of states 0..u-1, or
+    of as many as precede its first overflow, and sums the whole chain, so
+    it returns the float a full evaluation would. A line search ends with a
+    probe of the midpoint of its last bracket. If that gains, the probed
+    chain is the accepted one: its cell stays in the columns and its weights
+    are the ones later probes go on from. Otherwise the accepted cell is
+    written back. The starts are `fixed`,
     then draw(rng) until config.restarts, clipped into [CLAMP, 1-CLAMP].
     Coordinate i ranges over [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is
     skipped while that range is no longer than the line search's
@@ -169,55 +173,44 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
     best_x, best_f = None, -math.inf
     for start in starts:
         x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
-        cells = [cell(x, u) for u in range(max(states) + 1)]
-        cols = [list(col) for col in zip(*cells)]
+        cols = [list(col) for col in zip(*(cell(x, u) for u in range(max(states) + 1)))]
+        probed = [1.0]  # the weight list of the latest solve, which _weights extends in place
+        sums = _cell_sums(cols, probed)[0]
+        w = probed  # the accepted chain's unscaled weights, up to the first that overflows
+        bad = cols[2].count(False)
+        f = -math.inf if bad else value(sums)
 
-        def put(u, c):
+        def probe(v):
+            """f with x[i] = v, which enters state u's cell only; leaves
+            that cell in cols, and w[:u] extended to the probed chain in
+            `probed`."""
+            nonlocal probed
+            old, x[i] = x[i], v
+            c = cell(x, u)
+            x[i] = old
+            if base - c[2]:
+                return -math.inf
             for col, r in zip(cols, c):
                 col[u] = r
+            probed = w[: u or 1]  # w[0] = 1 at u = 0
+            return value(_cell_sums(cols, probed, u)[0])
 
-        def accepted():
-            """(count of infeasible cells, unscaled weights of cols up to the
-            first that overflows)."""
-            w = [1.0]
-            _weights(cols[0], cols[1], w)
-            return cols[2].count(False), w
-
-        def line(i, u):
-            """f along coordinate i, which enters state u's cell only. A probe
-            leaves its cell in cols; the line search's caller restores it."""
-            base = bad + cells[u][2]  # minus c[2]: infeasible cells with c in place
-            head = u or 1  # the accepted weights a probe goes on from; w[0] = 1 at u = 0
-
-            def probe(v):
-                old, x[i] = x[i], v
-                c = cell(x, u)
-                x[i] = old
-                if base - c[2]:
-                    return -math.inf
-                put(u, c)
-                return value(_cell_sums(cols, w[:head], u)[0])
-
-            return probe
-
-        bad, w = accepted()
-        f = -math.inf if bad else value(_cell_sums(cols)[0])
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
             for i, (sib, u) in enumerate(zip(siblings, states)):
                 hi = 1.0 - sum(x[s] for s in sib) - CLAMP
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
-                xi, fi = _golden_max(line(i, u), CLAMP, hi)
-                if fi > f:
+                kept = [col[u] for col in cols]  # the accepted cell
+                base = bad + kept[2]  # minus c[2]: infeasible cells with c in place
+                xi = _golden_max(probe, CLAMP, hi)
+                fi = probe(xi)
+                if fi > f:  # the probed chain is accepted; fi is finite, so no cell is infeasible
                     gained += fi - f
-                    x[i] = xi
-                    f = fi
-                    cells[u] = cell(x, u)
-                    put(u, cells[u])
-                    bad, w = accepted()
+                    x[i], f, w, bad = xi, fi, probed, 0
                 else:
-                    put(u, cells[u])  # over the last probe's cell
+                    for col, r in zip(cols, kept):
+                        col[u] = r
             if gained < config.tol:
                 break
         if f > best_f + 1e-9:

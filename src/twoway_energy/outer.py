@@ -174,9 +174,9 @@ def _outer_problem(units, lam=None):
 
 def _optimize_outer(units, lam, search, seed_policies):
     """Multi-start ascent of the sum bound (lam None) or of the weighted
-    rate bound. Starts: the seed policies (by default a quick inner optimum
-    at lam, or 0.5), the uniform product policy, then random ones, up to
-    search.restarts."""
+    rate bound. Starts: every seed policy (by default a quick inner optimum
+    at lam, or 0.5), however many search.restarts asks for; then the uniform
+    product policy and random ones fill up to search.restarts."""
     inner_lam = 0.5 if lam is None else lam
     config = _checked_search(units, inner_lam, search)
     seeds = list(seed_policies)
@@ -220,7 +220,9 @@ def optimize_outer_sum(
     seed_policies are extra starting points (e.g. a previously optimized
     product policy); when none are given a quick inner optimization
     supplies one, so the returned bound dominates the best product
-    policy it can find.
+    policy it can find. Every seed policy runs, even beyond
+    search.restarts; the uniform product policy and random starts fill up
+    to search.restarts.
     """
     return _optimize_outer(units, None, search, seed_policies)
 
@@ -231,7 +233,8 @@ def optimize_outer_weighted(
     search: SearchConfig | None = None,
     seed_policies=(),
 ) -> tuple[JointStatePolicy, OuterBoundValues]:
-    """Maximize 2*(lam*r1_bound + (1-lam)*r2_bound) over joint-state policies."""
+    """Maximize 2*(lam*r1_bound + (1-lam)*r2_bound) over joint-state
+    policies, from starts as in optimize_outer_sum."""
     return _optimize_outer(units, lam, search, seed_policies)
 
 

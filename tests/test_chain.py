@@ -16,7 +16,7 @@ from twoway_energy import (
     stationary,
     uniform_policy,
 )
-from twoway_energy.chain import _stationary_updown
+from twoway_energy.chain import _weights
 
 
 def test_policy_validation():
@@ -145,7 +145,9 @@ def test_stationary_matches_unscaled_recursion_bit_for_bit_where_finite():
 
 def test_stationary_goes_on_from_any_unscaled_weight_prefix_bit_for_bit():
     # up/down ratios up to 1e14 per step: 17 of the 50 weight lists overflow
-    # and are rescaled after the prefix
+    # and are rescaled after the prefix. The prefix list itself ends up
+    # holding the unscaled weights up to the first that overflows, which is
+    # what the search goes on from when it accepts a probe.
     rng = np.random.default_rng(5)
     for _ in range(50):
         units = int(rng.integers(1, 80))
@@ -154,11 +156,14 @@ def test_stationary_goes_on_from_any_unscaled_weight_prefix_bit_for_bit():
         w = [1.0]
         for u in range(units):
             w.append(w[-1] * up[u] / down[u])
-        full = _stationary_updown(up, down)
+        unscaled = w[: w.index(np.inf)] if np.inf in w else w
+        full = _weights((0.0, *down), up, [1.0])
         for k in range(1, units + 2):
             if w[k - 1] == np.inf:
                 break
-            assert _stationary_updown(up, down, w[:k]) == full
+            prefix = w[:k]
+            assert _weights((0.0, *down), up, prefix) == full
+            assert prefix == unscaled
 
 
 def test_stationary_survives_overflowing_detailed_balance_product():

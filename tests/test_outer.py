@@ -173,3 +173,36 @@ def test_from_marginal_round_trip():
     assert joint.dists[0].p01 == pytest.approx(0.5)
     assert joint.dists[1].as_tuple() == pytest.approx((0.25, 0.25, 0.25, 0.25))
     assert joint.dists[2].p10 == pytest.approx(0.5)
+
+
+def test_weighted_searches_match_their_pins_bit_for_bit():
+    # float.hex of the objective, the rates and the policy of both weighted
+    # searches at U = 3, lam = 0.3; the bounds sweep pins only lam = 0.5
+    config = SearchConfig(restarts=4, seed=2)
+    inner = optimize_sum_rate(3, 0.3, config)
+    assert {
+        "objective": inner.objective.hex(),
+        "rates": [inner.rates.r1.hex(), inner.rates.r2.hex()],
+        "p1": [float(v).hex() for v in inner.policy.p1],
+        "p2": [float(v).hex() for v in inner.policy.p2],
+    } == {
+        "objective": "0x1.c80b3c530ab17p+0",
+        "rates": ["0x1.85ed1a821863dp-1", "0x1.e4614ad129650p-1"],
+        "p1": ["0x0.0p+0", "0x1.be7d3e98a208ep-2", "0x1.720aeb02f6341p-1", "0x1.be9c903811f90p-1"],
+        "p2": ["0x0.0p+0", "0x1.b27e6d6ab629ep-2", "0x1.0bb8f7af90856p-1", "0x1.2c0db3c218e10p-1"],
+    }
+    policy, values = optimize_outer_weighted(3, 0.3, config)
+    assert {
+        "objective": (2.0 * (0.3 * values.r1_bound + 0.7 * values.r2_bound)).hex(),
+        "rates": [values.r1_bound.hex(), values.r2_bound.hex()],
+        "dists": [[float(p).hex() for p in d.as_tuple()] for d in policy.dists],
+    } == {
+        "objective": "0x1.caa8693accfb0p+0",
+        "rates": ["0x1.8d457fb364f17p-1", "0x1.e4f75f9967483p-1"],
+        "dists": [
+            ["0x1.a5c1688d5701ep-2", "0x1.2d1f4bb9547f1p-1", "0x0.0p+0", "0x0.0p+0"],
+            ["0x1.2800b3e972fc5p-2", "0x1.1c55c388116b8p-2", "0x1.7e40683babd74p-3", "0x1.f912a8e14b592p-3"],
+            ["0x1.85691e68870ccp-3", "0x1.8e29a92e3f972p-4", "0x1.89cecd73be06ap-2", "0x1.4ff2390c6e8d4p-2"],
+            ["0x1.027ca24f99ab0p-3", "0x0.0p+0", "0x1.bf60d76c19954p-1", "0x0.0p+0"],
+        ],
+    }

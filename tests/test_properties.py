@@ -279,6 +279,22 @@ def test_search_probes_that_overflow_an_unscaled_chain_are_fresh_evaluations(sum
     assert _overflows("inner", units, first_probe)
 
 
+def test_search_moves_every_state_once_an_infeasible_start_is_repaired():
+    # Outer sum at U = 2 from a start whose interior state has p01 = p10 =
+    # p11 = 0.45, so its (0, 0) mass is negative and the start is at -inf.
+    # The line search of that state's p01 (coordinate 1) repairs it, so no
+    # cell is infeasible after it, and state 2's p10 (coordinate 4) moves in
+    # the same sweep. That sweep gains inf; the next gains less than tol, so
+    # the search stops there. A search that still counted state 1 infeasible
+    # would price every later probe at -inf, and x[4] would stay put.
+    siblings, states, cell, value = _outer_problem(2)
+    start = [0.5, 0.45, 0.45, 0.45, 0.5]
+    config = SearchConfig(restarts=1, tol=math.inf)
+    x, f = _search([start], None, siblings, states, cell, value, config)
+    assert x[4] != start[4]
+    assert f == _fresh_value("outer sum", 2, 0.5, x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(xs=st.lists(st.floats(), max_size=12))
 def test_compensated_sum_is_the_builtin_sum_of_python_3_12(xs):

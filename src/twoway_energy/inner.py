@@ -22,13 +22,22 @@ every policy strictly interior, hence the chain irreducible; the
 boundary of the rate region is approached but never evaluated at
 degenerate policies. Restarts are independent and the reduction (max by
 objective, first within 1e-9 wins) is deterministic given the seed.
+
+The inner objective is the optimal reward of an average-reward Markov
+decision process (each state's symbol law is an action), so Odoni's bound
+holds: for any bias g, no policy's objective exceeds max over u of state
+u's best one-step reward plus expected change of g (Puterman 1994, 8.5).
+After a start wins, `_inner_settled` takes g from the winner's own chain;
+when the bound is proven below the winner's objective plus 1e-9, no later
+start could win, so the search stops there and returns the same bits as
+running every start.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul, truediv
 
 import numpy as np
@@ -42,6 +51,11 @@ _MAX_SWEEPS = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Both optimizers keep every free probability in [CLAMP, 1 - CLAMP].
 CLAMP = 1e-6
+# The inner certificate proves a state's bound only for bias steps up to this
+# size in magnitude, where its float error stays below 1e-12, and splits an
+# interval of b at most this many times.
+_BIAS_MAX = 256.0
+_MAX_DEPTH = 60
 
 
 @dataclass(frozen=True)
@@ -79,6 +93,10 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """A search's best policy, its rates, stationary law and objective, and
+    restarts_used: the starts that ran (fewer than search.restarts when the
+    inner search stops early; see optimize_sum_rate)."""
+
     policy: MarginalPolicy
     rates: RatePair
     stationary: np.ndarray
@@ -143,8 +161,9 @@ def _checked_search(units: int, lam: float, search: SearchConfig | None) -> Sear
     return search or SearchConfig()
 
 
-def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
-    """Best (x, f) of multi-start coordinate ascent of a chain objective.
+def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, settled=None):
+    """Best (x, f, starts run) of multi-start coordinate ascent of a chain
+    objective.
 
     f(x) is value(sums) of the chain whose state u has cell(x, u), or -inf
     while a cell is infeasible. Coordinate i enters only state u =
@@ -164,14 +183,17 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
     skipped while that range is no longer than the line search's
     tolerance, and is refined by golden-section search; an ascent stops
     when a full sweep gains < config.tol. A later start wins only by more
-    than 1e-9. Raises ValueError when every start ends at -inf.
+    than 1e-9. Whenever a start wins, settled(x, f) may prove that no later
+    start can beat f by more than 1e-9; then the search stops there, and
+    returns what running every start would. Raises ValueError when every
+    start ends at -inf.
     """
     rng = np.random.default_rng(config.seed)
     starts = list(fixed)
     while len(starts) < config.restarts:
         starts.append(draw(rng))
     best_x, best_f = None, -math.inf
-    for start in starts:
+    for ran, start in enumerate(starts, 1):
         x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
         cols = [list(col) for col in zip(*(cell(x, u) for u in range(max(states) + 1)))]
         probed = [1.0]  # the weight list of the latest solve, which _weights extends in place
@@ -215,9 +237,11 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig):
                 break
         if f > best_f + 1e-9:
             best_x, best_f = x, f
+            if settled is not None and settled(x, f):
+                break
     if best_x is None:
         raise ValueError(f"no search start reached a feasible point ({len(starts)} tried)")
-    return best_x, best_f
+    return best_x, best_f, ran
 
 
 def _inner_problem(units: int, lam: float):
@@ -230,6 +254,95 @@ def _inner_problem(units: int, lam: float):
     return ((),) * len(states), states, cell, lambda s: 2.0 * (lam * s[0] + (1.0 - lam) * s[1])
 
 
+def _wsp(w, c):
+    """max over a in [0, 1] of w*H(a) + a*c, that is w*log2(1 + 2**(c/w)),
+    or max(c, 0) at w = 0; only non-positive powers are taken."""
+    if w == 0.0:
+        return max(c, 0.0)
+    t = c / w
+    return w * (t + math.log2(1.0 + 2.0**-t) if t > 0.0 else math.log2(1.0 + 2.0**t))
+
+
+def _state_below(d0, d1, lam, t):
+    """Whether max over a, b in [0, 1] of
+    2*lam*H(a) + 2*(1-lam)*H(b) - a*(1-b)*d0 + (1-a)*b*d1, an interior
+    state's one-step Bellman value under bias steps d0 (down) and d1 (up),
+    is proven below t.
+
+    The maximum over a is s(b) = _wsp(2*lam, -(1-b)*d0 - b*d1), convex in b,
+    and the rest is k(b) = 2*(1-lam)*H(b) + b*d1, concave. Branch and bound
+    on b: an interval [l, r] is pruned when below t lies the smaller of k's
+    tangent at the midpoint plus s's chord (largest at an end) and k's
+    largest value plus s's larger end. False when a midpoint reaches t, an
+    interval cannot be split again, or a step exceeds _BIAS_MAX.
+    """
+    if not (abs(d0) <= _BIAS_MAX and abs(d1) <= _BIAS_MAX):
+        return False
+    wa, wb = 2.0 * lam, 2.0 * (1.0 - lam)
+
+    def s(b):
+        return _wsp(wa, -(1.0 - b) * d0 - b * d1)
+
+    z = d1 / wb if wb else math.copysign(math.inf, d1)
+    peak = 1.0 / (1.0 + 2.0**-z) if z >= 0.0 else 2.0**z / (1.0 + 2.0**z)  # where k' = 0
+    intervals = [(0.0, 1.0, s(0.0), s(1.0), 0)]
+    while intervals:
+        l, r, sl, sr, depth = intervals.pop()
+        m = 0.5 * (l + r)
+        if not (depth <= _MAX_DEPTH and l < m < r):
+            return False
+        km = wb * _h(m) + m * d1
+        slope = wb * math.log2((1.0 - m) / m) + d1
+        c = min(max(peak, l), r)
+        tangent = km + max(slope * (l - m) + sl, slope * (r - m) + sr)
+        if min(tangent, wb * _h(c) + c * d1 + max(sl, sr)) < t:
+            continue
+        sm = s(m)
+        if not km + sm < t:
+            return False
+        intervals += (l, m, sl, sm, depth + 1), (m, r, sm, sr, depth + 1)
+    return True
+
+
+def _inner_settled(units: int, lam: float):
+    """settled(x, f) for _search of the inner objective: whether Odoni's
+    bound proves that no policy's objective reaches f + 1e-9 - 1e-12.
+
+    For any bias g, every stationary policy's objective is at most
+    max over u and over state u's symbol law of its reward plus the expected
+    change of g. x's own chain gives g: its bias steps
+    g(u+1) - g(u) = sum_{k<=u} pi[k]*(rho - r[k]) / (pi[u]*up[u]), with the
+    equal tail sum -sum_{k>u} from U/2 on. Any g gives a valid bound, so the
+    float steps need no care; the 1e-12 covers the float error of f and of
+    the bound. Never raises: a step that is not finite, or a division by a
+    weight that underflowed to 0, gives False.
+    """
+    _, _, cell, value = _inner_problem(units, lam)
+
+    def settled(x, f):
+        t = f + 1e-9 - 1e-12
+        columns = list(zip(*(cell(x, u) for u in range(units + 1))))
+        sums, w, _ = _cell_sums(columns)
+        rho = value(sums)
+        gaps = [wk * (rho - value(r)) for wk, *r in zip(w, columns[3], columns[4])]
+        heads = list(accumulate(gaps))
+        tails = list(accumulate(reversed(gaps)))[::-1]
+        try:
+            steps = [
+                (heads[u] if 2 * u < units else -tails[u + 1]) / (w[u] * columns[1][u])
+                for u in range(units)
+            ]
+        except ZeroDivisionError:
+            return False
+        return (
+            _wsp(2.0 * (1.0 - lam), steps[0]) < t
+            and _wsp(2.0 * lam, -steps[-1]) < t
+            and all(_state_below(d0, d1, lam, t) for d0, d1 in zip(steps, steps[1:]))
+        )
+
+    return settled
+
+
 def optimize_sum_rate(
     units: int,
     lam: float = 0.5,
@@ -239,12 +352,22 @@ def optimize_sum_rate(
 
     Multi-start coordinate ascent as described in the module docstring;
     always returns the best policy found, deterministic given
-    search.seed.
+    search.seed. The search stops after the first winning start whose
+    objective Odoni's bound proves within 1e-9 of the global optimum, since
+    no later start could then replace it; the result is bit for bit that of
+    running all search.restarts starts, and restarts_used counts the starts
+    that ran.
     """
     config = _checked_search(units, lam, search)
     nfree = 2 * units
     grid = [[g] * nfree for g in GRID_SEEDS[: config.restarts]]
-    v, best_f = _search(grid, lambda r: r.uniform(0.1, 0.9, nfree), *_inner_problem(units, lam), config)
+    v, best_f, ran = _search(
+        grid,
+        lambda r: r.uniform(0.1, 0.9, nfree),
+        *_inner_problem(units, lam),
+        config,
+        _inner_settled(units, lam),
+    )
     p1, p2 = [0.0, *v[:units]], [0.0, *v[units:]]
     r1, r2, pi = _rates_updown(p1, p2)
     return OptimizationResult(
@@ -252,7 +375,7 @@ def optimize_sum_rate(
         rates=RatePair(r1=r1, r2=r2),
         stationary=np.array(pi),
         objective=best_f,
-        restarts_used=config.restarts,
+        restarts_used=ran,
     )
 
 

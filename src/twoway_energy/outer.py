@@ -204,7 +204,7 @@ def _optimize_outer(units, lam, search, seed_policies):
                 vals.extend(rng.dirichlet((1.0,) * (len(free) + 1))[1:])
         return vals
 
-    best_x, _ = _search(fixed, draw, *_outer_problem(units, lam), config)
+    best_x, _, _ = _search(fixed, draw, *_outer_problem(units, lam), config)
     dists = [JointSymbolDist(*(max(0.0, p) for p in d)) for d in _unpack(best_x, slots)]
     policy = JointStatePolicy(dists=tuple(dists))
     return policy, outer_values(policy)

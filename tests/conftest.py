@@ -14,6 +14,18 @@ def random_policy(rng, units: int, lo: float = 0.05, hi: float = 0.95) -> Margin
     return MarginalPolicy(p1=p1, p2=p2)
 
 
+def run_inner_search(units: int, lam: float, config, settled=None):
+    """inner._search of the weighted objective from the starts that
+    optimize_sum_rate gives it: (x, f, starts run)."""
+    nfree = 2 * units
+    grid = [[g] * nfree for g in inner.GRID_SEEDS[: config.restarts]]
+
+    def draw(rng):
+        return rng.uniform(0.1, 0.9, nfree)
+
+    return inner._search(grid, draw, *inner._inner_problem(units, lam), config, settled)
+
+
 def stationary_linear_oracle(matrix: np.ndarray) -> np.ndarray:
     """Stationary law via least squares on (Q^T - I) pi = 0, sum(pi) = 1.
 

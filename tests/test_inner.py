@@ -1,9 +1,13 @@
+import dataclasses
+import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_policy
+from conftest import random_policy, run_inner_search
 from twoway_energy import (
     JointStatePolicy,
     MarginalPolicy,
@@ -17,7 +21,8 @@ from twoway_energy import (
     uniform_policy,
 )
 from twoway_energy.chain import NotIrreducibleError
-from twoway_energy.inner import _cell_sums, _inner_problem, _search
+from twoway_energy.entropy import _h
+from twoway_energy.inner import CLAMP, _cell_sums, _inner_problem, _inner_settled, _search
 
 FAST = SearchConfig(restarts=6, tol=1e-6, seed=0)
 
@@ -91,7 +96,76 @@ def test_optimize_result_is_selfconsistent():
     assert res.rates.r1 == pytest.approx(r.r1, abs=1e-9)
     assert res.rates.r2 == pytest.approx(r.r2, abs=1e-9)
     assert res.objective == pytest.approx(r.total, abs=1e-9)
-    assert res.restarts_used == FAST.restarts
+    assert res.restarts_used == _starts_until_settled(3, 0.5, FAST) == 1
+
+
+def _starts_until_settled(units, lam, config):
+    """The starts an inner search runs: replays the full search one start
+    longer at a time, up to the first start that wins and is settled."""
+    settled = _inner_settled(units, lam)
+    best = None
+    for k in range(1, config.restarts + 1):
+        x, f, ran = run_inner_search(units, lam, dataclasses.replace(config, restarts=k))
+        assert ran == k
+        if (x, f) != best:  # start k won
+            best = x, f
+            if settled(x, f):
+                return k
+    return config.restarts
+
+
+def test_the_search_stops_at_the_first_settled_start():
+    # At U = 2 the third start wins, and only its win is settled.
+    config = SearchConfig(restarts=6, seed=1)
+    res = optimize_sum_rate(2, 0.5, config)
+    assert res.restarts_used == _starts_until_settled(2, 0.5, config) == 3
+    # A weight where the optimum sits on the clamp is never settled.
+    assert optimize_sum_rate(2, 1.0, config).restarts_used == 6
+
+
+def _pinned_rows():
+    rows = json.loads((Path(__file__).parent / "data" / "sweep_u16_rows.json").read_text(encoding="utf-8"))
+    for row in rows:
+        p1, p2 = ([float.fromhex(v) for v in row[key]] for key in ("p1", "p2"))
+        yield row["units"], [*p1[1:], *p2[1:]], float.fromhex(row["optimized"])
+
+
+def test_every_pinned_sweep_row_is_certified_globally_optimal():
+    # Odoni's bound from each pinned policy's own bias: no policy of that U
+    # has a sum rate above the pinned row plus 1e-9.
+    rows = list(_pinned_rows())
+    assert [units for units, _, _ in rows] == list(range(1, 17))
+    for units, x, f in rows:
+        assert _inner_settled(units, 0.5)(x, f), units
+
+
+def test_the_certificate_rejects_a_sub_optimal_u2_search():
+    # The first start alone ends 2.2e-9 below the pinned U = 2 row.
+    res = optimize_sum_rate(2, 0.5, SearchConfig(restarts=1, seed=1))
+    pinned = next(f for units, _, f in _pinned_rows() if units == 2)
+    assert pinned - 3e-9 < res.objective < pinned - 1e-9
+    x = [*res.policy.p1[1:], *res.policy.p2[1:]]
+    assert not _inner_settled(2, 0.5)(x, res.objective)
+
+
+def test_the_certificate_fails_closed():
+    # U = 60 with p1 = CLAMP and p2 = 1 - CLAMP: the weights rescale twice,
+    # so the first states' weights underflow to 0.
+    units = 60
+    x = [CLAMP] * units + [1.0 - CLAMP] * units
+    f = rates_for_policy(MarginalPolicy(p1=[0.0, *x[:units]], p2=[0.0, *x[units:]])).total
+    assert _inner_settled(units, 0.5)(x, f) is False
+    # p2[2] = CLAMP: state 0 barely moves up, so its bias step is about 7e5;
+    # an unguarded 2.0 ** step would raise OverflowError.
+    x = [CLAMP, 0.5, 0.5, CLAMP]
+    f = rates_for_policy(MarginalPolicy(p1=[0.0, *x[:2]], p2=[0.0, *x[2:]])).total
+    step = (f - _h(CLAMP)) / CLAMP  # state 0's bias step: (rho - r[0]) / up[0]
+    assert step > 1024.0
+    assert _inner_settled(2, 0.5)(x, f) is False
+    # A NaN objective, at a policy that is settled at its own objective.
+    units, x, f = next(_pinned_rows())
+    assert _inner_settled(units, 0.5)(x, f)
+    assert _inner_settled(units, 0.5)(x, math.nan) is False
 
 
 def test_optimize_is_deterministic():

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     marginals_and_conditionals,
     reference_timeshare_syms,
     reference_trial_walk,
+    run_inner_search,
 )
 from twoway_energy import (
     JointStatePolicy,
@@ -39,7 +40,14 @@ from twoway_energy import (
     validate_transcript,
     variable_length_sim,
 )
-from twoway_energy.inner import CLAMP, _inner_problem, _rates_updown, _search
+from twoway_energy.inner import (
+    CLAMP,
+    _inner_problem,
+    _inner_settled,
+    _rates_updown,
+    _search,
+    _state_below,
+)
 from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _unpack
 from twoway_energy.protocol import _holder_transcript, _seed_words, _stack_walk_prefix
 
@@ -210,7 +218,7 @@ def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, s
         config = SearchConfig(restarts=restarts, seed=seed)
         start_values = [_fresh_value(problem, units, lam, s) for s in starts]
         try:
-            x, f = _search([], draw, siblings, states, cell, value, config)
+            x, f, _ = _search([], draw, siblings, states, cell, value, config)
         except ValueError:
             # The search gives up only when no start, and so no ascent, was feasible
             assert max(start_values) == -math.inf
@@ -239,7 +247,7 @@ def _one_sweep(problem, units, start, summer):
     with library_sum(summer) as sizes:
         siblings, states, cell, value, probed = _checked_problem(problem, units, 0.5, sizes)
         config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
-        x, f = _search([start], None, siblings, states, cell, value, config)
+        x, f, _ = _search([start], None, siblings, states, cell, value, config)
         assert f == _fresh_value(problem, units, 0.5, x)
     return probed
 
@@ -290,9 +298,103 @@ def test_search_moves_every_state_once_an_infeasible_start_is_repaired():
     siblings, states, cell, value = _outer_problem(2)
     start = [0.5, 0.45, 0.45, 0.45, 0.5]
     config = SearchConfig(restarts=1, tol=math.inf)
-    x, f = _search([start], None, siblings, states, cell, value, config)
+    x, f, _ = _search([start], None, siblings, states, cell, value, config)
     assert x[4] != start[4]
     assert f == _fresh_value("outer sum", 2, 0.5, x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    units=st.integers(min_value=1, max_value=8),
+    lam=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    restarts=st.integers(min_value=1, max_value=6),
+)
+@example(units=2, lam=0.5, seed=1, restarts=6)  # the third start wins
+def test_a_settled_search_returns_the_full_search_bit_for_bit(units, lam, seed, restarts):
+    config = SearchConfig(restarts=restarts, seed=seed)
+    full_x, full_f, ran = run_inner_search(units, lam, config)
+    x, f, stopped = run_inner_search(units, lam, config, _inner_settled(units, lam))
+    assert ran == restarts and 1 <= stopped <= restarts
+    assert [v.hex() for v in x] == [v.hex() for v in full_x]
+    assert f.hex() == full_f.hex()
+
+
+_GRID = np.linspace(0.0, 1.0, 401)
+with np.errstate(divide="ignore", invalid="ignore"):
+    _GRID_H = np.nan_to_num(-(_GRID * np.log2(_GRID) + (1.0 - _GRID) * np.log2(1.0 - _GRID)))
+
+
+def _grid_state_value(d0, d1, lam):
+    """Largest one-step Bellman value of an interior inner state over a
+    401 x 401 grid of its symbol law (a, b), from the exact formula."""
+    a, b = _GRID[:, None], _GRID[None, :]
+    h1, h2 = _GRID_H[:, None], _GRID_H[None, :]
+    value = 2.0 * lam * h1 + 2.0 * (1.0 - lam) * h2 - a * (1.0 - b) * d0 + (1.0 - a) * b * d1
+    return float(value.max())
+
+
+STEP = st.one_of(st.floats(min_value=-4.0, max_value=4.0), st.floats(min_value=-300.0, max_value=300.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d0=STEP,
+    d1=STEP,
+    lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    above=st.booleans(),
+    gap=st.floats(min_value=-11.0, max_value=-1.0),
+)
+def test_a_state_proven_below_t_stays_below_t_on_a_dense_grid(d0, d1, lam, above, gap):
+    # t lies 1e-11..0.1 above or below the grid's largest value, so near
+    # ties are drawn often; a bound wrong by more than its float error
+    # says "below" for some t under the grid's maximum.
+    top = _grid_state_value(d0, d1, lam)
+    t = top + math.copysign(10.0**gap, 1.0 if above else -1.0)
+    if _state_below(d0, d1, lam, t):
+        assert top < t
+
+
+def _grid_bellman_bound(units, lam, x):
+    """Odoni's bound from the bias of x's inner chain: the largest one-step
+    Bellman value of any state, each over a 401-point grid per free symbol
+    probability; the bias comes from a dense solve of the Poisson equation."""
+    policy = MarginalPolicy(p1=[0.0, *x[:units]], p2=[0.0, *x[units:]])
+    kernel = build_kernel(policy)
+    h1 = np.array([binary_entropy(p) for p in policy.p1])
+    h2 = np.array([binary_entropy(p) for p in policy.p2[::-1]])  # p2[e] acts in state units - e
+    reward = 2.0 * lam * h1 + 2.0 * (1.0 - lam) * h2
+    rho = float(stationary(kernel) @ reward)
+    # (I - Q) g = reward - rho with g(0) = 0 in place of the first row, which the others imply
+    lhs = np.eye(units + 1) - kernel.matrix
+    lhs[0] = np.eye(units + 1)[0]
+    g = np.linalg.solve(lhs, np.r_[0.0, (reward - rho)[1:]])
+    steps = np.diff(g)
+    return max(
+        float((2.0 * (1.0 - lam) * _GRID_H + _GRID * steps[0]).max()),  # state 0: a = 0
+        float((2.0 * lam * _GRID_H - _GRID * steps[-1]).max()),  # state units: b = 0
+        *(_grid_state_value(d0, d1, lam) for d0, d1 in zip(steps, steps[1:])),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    units=st.integers(min_value=1, max_value=4),
+    lam=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    probs=st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=8, max_size=8),
+    above=st.booleans(),
+    gap=st.floats(min_value=-11.0, max_value=-1.0),
+)
+def test_a_settled_objective_is_above_the_grid_bellman_bound(units, lam, probs, above, gap):
+    # settled(x, f) must find every state's Bellman value, the two end
+    # states' included, below f + 1e-9 - 1e-12. f is drawn 1e-11..0.1 from
+    # where that threshold meets the grid bound, so a state left out or a
+    # bias step of the wrong sign says "settled" for some f too low.
+    x = probs[:units] + probs[4 : 4 + units]
+    bound = _grid_bellman_bound(units, lam, x)
+    f = bound - 1e-9 + 1e-12 + math.copysign(10.0**gap, 1.0 if above else -1.0)
+    if _inner_settled(units, lam)(x, f):
+        assert bound < f + 1e-9 - 1e-12
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,8 +9,8 @@ clamping away from degenerate probabilities is the optimizers' job.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import log2
 
 _NORM_TOL = 1e-12
 
@@ -19,15 +19,21 @@ def _h(p: float) -> float:
     """Unchecked entropy of a Bern(p) symbol in bits; 0 outside (0,1)."""
     if p <= 0.0 or p >= 1.0:
         return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    return -(p * log2(p) + (1.0 - p) * log2(1.0 - p))
 
 
-def _entropy(probs) -> float:
-    """Unchecked Shannon entropy in bits of a tuple of probabilities."""
+def _entropy(p00: float, p01: float, p10: float, p11: float) -> float:
+    """Unchecked Shannon entropy in bits of the four probabilities of a
+    symbol pair, with terms in that order; a p <= 0 adds nothing."""
     h = 0.0
-    for p in probs:
-        if p > 0.0:
-            h -= p * math.log2(p)
+    if p00 > 0.0:
+        h -= p00 * log2(p00)
+    if p01 > 0.0:
+        h -= p01 * log2(p01)
+    if p10 > 0.0:
+        h -= p10 * log2(p10)
+    if p11 > 0.0:
+        h -= p11 * log2(p11)
     return h
 
 
@@ -65,7 +71,7 @@ class JointSymbolDist:
 
 def joint_entropy(d: JointSymbolDist) -> float:
     """Shannon entropy of the symbol pair in bits."""
-    return _entropy(d.as_tuple())
+    return _entropy(d.p00, d.p01, d.p10, d.p11)
 
 
 def joint_from_marginals(p1: float, p2: float) -> JointSymbolDist:

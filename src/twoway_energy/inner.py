@@ -13,11 +13,24 @@ probabilities, so the maximizer runs multi-start coordinate ascent
 (`_search`, which the outer bound shares): constant grid seeds plus
 random restarts, each refined by coordinate-wise golden-section search
 on [CLAMP, 1-CLAMP]. A coordinate enters one state's cell (`states`),
-so a probe recomputes that cell alone, checks only its two moves and
-reuses the accepted chain's detailed-balance weights of the states below
-it, and a line search's last probe is the accepted chain when it gains;
-the cells carry only the reward columns that `value` reads, and
-`value` maps the chain's sums of them to the objective. The clamp keeps
+so a probe recomputes that cell alone; the cells carry only the reward
+columns that `value` reads, and `value` maps the chain's sums of them to
+the objective. While a line search moves state u's cell, the chain splits
+into three blocks: the accepted weights of the states below u, u's own
+weight, and the states above u, whose weights are u's weight times its up
+move times products of fixed moves. `_line_form` sums the two fixed blocks
+once per line search, so a probe costs its cell plus O(1), and returns
+that form's objective with a proven bound on its distance from the
+exact float. Golden-section search only compares probes, so a comparison
+is decided from the form when the gap exceeds both bounds (a floating-point
+filter, as in Shewchuk's adaptive predicates), by equal cells when the
+cells are equal, and otherwise by exact probes. An exact probe solves the
+chain: it checks only its state's two moves, goes on from the accepted
+weights of the states below it and returns the float a full evaluation
+would. So the search takes the path, and returns the bits, of one that
+solves the chain at every probe; a line search's last probe is exact, and
+it is the accepted chain when it gains. The form fails closed to exact
+probes where its bound is not proven (see `_line_form`). The clamp keeps
 every policy strictly interior, hence the chain irreducible; the
 boundary of the rate region is approached but never evaluated at
 degenerate policies. Restarts are independent and the reduction (max by
@@ -38,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import mul, truediv
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -56,6 +69,11 @@ CLAMP = 1e-6
 # interval of b at most this many times.
 _BIAS_MAX = 256.0
 _MAX_DEPTH = 60
+# A line search prices a probe by its O(1) form (_line_form) only while every
+# weight, product and total of the form and of the probed chain's exact solve
+# lies in [_TINY, _HUGE], so that none overflows or underflows.
+_TINY = 2.0**-900
+_HUGE = 2.0**900
 
 
 @dataclass(frozen=True)
@@ -120,6 +138,71 @@ def _cell_sums(columns, w=None, u=None):
     return [sum(map(mul, map(truediv, w, repeat(total)), col)) for col in columns[3:]], w, total
 
 
+def _line_form(cols, w, u):
+    """The chain of cell columns cols (down, up, feasible, *rewards) as an
+    O(1) function of state u's cell, every other cell fixed, for _search:
+    (lead, P, G, smin, smax, P_abs, G_abs, [(P_r, G_r) per reward column],
+    k, tiny), or None where the form is not certified.
+
+    The weights are the accepted prefix w[:u], state u's
+    w_u = lead / down_u with lead = w[u-1] * up[u-1] (the float the exact
+    solve computes; w_u = 1 at u = 0), and s * g_k above u, with
+    s = w_u * up_u and g_k = prod_{u<j<k} up_j / prod_{u<j<=k} down_j. So
+    the total is T = P + (w_u + s*G) and each reward sum is
+    (P_r + (w_u*r_u + s*G_r)) / T, where P and P_r sum w_k and w_k*r_k over
+    the prefix, and G and G_r sum g_k and g_k*r_k over the suffix; P_abs
+    and G_abs are those of a_k = sum over columns of |r_k|, so that
+    A = (P_abs + (w_u*a_u + s*G_abs)) / T bounds sum_j sum_k pi[k]*|r_jk|.
+    The value of those sums lies within k*A + tiny of the value of the
+    exact solve's sums (see _search). None when the prefix was rescaled
+    (len(w) < u), a prefix weight, a g_k or a partial product of their
+    recursion lies outside [_TINY, _HUGE], or an a_k, P or G lies above
+    _HUGE; a probe is priced exactly unless smin <= s <= smax, T <= _HUGE
+    and a_u <= _HUGE, which keep every weight and partial product of the
+    exact solve in that range.
+    """
+    down, up, _, *rewards = cols
+    top = len(down) - 1
+    if len(w) < u:
+        return None
+    pre = w[:u]
+    g, partial, x = [], [1.0], 1.0  # partial: each product before its division, over s
+    for k in range(u + 1, top + 1):
+        x /= down[k]
+        g.append(x)
+        if k < top:
+            x *= up[k]
+            partial.append(x)
+    absr = list(map(abs, rewards[0]))
+    for col in rewards[1:]:
+        absr = list(map(add, absr, map(abs, col)))
+    del absr[u]
+    partial += g
+    low, high = min(partial), max(partial)
+    total, suffix = sum(pre), sum(g)
+    if not (
+        (not pre or _TINY <= min(pre) and max(pre) <= _HUGE)
+        and _TINY <= low
+        and high <= _HUGE
+        and max(absr) <= _HUGE
+        and total <= _HUGE
+        and suffix <= _HUGE
+    ):
+        return None
+    return (
+        w[u - 1] * up[u - 1] if u else 1.0,
+        total,
+        suffix,
+        _TINY / low if g else 0.0,
+        _HUGE / high,
+        sum(map(mul, pre, absr)),
+        sum(map(mul, g, absr[u:])),
+        [(sum(map(mul, pre, col)), sum(map(mul, g, col[u + 1 :]))) for col in rewards],
+        (top + 2) * 2.0**-48,
+        (top + 3) * 2.0**-160,
+    )
+
+
 def _rates_updown(p1, p2):
     """(r1, r2, pi) for policy lists with the forced zeros at index 0."""
     cells = [_inner_cell(a, b) for a, b in zip(p1, p2[::-1])]  # p2[e] acts in state units-e
@@ -134,15 +217,33 @@ def rates_for_policy(policy: MarginalPolicy) -> RatePair:
     return RatePair(r1=r1, r2=r2)
 
 
-def _golden_max(f, lo: float, hi: float) -> float:
+def _greater(p, q, exact):
+    """Whether p's exact value exceeds q's, for probes [value, err, cell]
+    whose value lies within err of the exact one (err 0: it is the exact
+    one). Probes of the same cell have the same exact value (their chains
+    are the same), so neither exceeds the other. Otherwise this is decided
+    from the values when their gap exceeds both errors (float rounding is
+    monotone, so a gap computed above the computed error sum is above the
+    real one); if not, exact() makes the side with the larger error exact,
+    until the gap is decided or both sides are exact."""
+    if p[2] == q[2]:
+        return False
+    while not abs(p[0] - q[0]) > p[1] + q[1] and (p[1] or q[1]):
+        exact(p if p[1] and not q[1] > p[1] else q)
+    return p[0] > q[0]
+
+
+def _golden_max(f, exact, lo: float, hi: float) -> float:
     """Midpoint of the last bracket of golden-section maximization of a
-    unimodal-ish f on [lo, hi]; f is not called there."""
+    unimodal-ish f on [lo, hi]; f is not called there. f(v) returns a
+    probe [value, err, ...] and exact(probe) makes it exact (see _greater),
+    so every comparison, and so the bracket, is the one of exact values."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > _GOLDEN_XTOL:
-        if fc > fd:
+        if _greater(fc, fd, exact):
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = f(c)
@@ -166,27 +267,66 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
     objective.
 
     f(x) is value(sums) of the chain whose state u has cell(x, u), or -inf
-    while a cell is infeasible. Coordinate i enters only state u =
-    states[i]'s cell: a probe writes that cell into the restart's cached
-    columns, checks only its two moves (the others were checked when their
-    states were probed, or at the start's one full solve, and a probe that
-    makes one impossible raises the NotIrreducibleError a full solve would),
-    goes on from the accepted chain's unscaled weights of states 0..u-1, or
-    of as many as precede its first overflow, and sums the whole chain, so
-    it returns the float a full evaluation would. A line search ends with a
-    probe of the midpoint of its last bracket. If that gains, the probed
-    chain is the accepted one: its cell stays in the columns and its weights
-    are the ones later probes go on from. Otherwise the accepted cell is
-    written back. The starts are `fixed`,
-    then draw(rng) until config.restarts, clipped into [CLAMP, 1-CLAMP].
-    Coordinate i ranges over [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is
-    skipped while that range is no longer than the line search's
-    tolerance, and is refined by golden-section search; an ascent stops
-    when a full sweep gains < config.tol. A later start wins only by more
-    than 1e-9. Whenever a start wins, settled(x, f) may prove that no later
-    start can beat f by more than 1e-9; then the search stops there, and
-    returns what running every start would. Raises ValueError when every
-    start ends at -inf.
+    while a cell is infeasible. value must meet this contract, on which the
+    error bound below relies:
+    |value(s) - value(s')| <= 2 * sum_j |s_j - s'_j|, up to
+    2^-50 * sum_j (|s_j| + |s'_j|) of rounding. The three objectives meet
+    it: the inner one with weights 2*lam and 2*(1-lam), the outer sum bound
+    with weight 1, and the outer weighted one after max(., 0).
+
+    Coordinate i enters only state u = states[i]'s cell. A line search on
+    it keeps every other cell fixed, and its probes are of two kinds.
+    - An exact probe writes its cell into the restart's cached columns,
+      checks only its two moves (the others were checked when their
+      states were probed, or at the start's one full solve, and a probe
+      that makes one impossible raises the NotIrreducibleError a full solve
+      would), goes on from the accepted chain's unscaled weights of states
+      0..u-1, or of as many as precede its first overflow, and sums the
+      whole chain, so it returns the float a full evaluation would.
+    - An O(1) probe prices its cell by _line_form's three-block form of
+      the chain and returns that value with err, a bound on its distance
+      from the exact probe's float.
+    Golden-section search only compares probes (_greater): by the values
+    where their gap exceeds both errs, as equal where the cells are equal,
+    and otherwise after making a side exact. So its path is that of exact
+    probes alone. A line search ends with an exact probe of the midpoint of
+    its last bracket. If that gains, the probed chain is the accepted one:
+    its cell stays in the columns and its weights are the ones later probes
+    go on from. Otherwise the accepted cell is written back.
+
+    The err bound. Let n = U + 1 states, eps = 2^-53 and
+    g_m = m*eps/(1 - m*eps), and let S_j be the real reward sums of the
+    chain whose weights are the accepted prefix, the float w_u that both
+    kinds of probe compute, and the real recursion above u. The exact
+    solve rounds a weight above u at most 2n times, the total n times more,
+    each pi[k] twice more and each product once more, and its column sum
+    adds n (also a bound for the compensated sum of CPython 3.12): it is
+    within g_6n * A_j of S_j, where A_j = sum_k pi[k] * |r_jk|. The O(1) form
+    rounds each suffix product at most 2n times and its sums n times more;
+    a probe adds 4 roundings to the total and the numerators, and one
+    division: it is within g_(6n+9) * A_j of S_j. With the contract, two
+    values of sums within g_(12n+9) * A_j lie within
+    (24n + 34) * eps * sum_j A_j of each other, and the computed A, whose
+    own relative error is below g_(6n+12) for up to three reward columns,
+    is inflated to cover it:
+    err = k * A + tiny with k = (U + 2) * 2^-48 = 32(n + 1) * eps, which
+    exceeds that for every n >= 2 (and U < 2^28, far beyond memory). tiny =
+    (U + 3) * 2^-160 covers underflow: the form is used only while every
+    weight, suffix product and total lies in [2^-900, 2^900] and every
+    |reward| is at most 2^900, so an underflowed pi[k], product or
+    division costs at most about 2^-174 each. Where any of this cannot be
+    shown (see _line_form), or the probe's own moves are not positive, the
+    probe is exact; an infeasible cell is -inf with err 0.
+
+    The starts are `fixed`, then draw(rng) until config.restarts, clipped
+    into [CLAMP, 1-CLAMP]. Coordinate i ranges over
+    [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while that range
+    is no longer than the line search's tolerance, and is refined by
+    golden-section search; an ascent stops when a full sweep gains
+    < config.tol. A later start wins only by more than 1e-9. Whenever a
+    start wins, settled(x, f) may prove that no later start can beat f by
+    more than 1e-9; then the search stops there, and returns what running
+    every start would. Raises ValueError when every start ends at -inf.
     """
     rng = np.random.default_rng(config.seed)
     starts = list(fixed)
@@ -202,20 +342,38 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
         bad = cols[2].count(False)
         f = -math.inf if bad else value(sums)
 
-        def probe(v):
-            """f with x[i] = v, which enters state u's cell only; leaves
-            that cell in cols, and w[:u] extended to the probed chain in
-            `probed`."""
-            nonlocal probed
+        def probe(v, fast=True):
+            """[f or its estimate, err, cell] with x[i] = v, which enters
+            state u's cell only: the O(1) form's value and its error bound
+            when fast and the form is certified, else exact(...)."""
             old, x[i] = x[i], v
             c = cell(x, u)
             x[i] = old
             if base - c[2]:
-                return -math.inf
-            for col, r in zip(cols, c):
+                return [-math.inf, 0.0, c]
+            if fast and line and (c[0] > 0.0 or not u):
+                wu = lead / c[0] if u else 1.0
+                s = wu * c[1]
+                t = total + (wu + s * suffix)
+                rs = c[3:]
+                au = 0.0
+                for r in rs:
+                    au += abs(r)
+                if t <= _HUGE and smin <= s <= smax and au <= _HUGE:
+                    sums = [(pr + (wu * r + s * gr)) / t for r, (pr, gr) in zip(rs, terms)]
+                    return [value(sums), k * (pa + (wu * au + s * ga)) / t + tiny, c]
+            return exact([None, None, c])
+
+        def exact(p):
+            """p = [f, 0, cell] from a solve of the chain with p's cell at
+            state u; leaves that cell in cols, and w[:u] extended to the
+            probed chain in `probed`."""
+            nonlocal probed
+            for col, r in zip(cols, p[2]):
                 col[u] = r
             probed = w[: u or 1]  # w[0] = 1 at u = 0
-            return value(_cell_sums(cols, probed, u)[0])
+            p[0], p[1] = value(_cell_sums(cols, probed, u)[0]), 0.0
+            return p
 
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
@@ -225,8 +383,11 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
                     continue
                 kept = [col[u] for col in cols]  # the accepted cell
                 base = bad + kept[2]  # minus c[2]: infeasible cells with c in place
-                xi = _golden_max(probe, CLAMP, hi)
-                fi = probe(xi)
+                line = _line_form(cols, w, u)
+                if line:
+                    lead, total, suffix, smin, smax, pa, ga, terms, k, tiny = line
+                xi = _golden_max(probe, exact, CLAMP, hi)
+                fi = probe(xi, False)[0]
                 if fi > f:  # the probed chain is accepted; fi is finite, so no cell is infeasible
                     gained += fi - f
                     x[i], f, w, bad = xi, fi, probed, 0

@@ -23,7 +23,7 @@ the inner one by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, starmap
 from operator import itemgetter
 
 import numpy as np
@@ -32,6 +32,9 @@ from .chain import MarginalPolicy, _count, uniform_policy
 from .entropy import JointSymbolDist, _entropy, _h
 from .inner import CLAMP, SearchConfig, _cell_sums, _checked_search, _search
 from .inner import optimize_sum_rate, rates_for_policy
+
+# A search state is infeasible while its (0,0) mass is below this.
+_FEASIBLE = CLAMP * 0.5
 
 
 @dataclass(frozen=True)
@@ -87,21 +90,21 @@ class OuterBoundValues:
     stationary: np.ndarray
 
 
-def _outer_cell(d, rates=True):
-    """Cell of a state with joint d = (p00, p01, p10, p11): moves p10 and
-    p01, feasible (only the search asks) while p00 >= CLAMP/2, rewards
+def _outer_cell(p00, p01, p10, p11, rates=True):
+    """Cell of a state with joint (p00, p01, p10, p11): moves p10 and p01,
+    feasible (only the search asks) while p00 >= CLAMP/2, rewards
     H(X1,X2) - H(X2), H(X1,X2) - H(X1) and H(X1,X2), or H(X1,X2) alone
     when not rates."""
-    h = _entropy(d)
+    h = _entropy(p00, p01, p10, p11)
     if not rates:
-        return d[2], d[1], not d[0] < CLAMP * 0.5, h
-    return d[2], d[1], not d[0] < CLAMP * 0.5, h - _h(d[1] + d[3]), h - _h(d[2] + d[3]), h
+        return p10, p01, not p00 < _FEASIBLE, h
+    return p10, p01, not p00 < _FEASIBLE, h - _h(p01 + p11), h - _h(p10 + p11), h
 
 
 def _outer_terms(dists):
     """(r1, r2, sum, pi) from raw (p00, p01, p10, p11) sequences; rounding
     can leave a zero bound just below 0."""
-    (r1, r2, total), w, weight = _cell_sums(list(zip(*map(_outer_cell, dists))))
+    (r1, r2, total), w, weight = _cell_sums(list(zip(*starmap(_outer_cell, dists))))
     return max(r1, 0.0), max(r2, 0.0), total, [x / weight for x in w]
 
 
@@ -156,15 +159,24 @@ def _outer_problem(units, lam=None):
     at = list(accumulate(map(len, slots), initial=0))
     states = [u for u, free in enumerate(slots) for _ in free]
     siblings = [tuple(j for j in range(at[u], at[u + 1]) if j != i) for i, u in enumerate(states)]
-    if lam is None:
+    rates = lam is not None
 
-        def joint_cell(x, u):
-            return _outer_cell(_dist(x, at[u], slots[u]), rates=False)
+    def joint_cell(x, u):
+        # state u's free entries read straight from x in _free_slots' layout, and
+        # p00 the remainder in the order _dist takes it, so the floats are _dist's
+        k = at[u]
+        if 0 < u < units:
+            p01, p10, p11 = x[k : k + 3]
+            return _outer_cell(((1.0 - p01) - p10) - p11, p01, p10, p11, rates)
+        if u:
+            return _outer_cell(1.0 - x[k], 0.0, x[k], 0.0, rates)
+        return _outer_cell(1.0 - x[k], x[k], 0.0, 0.0, rates)
 
+    if not rates:
         return siblings, states, joint_cell, itemgetter(0)
 
     def cell(x, u):
-        return _outer_cell(_dist(x, at[u], slots[u]))[:5]
+        return joint_cell(x, u)[:5]
 
     def value(sums):
         return 2.0 * (lam * max(sums[0], 0.0) + (1.0 - lam) * max(sums[1], 0.0))

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -206,3 +209,12 @@ def test_weighted_searches_match_their_pins_bit_for_bit():
             ["0x1.027ca24f99ab0p-3", "0x0.0p+0", "0x1.bf60d76c19954p-1", "0x0.0p+0"],
         ],
     }
+
+
+def test_outer_sum_at_u32_matches_its_pin_bit_for_bit():
+    # Beyond the sweep's U = 16, a line search's suffix products span a wider
+    # range, so more of its comparisons sit near the O(1) form's limits.
+    pin = json.loads((Path(__file__).parent / "data" / "outer_u32.json").read_text(encoding="utf-8"))
+    policy, values = optimize_outer_sum(32, SearchConfig(restarts=2, seed=1))
+    assert values.sum_bound.hex() == pin["sum_bound"]
+    assert [[float(p).hex() for p in d.as_tuple()] for d in policy.dists] == pin["dists"]

@@ -2,6 +2,7 @@
 seeds, the trial walk against its recording oracle and the two single-unit
 schedules (verbatim time sharing and the variable-length code)."""
 
+import contextlib
 import math
 import sys
 
@@ -24,6 +25,7 @@ from twoway_energy import (
     JointSymbolDist,
     MarginalPolicy,
     MarginExhaustedError,
+    NotIrreducibleError,
     SearchConfig,
     binary_entropy,
     build_codebooks,
@@ -40,10 +42,13 @@ from twoway_energy import (
     validate_transcript,
     variable_length_sim,
 )
+from twoway_energy import inner
 from twoway_energy.inner import (
     CLAMP,
+    _cell_sums,
     _inner_problem,
     _inner_settled,
+    _line_form,
     _rates_updown,
     _search,
     _state_below,
@@ -160,33 +165,103 @@ def _fresh_value(problem, units, lam, x):
     return _weight(problem, lam)(r1, r2, total)
 
 
-def _checked_problem(problem, units, lam, sizes):
-    """(siblings, states, cell, value, probed) of a search problem whose
-    value() asserts that the search summed each probe's chain with the sum
-    under test, once over its weights and once per reward column (sizes is
-    what library_sum yields), and that the probe's value equals a fresh
-    evaluation of the probed vector bit for bit. probed lists the vector of
-    every cell(x, u) call; the last one is what the next value() prices."""
+def _problem(problem, units, lam):
+    """(siblings, states, cell, value) of one of the three search objectives."""
     if problem == "inner":
-        siblings, states, cell, value = _inner_problem(units, lam)
-    else:
-        siblings, states, cell, value = _outer_problem(units, None if problem == "outer sum" else lam)
+        return _inner_problem(units, lam)
+    return _outer_problem(units, None if problem == "outer sum" else lam)
+
+
+class _Cell(tuple):
+    """A cell that keeps the vector x it was built from."""
+
+
+@contextlib.contextmanager
+def _checked_problem(problem, units, lam, sizes):
+    """(siblings, states, cell, value, probed, counts) of a search problem
+    whose probes are checked against fresh evaluations of their vectors,
+    while inner._golden_max is wrapped to see every probe [value, err, cell].
+
+    - A probe priced by a chain solve (err 0) equals the fresh evaluation
+      bit for bit, and the solve summed the chain with the sum under test,
+      once over its weights and once per reward column (sizes is what
+      library_sum yields): value() asserts both whenever it prices the
+      sums of a solve, for the vector of the probe exact() was asked to
+      solve, else for the latest cell's vector.
+    - A probe priced by the line search's O(1) form lies within its err
+      of the fresh evaluation. Its value() call follows no solve; value()
+      asserts that it comes from a line search's probe, and the wrapped
+      probe checks the err.
+    - exact(probe) leaves the probe equal to the fresh evaluation.
+
+    probed lists the vector of every cell(x, u) call, and counts the
+    probes priced each way ("exact" and "O(1)")."""
+    siblings, states, cell, value = _problem(problem, units, lam)
     probed = []
-    seen = [len(sizes)]  # sums made before this probe's
+    counts = {"exact": 0, "O(1)": 0}
+    seen = [len(sizes)]  # sums made before the latest value() or cell() call
+    solving = []  # the vector of the probe exact() is solving
+    pricing = []  # true while a line search's probe runs
+    solved = [False]  # whether the latest probe's value() priced a solve's sums
 
-    def recording_cell(x, u):
-        probed.append(list(x))
-        return cell(x, u)
-
-    def checked_value(sums):
-        # a chain has units + 1 states; a sibling sum has 2 terms at most, and none at U = 1
-        assert sizes[seen[0] :].count(units + 1) >= 1 + len(sums)
-        val = value(sums)
-        assert val == _fresh_value(problem, units, lam, probed[-1])
+    def fresh(x):
+        # the fresh evaluation sums too; the next value() must not count its sums
+        val = _fresh_value(problem, units, lam, x)
         seen[0] = len(sizes)
         return val
 
-    return siblings, states, recording_cell, checked_value, probed
+    def recording_cell(x, u):
+        seen[0] = len(sizes)  # a start's solve of infeasible cells prices nothing
+        solved[0] = False  # until this probe's value() prices a solve
+        probed.append(list(x))
+        c = _Cell(cell(x, u))
+        c.x = probed[-1]
+        return c
+
+    def checked_value(sums):
+        # a chain has units + 1 states; no other sum the search makes is that long
+        solved[0] = sizes[seen[0] :].count(units + 1) >= 1 + len(sums)
+        val = value(sums)
+        if solved[0]:
+            assert val == fresh(solving[-1] if solving else probed[-1])
+        else:
+            assert pricing and not solving
+        seen[0] = len(sizes)
+        return val
+
+    real_golden = inner._golden_max
+
+    def golden(f, exact, lo, hi):
+        def checked_f(v):
+            pricing.append(True)
+            try:
+                p = f(v)
+            finally:
+                pricing.pop()
+            if p[1]:
+                assert not solved[0] and abs(p[0] - fresh(p[2].x)) <= p[1]
+                counts["O(1)"] += 1
+            else:  # a solve's value() compared it with its vector's, or no cell was feasible
+                assert solved[0] or p[0] == fresh(p[2].x) == -math.inf
+                counts["exact"] += 1
+            return p
+
+        def checked_exact(p):
+            solving.append(p[2].x)
+            try:
+                exact(p)
+            finally:
+                solving.pop()
+            assert p[1] == 0.0 and solved[0]  # and value() compared it with p's vector
+            return p
+
+        return real_golden(checked_f, checked_exact, lo, hi)
+
+    inner._golden_max = golden
+    try:
+        yield siblings, states, recording_cell, checked_value, probed, counts
+    finally:
+        inner._golden_max = real_golden
 
 
 @settings(max_examples=30, deadline=None)
@@ -199,16 +274,17 @@ def _checked_problem(problem, units, lam, sizes):
     summer=st.sampled_from([sum, compensated_sum]),
 )
 def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, seed, restarts, summer):
-    """Every probe of the search, and the value it returns, equals a
-    fresh evaluation of the probed vector bit for bit, and no start is
-    lost. Outer starts put each free entry in [0, 0.45], so some states
-    start infeasible (p00 < CLAMP/2). Under CPython 3.12's compensated
-    sum a probe that resumed a partial sum of the chain would differ, so
-    the library runs under that sum too, and every probe must have summed
-    with it."""
+    """Every probe priced by a chain solve, and the value the search
+    returns, equals a fresh evaluation of the probed vector bit for bit;
+    every probe priced by the O(1) form lies within its stated error of
+    it; and no start is lost. Outer starts put each free entry in
+    [0, 0.45], so some states start infeasible (p00 < CLAMP/2). Under
+    CPython 3.12's compensated sum a probe that resumed a partial sum of
+    the chain would differ, so the library runs under that sum too, and
+    every solve must have summed with it."""
     high = 1.0 if problem == "inner" else 0.45
-    with library_sum(summer) as sizes:
-        siblings, states, cell, value, _ = _checked_problem(problem, units, lam, sizes)
+    with library_sum(summer) as sizes, _checked_problem(problem, units, lam, sizes) as checked:
+        siblings, states, cell, value, _, _ = checked
 
         def draw(rng):
             return rng.uniform(0.0, high, len(states))
@@ -230,10 +306,7 @@ def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, s
 def _overflows(problem, units, x):
     """Whether the plain detailed-balance product of x's chain, or its sum,
     overflows."""
-    if problem == "inner":
-        cell = _inner_problem(units, 0.5)[2]
-    else:
-        cell = _outer_problem(units)[2]
+    cell = _problem(problem, units, 0.5)[2]
     cells = [cell(x, u) for u in range(units + 1)]
     w = [1.0]
     for k in range(1, units + 1):
@@ -243,13 +316,13 @@ def _overflows(problem, units, x):
 
 def _one_sweep(problem, units, start, summer):
     """One checked sweep of the search from start, under summer; returns
-    every probed vector."""
-    with library_sum(summer) as sizes:
-        siblings, states, cell, value, probed = _checked_problem(problem, units, 0.5, sizes)
+    every probed vector and the counts of the probes priced each way."""
+    with library_sum(summer) as sizes, _checked_problem(problem, units, 0.5, sizes) as checked:
+        siblings, states, cell, value, probed, counts = checked
         config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
         x, f, _ = _search([start], None, siblings, states, cell, value, config)
         assert f == _fresh_value(problem, units, 0.5, x)
-    return probed
+    return probed, counts
 
 
 @pytest.mark.parametrize("summer", [sum, compensated_sum])
@@ -281,10 +354,142 @@ def test_search_probes_that_overflow_an_unscaled_chain_are_fresh_evaluations(sum
     units = 27
     start = [0.5, 0.0075] + [CLAMP] * (units - 2) + [1.0 - CLAMP] * units
     assert not _overflows("inner", units, start)
-    probed = _one_sweep("inner", units, start, summer)
+    probed, _ = _one_sweep("inner", units, start, summer)
     first_probe = probed[units + 1]  # after the start's units + 1 cells
     assert first_probe[0] != start[0] and first_probe[1:] == start[1:]
     assert _overflows("inner", units, first_probe)
+
+
+@contextlib.contextmanager
+def _exact_only():
+    """Runs the search with its O(1) line form always failing closed, so
+    that every probe is priced by a chain solve."""
+    real = inner._line_form
+    inner._line_form = lambda cols, w, u: None
+    try:
+        yield
+    finally:
+        inner._line_form = real
+
+
+def _search_bits(problem, units, lam, seed, restarts):
+    """float.hex of the (x, f) and the starts run of a search from random
+    feasible starts."""
+    siblings, states, cell, value = _problem(problem, units, lam)
+    high = 1.0 if problem == "inner" else 0.3  # an interior p00 stays >= 0.1
+
+    def draw(rng):
+        return rng.uniform(0.0, high, len(states))
+
+    config = SearchConfig(restarts=restarts, seed=seed)
+    x, f, ran = _search([], draw, siblings, states, cell, value, config)
+    return [v.hex() for v in x], f.hex(), ran
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    problem=st.sampled_from(["inner", "outer sum", "outer weighted"]),
+    units=st.integers(min_value=1, max_value=8),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    restarts=st.integers(min_value=1, max_value=2),
+    summer=st.sampled_from([sum, compensated_sum]),
+)
+def test_the_line_form_returns_the_exact_only_search_bit_for_bit(problem, units, lam, seed, restarts, summer):
+    # The O(1) form only decides comparisons that the exact values would
+    # decide the same way, so the search takes the same path as one that
+    # solves the chain at every probe.
+    with library_sum(summer):
+        shipped = _search_bits(problem, units, lam, seed, restarts)
+        with _exact_only():
+            assert _search_bits(problem, units, lam, seed, restarts) == shipped
+
+
+def _start_chain(problem, units, start):
+    """(cell columns, accepted weights) of a search start, as _search
+    builds them."""
+    cell = _problem(problem, units, 0.5)[2]
+    cols = [list(col) for col in zip(*(cell(start, u) for u in range(units + 1)))]
+    w = [1.0]
+    _cell_sums(cols, w)
+    return cols, w
+
+
+def test_the_line_form_fails_closed_past_a_rescaled_prefix():
+    # The U = 60 outer start of the rescaled-chain test: its weights grow by
+    # about 1e6 per state, so the accepted weights stop at the first that
+    # overflows, and no line search of a state past them has a form.
+    units = 60
+    start = [0.98, *[0.98, CLAMP, CLAMP] * (units - 1), CLAMP]
+    cols, w = _start_chain("outer sum", units, start)
+    assert len(w) < units
+    assert all(_line_form(cols, w, u) is None for u in range(len(w) + 1, units + 1))
+    assert _line_form(cols, w, 30) is not None  # prefix and suffix both within range
+    # Weights 1, 2^600, then 2^1200 from state 2 on: the accepted weights
+    # stop at w[1] = 2^600, within range, so only their length shows the
+    # rescale at states 3 and 4.
+    units = 4
+    down, up = [0.0, 2.0**-600, 2.0**-600, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 0.0]
+    cols = [down, up, [True] * (units + 1), [1.0] * (units + 1)]
+    w = [1.0]
+    _cell_sums(cols, w)
+    assert w == [1.0, 2.0**600]
+    assert [_line_form(cols, w, u) is None for u in range(units + 1)] == [True, False, False, True, True]
+
+
+def test_the_line_form_fails_closed_on_a_weight_out_of_range():
+    # The U = 27 inner start of the overflow test: its weights grow by about
+    # 1e12 per state to about 1.3e308, finite but far above 2^900. At state 1
+    # the suffix products pass 2^900, at state 27 the prefix weights do.
+    units = 27
+    start = [0.5, 0.0075] + [CLAMP] * (units - 2) + [1.0 - CLAMP] * units
+    cols, w = _start_chain("inner", units, start)
+    assert len(w) == units + 1 and 2.0**900 < max(w) < math.inf
+    assert _line_form(cols, w, 1) is None
+    assert _line_form(cols, w, units) is None
+    cols, w = _start_chain("inner", units, [0.5] * (2 * units))
+    assert all(_line_form(cols, w, u) is not None for u in range(units + 1))
+
+
+def test_a_probe_with_a_zero_move_raises_the_error_of_a_full_solve():
+    # State 1's down move is 0 once p1[1] drops below 0.45, and the first
+    # probe of its line search is at about 0.38. That probe is priced by a
+    # solve, which raises as a full evaluation would, with or without the form.
+    siblings, states, cell, value = _problem("inner", 2, 0.5)
+
+    def zero_move(x, u):
+        c = cell(x, u)
+        return (0.0, *c[1:]) if u == 1 and x[0] < 0.45 else c
+
+    message = r"^state 1 cannot reach state 0 \(down-move probability is 0\)$"
+    for paths in (contextlib.nullcontext(), _exact_only()):
+        with paths, pytest.raises(NotIrreducibleError, match=message):
+            _search([[0.5] * 4], None, siblings, states, zero_move, value, SearchConfig(restarts=1))
+
+
+SUMS = st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=2, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    problem=st.sampled_from(["inner", "outer sum", "outer weighted"]),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    s=SUMS,
+    t=SUMS,
+    nudge=st.booleans(),
+)
+def test_every_objective_moves_at_most_twice_its_sums(problem, lam, s, t, nudge):
+    # The contract of _search's value that the O(1) form's error bound
+    # relies on: |value(s) - value(t)| <= 2 * sum_j |s_j - t_j|, up to
+    # 2^-50 * sum_j (|s_j| + |t_j|) of rounding. nudge puts t within a
+    # few ulps of s, where the rounding term matters.
+    value = _problem(problem, 2, lam)[3]
+    if nudge:
+        t = [a + a * 2.0**-50 * b for a, b in zip(s, t)]
+    if problem == "outer sum":
+        s, t = s[:1], t[:1]
+    bound = 2.0 * sum(abs(a - b) for a, b in zip(s, t)) + 2.0**-50 * sum(map(abs, s + t))
+    assert abs(value(s) - value(t)) <= bound
 
 
 def test_search_moves_every_state_once_an_infeasible_start_is_repaired():
@@ -295,7 +500,7 @@ def test_search_moves_every_state_once_an_infeasible_start_is_repaired():
     # the same sweep. That sweep gains inf; the next gains less than tol, so
     # the search stops there. A search that still counted state 1 infeasible
     # would price every later probe at -inf, and x[4] would stay put.
-    siblings, states, cell, value = _outer_problem(2)
+    siblings, states, cell, value = _problem("outer sum", 2, 0.5)
     start = [0.5, 0.45, 0.45, 0.45, 0.5]
     config = SearchConfig(restarts=1, tol=math.inf)
     x, f, _ = _search([start], None, siblings, states, cell, value, config)

@@ -8,33 +8,34 @@ reduces to the plain sum-rate at lam = 0.5. The chain and the rewards
 are built from one cell per state u, (down move, up move, feasible,
 *rewards) = (a(1-b), (1-a)b, True, H(a), H(b)) at a = p1[u], b = p2[units-u].
 
-The objective is smooth but nonconvex in the 2*units free
-probabilities, so the maximizer runs multi-start coordinate ascent
-(`_search`, which the outer bound shares): constant grid seeds plus
-random restarts, each refined by coordinate-wise golden-section search
-on [CLAMP, 1-CLAMP]. A coordinate enters one state's cell (`states`),
-so a probe recomputes that cell alone; the cells carry only the reward
-columns that `value` reads, and `value` maps the chain's sums of them to
-the objective. While a line search moves state u's cell, the chain splits
-into three blocks: the accepted weights of the states below u, u's own
-weight, and the states above u, whose weights are u's weight times its up
-move times products of fixed moves. `_line_form` sums the two fixed blocks
-once per line search, so a probe costs its cell plus O(1), and returns
-that form's objective with a proven bound on its distance from the
-exact float. Golden-section search only compares probes, so a comparison
-is decided from the form when the gap exceeds both bounds (a floating-point
-filter, as in Shewchuk's adaptive predicates), by equal cells when the
-cells are equal, and otherwise by exact probes. An exact probe solves the
-chain: it checks only its state's two moves, goes on from the accepted
-weights of the states below it and returns the float a full evaluation
-would. So the search takes the path, and returns the bits, of one that
-solves the chain at every probe; a line search's last probe is exact, and
-it is the accepted chain when it gains. The form fails closed to exact
-probes where its bound is not proven (see `_line_form`). The clamp keeps
-every policy strictly interior, hence the chain irreducible; the
-boundary of the rate region is approached but never evaluated at
-degenerate policies. Restarts are independent and the reduction (max by
-objective, first within 1e-9 wins) is deterministic given the seed.
+The objective is smooth but nonconvex in the 2*units free probabilities, so
+the maximizer runs multi-start coordinate ascent (`_search`, which the
+outer bound shares): constant grid seeds plus random restarts, each refined
+by coordinate-wise golden-section search on [CLAMP, 1-CLAMP]. A coordinate
+enters one state's cell (`states`), so a probe recomputes that cell alone;
+the cells carry only the reward columns that `value` reads, and `value`
+maps the chain's sums of them to the objective. While a line search moves
+state u's cell, the chain splits into three blocks: the accepted weights of
+the states below u, u's own weight, and the states above u, whose weights
+are u's weight times its up move times products of fixed moves.
+`_line_form` sums the two fixed blocks once per state, so a probe costs its
+cell plus O(1), and returns that form's objective with a proven bound on
+its distance from the exact float. Golden-section search only compares
+probes, so a comparison is decided from the form when the gap exceeds both
+bounds (a floating-point filter, as in Shewchuk's adaptive predicates), by
+equal cells when they are equal, and otherwise by exact probes. An exact
+probe solves the chain only when its moves differ from the line search's
+latest solve (at first the accepted chain's), checking only those and going
+on from the accepted weights below u; else it sums its rewards against that
+solve's stationary law. Either way it returns a full evaluation's float. So
+the search takes the path, and returns the bits, of one that solves the
+chain at every probe; a line search's last probe is exact, and it is the
+accepted chain when it gains. The form fails closed to exact probes where
+its bound is not proven (see `_line_form`). The clamp keeps every policy
+strictly interior, hence the chain irreducible; the boundary of the rate
+region is approached but never evaluated at degenerate policies. Restarts
+are independent and the reduction (max by objective, first within 1e-9
+wins) is deterministic given the seed.
 
 The inner objective is the optimal reward of an average-reward Markov
 decision process (each state's symbol law is an action), so Odoni's bound
@@ -50,8 +51,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import add, mul, truediv
+from itertools import accumulate
+from operator import add, mul
 
 import numpy as np
 
@@ -128,14 +129,15 @@ def _inner_cell(a, b):
 
 
 def _cell_sums(columns, w=None, u=None):
-    """([sum_k pi[k] * col[k] for each reward column], weights, total) of the
-    chain with cell columns (down, up, feasible, *rewards), where
-    pi = weights / total is its stationary law and each sum is one sum() over
-    the whole column; w is an optional prefix of the chain's unscaled
+    """([sum_k pi[k] * col[k] for each reward column], weights, pi) of the
+    chain with cell columns (down, up, feasible, *rewards), where pi, the
+    weights over their sum, is its stationary law and each sum is one sum()
+    over the whole column; w is an optional prefix of the chain's unscaled
     detailed-balance weights, and u the one state whose moves are not yet
     checked (see _weights)."""
     w, total = _weights(columns[0], columns[1], w or [1.0], u)
-    return [sum(map(mul, map(truediv, w, repeat(total)), col)) for col in columns[3:]], w, total
+    pi = [x / total for x in w]
+    return [sum(map(mul, pi, col)) for col in columns[3:]], w, pi
 
 
 def _line_form(cols, w, u):
@@ -206,8 +208,8 @@ def _line_form(cols, w, u):
 def _rates_updown(p1, p2):
     """(r1, r2, pi) for policy lists with the forced zeros at index 0."""
     cells = [_inner_cell(a, b) for a, b in zip(p1, p2[::-1])]  # p2[e] acts in state units-e
-    (r1, r2), w, total = _cell_sums(list(zip(*cells)))
-    return r1, r2, [x / total for x in w]
+    (r1, r2), _, pi = _cell_sums(list(zip(*cells)))
+    return r1, r2, pi
 
 
 def rates_for_policy(policy: MarginalPolicy) -> RatePair:
@@ -276,23 +278,24 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
 
     Coordinate i enters only state u = states[i]'s cell. A line search on
     it keeps every other cell fixed, and its probes are of two kinds.
-    - An exact probe writes its cell into the restart's cached columns,
-      checks only its two moves (the others were checked when their
-      states were probed, or at the start's one full solve, and a probe
-      that makes one impossible raises the NotIrreducibleError a full solve
-      would), goes on from the accepted chain's unscaled weights of states
-      0..u-1, or of as many as precede its first overflow, and sums the
-      whole chain, so it returns the float a full evaluation would.
+    - An exact probe writes its cell into the cached columns. If its moves
+      are the line search's latest solve's (at first the accepted chain's),
+      it sums its rewards against that solve's stationary law; else it
+      checks only its two moves (the others were checked at their states'
+      probes or the start's one full solve; one made impossible raises a
+      full solve's NotIrreducibleError) and solves on from the accepted
+      chain's unscaled weights of states 0..u-1, or of as many as precede
+      the first overflow. Either way it returns a full evaluation's float.
     - An O(1) probe prices its cell by _line_form's three-block form of
-      the chain and returns that value with err, a bound on its distance
-      from the exact probe's float.
+      the chain, built once per state, and returns that value with err, a
+      bound on its distance from the exact probe's float.
     Golden-section search only compares probes (_greater): by the values
     where their gap exceeds both errs, as equal where the cells are equal,
     and otherwise after making a side exact. So its path is that of exact
     probes alone. A line search ends with an exact probe of the midpoint of
     its last bracket. If that gains, the probed chain is the accepted one:
-    its cell stays in the columns and its weights are the ones later probes
-    go on from. Otherwise the accepted cell is written back.
+    its cell stays in the columns and its weights and law are the ones
+    later probes go on from. Otherwise the accepted cell is written back.
 
     The err bound. Let n = U + 1 states, eps = 2^-53 and
     g_m = m*eps/(1 - m*eps), and let S_j be the real reward sums of the
@@ -337,7 +340,7 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
         x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
         cols = [list(col) for col in zip(*(cell(x, u) for u in range(max(states) + 1)))]
         probed = [1.0]  # the weight list of the latest solve, which _weights extends in place
-        sums = _cell_sums(cols, probed)[0]
+        sums, _, law = _cell_sums(cols, probed)
         w = probed  # the accepted chain's unscaled weights, up to the first that overflows
         bad = cols[2].count(False)
         f = -math.inf if bad else value(sums)
@@ -365,32 +368,38 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
             return exact([None, None, c])
 
         def exact(p):
-            """p = [f, 0, cell] from a solve of the chain with p's cell at
-            state u; leaves that cell in cols, and w[:u] extended to the
-            probed chain in `probed`."""
-            nonlocal probed
+            """p = [f, 0, cell] from p's chain, solved only if p's moves are
+            not the latest solve's `moves`; leaves p's cell in cols, the
+            chain's weights (w[:u] extended) in `probed` and its law in `pi`."""
+            nonlocal probed, moves, pi
             for col, r in zip(cols, p[2]):
                 col[u] = r
-            probed = w[: u or 1]  # w[0] = 1 at u = 0
-            p[0], p[1] = value(_cell_sums(cols, probed, u)[0]), 0.0
+            if p[2][:2] == moves:
+                sums = [sum(map(mul, pi, col)) for col in cols[3:]]
+            else:
+                probed, moves = w[: u or 1], p[2][:2]  # w[0] = 1 at u = 0
+                sums, _, pi = _cell_sums(cols, probed, u)
+            p[0], p[1] = value(sums), 0.0
             return p
 
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
             for i, (sib, u) in enumerate(zip(siblings, states)):
+                if not i or states[i - 1] != u:  # a move accepted at u leaves the form as it is
+                    line = _line_form(cols, w, u)
+                    if line:
+                        lead, total, suffix, smin, smax, pa, ga, terms, k, tiny = line
                 hi = 1.0 - sum(x[s] for s in sib) - CLAMP
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
-                kept = [col[u] for col in cols]  # the accepted cell
+                kept = tuple(col[u] for col in cols)  # the accepted cell
                 base = bad + kept[2]  # minus c[2]: infeasible cells with c in place
-                line = _line_form(cols, w, u)
-                if line:
-                    lead, total, suffix, smin, smax, pa, ga, terms, k, tiny = line
+                moves, pi, probed = kept[:2], law, w  # the latest solve: the accepted chain's
                 xi = _golden_max(probe, exact, CLAMP, hi)
                 fi = probe(xi, False)[0]
                 if fi > f:  # the probed chain is accepted; fi is finite, so no cell is infeasible
                     gained += fi - f
-                    x[i], f, w, bad = xi, fi, probed, 0
+                    x[i], f, w, law, bad = xi, fi, probed, pi, 0
                 else:
                     for col, r in zip(cols, kept):
                         col[u] = r

@@ -104,8 +104,8 @@ def _outer_cell(p00, p01, p10, p11, rates=True):
 def _outer_terms(dists):
     """(r1, r2, sum, pi) from raw (p00, p01, p10, p11) sequences; rounding
     can leave a zero bound just below 0."""
-    (r1, r2, total), w, weight = _cell_sums(list(zip(*starmap(_outer_cell, dists))))
-    return max(r1, 0.0), max(r2, 0.0), total, [x / weight for x in w]
+    (r1, r2, total), _, pi = _cell_sums(list(zip(*starmap(_outer_cell, dists))))
+    return max(r1, 0.0), max(r2, 0.0), total, pi
 
 
 def outer_values(policy: JointStatePolicy) -> OuterBoundValues:

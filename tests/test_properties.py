@@ -5,6 +5,8 @@ schedules (verbatim time sharing and the variable-length code)."""
 import contextlib
 import math
 import sys
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ from twoway_energy.inner import (
     _search,
     _state_below,
 )
-from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _unpack
+from twoway_energy.outer import _free_slots, _outer_cell, _outer_problem, _outer_terms, _unpack
 from twoway_energy.protocol import _holder_transcript, _seed_words, _stack_walk_prefix
 
 PROB = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
@@ -180,18 +182,21 @@ class _Cell(tuple):
 def _checked_problem(problem, units, lam, sizes):
     """(siblings, states, cell, value, probed, counts) of a search problem
     whose probes are checked against fresh evaluations of their vectors,
-    while inner._golden_max is wrapped to see every probe [value, err, cell].
+    while inner._golden_max is wrapped to see every probe [value, err, cell]
+    and inner._weights to see every chain solve.
 
-    - A probe priced by a chain solve (err 0) equals the fresh evaluation
-      bit for bit, and the solve summed the chain with the sum under test,
-      once over its weights and once per reward column (sizes is what
-      library_sum yields): value() asserts both whenever it prices the
-      sums of a solve, for the vector of the probe exact() was asked to
-      solve, else for the latest cell's vector.
+    - Every chain solve sums its weights with the sum under test (sizes is
+      what library_sum yields).
+    - A probe priced from a stationary law (err 0) equals the fresh
+      evaluation bit for bit, and its reward columns went through the sum
+      under test, one sum each: value() asserts both whenever it prices
+      such sums, for the vector of the probe exact() was asked to price,
+      else for the latest cell's vector. The law is that of a solve of the
+      probe's chain, or of an earlier chain with the same moves.
     - A probe priced by the line search's O(1) form lies within its err
-      of the fresh evaluation. Its value() call follows no solve; value()
-      asserts that it comes from a line search's probe, and the wrapped
-      probe checks the err.
+      of the fresh evaluation. Its value() call follows no reward sums;
+      value() asserts that it comes from a line search's probe, and the
+      wrapped probe checks the err.
     - exact(probe) leaves the probe equal to the fresh evaluation.
 
     probed lists the vector of every cell(x, u) call, and counts the
@@ -202,7 +207,7 @@ def _checked_problem(problem, units, lam, sizes):
     seen = [len(sizes)]  # sums made before the latest value() or cell() call
     solving = []  # the vector of the probe exact() is solving
     pricing = []  # true while a line search's probe runs
-    solved = [False]  # whether the latest probe's value() priced a solve's sums
+    summed = [False]  # whether the latest probe's value() priced reward sums of a law
 
     def fresh(x):
         # the fresh evaluation sums too; the next value() must not count its sums
@@ -212,7 +217,7 @@ def _checked_problem(problem, units, lam, sizes):
 
     def recording_cell(x, u):
         seen[0] = len(sizes)  # a start's solve of infeasible cells prices nothing
-        solved[0] = False  # until this probe's value() prices a solve
+        summed[0] = False  # until this probe's value() prices reward sums
         probed.append(list(x))
         c = _Cell(cell(x, u))
         c.x = probed[-1]
@@ -220,14 +225,23 @@ def _checked_problem(problem, units, lam, sizes):
 
     def checked_value(sums):
         # a chain has units + 1 states; no other sum the search makes is that long
-        solved[0] = sizes[seen[0] :].count(units + 1) >= 1 + len(sums)
+        summed[0] = sizes[seen[0] :].count(units + 1) >= len(sums)
         val = value(sums)
-        if solved[0]:
+        if summed[0]:
             assert val == fresh(solving[-1] if solving else probed[-1])
         else:
             assert pricing and not solving
         seen[0] = len(sizes)
         return val
+
+    real_weights = inner._weights
+
+    def checked_weights(*args):
+        made = len(sizes)
+        solve = real_weights(*args)
+        assert units + 1 in sizes[made:]
+        seen[0] = len(sizes)  # so that value() counts the reward columns' sums alone
+        return solve
 
     real_golden = inner._golden_max
 
@@ -239,10 +253,10 @@ def _checked_problem(problem, units, lam, sizes):
             finally:
                 pricing.pop()
             if p[1]:
-                assert not solved[0] and abs(p[0] - fresh(p[2].x)) <= p[1]
+                assert not summed[0] and abs(p[0] - fresh(p[2].x)) <= p[1]
                 counts["O(1)"] += 1
-            else:  # a solve's value() compared it with its vector's, or no cell was feasible
-                assert solved[0] or p[0] == fresh(p[2].x) == -math.inf
+            else:  # value() compared it with its vector's, or no cell was feasible
+                assert summed[0] or p[0] == fresh(p[2].x) == -math.inf
                 counts["exact"] += 1
             return p
 
@@ -252,16 +266,16 @@ def _checked_problem(problem, units, lam, sizes):
                 exact(p)
             finally:
                 solving.pop()
-            assert p[1] == 0.0 and solved[0]  # and value() compared it with p's vector
+            assert p[1] == 0.0 and summed[0]  # and value() compared it with p's vector
             return p
 
         return real_golden(checked_f, checked_exact, lo, hi)
 
-    inner._golden_max = golden
+    inner._golden_max, inner._weights = golden, checked_weights
     try:
         yield siblings, states, recording_cell, checked_value, probed, counts
     finally:
-        inner._golden_max = real_golden
+        inner._golden_max, inner._weights = real_golden, real_weights
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,14 +288,14 @@ def _checked_problem(problem, units, lam, sizes):
     summer=st.sampled_from([sum, compensated_sum]),
 )
 def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, seed, restarts, summer):
-    """Every probe priced by a chain solve, and the value the search
+    """Every probe priced from a stationary law, and the value the search
     returns, equals a fresh evaluation of the probed vector bit for bit;
     every probe priced by the O(1) form lies within its stated error of
     it; and no start is lost. Outer starts put each free entry in
     [0, 0.45], so some states start infeasible (p00 < CLAMP/2). Under
     CPython 3.12's compensated sum a probe that resumed a partial sum of
     the chain would differ, so the library runs under that sum too, and
-    every solve must have summed with it."""
+    every solve and every reward sum must have summed with it."""
     high = 1.0 if problem == "inner" else 0.45
     with library_sum(summer) as sizes, _checked_problem(problem, units, lam, sizes) as checked:
         siblings, states, cell, value, _, _ = checked
@@ -405,10 +419,9 @@ def test_the_line_form_returns_the_exact_only_search_bit_for_bit(problem, units,
             assert _search_bits(problem, units, lam, seed, restarts) == shipped
 
 
-def _start_chain(problem, units, start):
-    """(cell columns, accepted weights) of a search start, as _search
-    builds them."""
-    cell = _problem(problem, units, 0.5)[2]
+def _start_chain(cell, units, start):
+    """(cell columns, accepted weights) of a search start of cell, as
+    _search builds them."""
     cols = [list(col) for col in zip(*(cell(start, u) for u in range(units + 1)))]
     w = [1.0]
     _cell_sums(cols, w)
@@ -421,7 +434,7 @@ def test_the_line_form_fails_closed_past_a_rescaled_prefix():
     # overflows, and no line search of a state past them has a form.
     units = 60
     start = [0.98, *[0.98, CLAMP, CLAMP] * (units - 1), CLAMP]
-    cols, w = _start_chain("outer sum", units, start)
+    cols, w = _start_chain(_problem("outer sum", units, 0.5)[2], units, start)
     assert len(w) < units
     assert all(_line_form(cols, w, u) is None for u in range(len(w) + 1, units + 1))
     assert _line_form(cols, w, 30) is not None  # prefix and suffix both within range
@@ -443,12 +456,121 @@ def test_the_line_form_fails_closed_on_a_weight_out_of_range():
     # the suffix products pass 2^900, at state 27 the prefix weights do.
     units = 27
     start = [0.5, 0.0075] + [CLAMP] * (units - 2) + [1.0 - CLAMP] * units
-    cols, w = _start_chain("inner", units, start)
+    cols, w = _start_chain(_problem("inner", units, 0.5)[2], units, start)
     assert len(w) == units + 1 and 2.0**900 < max(w) < math.inf
     assert _line_form(cols, w, 1) is None
     assert _line_form(cols, w, units) is None
-    cols, w = _start_chain("inner", units, [0.5] * (2 * units))
+    cols, w = _start_chain(_problem("inner", units, 0.5)[2], units, [0.5] * (2 * units))
     assert all(_line_form(cols, w, u) is not None for u in range(units + 1))
+
+
+def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch):
+    # Outer sum at U = 2 with only the top state's p10 free. The weights
+    # below it are 1 and 2^899 (state 1's up move is 1/2, its down move
+    # 2^-900), so its lead is 2^898, and a probe at p10 = v has the weight
+    # 2^898 / v and the form total 1 + 2^899 + 2^898 / v: above 2^900 for
+    # v < 1/2, though every weight and sum the form itself holds is in range
+    # and the top state has no up move, so s = 0.
+    below = [_outer_cell(0.5, 0.5, 0.0, 0.0, False), _outer_cell(0.5, 0.5, 2.0**-900, 0.0, False)]
+
+    def cell(x, u):
+        return below[u] if u < 2 else _outer_cell(1.0 - x[0], 0.0, x[0], 0.0, False)
+
+    cols, w = _start_chain(cell, 2, [0.5])
+    assert w[1] == 2.0**899
+    lead, total, suffix, smin, smax, _, _, _, _, _ = _line_form(cols, w, 2)
+    probes = []
+    real_golden = inner._golden_max
+
+    def golden(f, exact, lo, hi):
+        def recorded(v):
+            p = f(v)
+            probes.append((p[1], p[2]))  # a later comparison may make p exact
+            return p
+
+        return real_golden(recorded, exact, lo, hi)
+
+    monkeypatch.setattr(inner, "_golden_max", golden)
+    config = SearchConfig(restarts=1, tol=math.inf)  # one line search
+    x, f, _ = _search([[0.5]], None, [()], [2], cell, itemgetter(0), config)
+    assert f == _cell_sums(_start_chain(cell, 2, x)[0])[0][0]
+    over = []
+    for err, c in probes:
+        wu = lead / c[0]
+        s = wu * c[1]
+        assert smin <= s <= smax and abs(c[3]) <= inner._HUGE
+        if total + (wu + s * suffix) > inner._HUGE:
+            over.append(err)
+        else:
+            assert err > 0.0  # priced by the form
+    assert over and not any(over)
+
+
+def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monkeypatch):
+    # A "11" use sends one unit each way, so p11 enters no move of the
+    # chain: every probe of a p11 line search has the accepted chain's moves
+    # and is priced from its stationary law, with no solve. The p01, p10 and
+    # p11 lines of a state read one line form, built when the state is
+    # first searched in a sweep.
+    units = 4
+    siblings, states, cell, value = _problem("outer sum", units, 0.5)
+    at = list(accumulate(map(len, _free_slots(units)), initial=0))
+    p11 = {at[u] + 2 for u in range(1, units)}
+
+    def draw(rng):
+        return rng.uniform(0.0, 0.3, len(states))
+
+    config = SearchConfig(restarts=2, seed=5)
+    with _exact_only():
+        exact_x, exact_f, _ = _search([], draw, siblings, states, cell, value, config)
+
+    events = []  # "solve", ("form", u) and ["line", i] in call order
+    probed = []  # the vector of the latest cell
+
+    def recording_cell(x, u):
+        probed[:] = x
+        return cell(x, u)
+
+    real_weights, real_form, real_golden = inner._weights, inner._line_form, inner._golden_max
+
+    def weights(*args):
+        events.append("solve")
+        return real_weights(*args)
+
+    def form(cols, w, u):
+        events.append(("form", u))
+        return real_form(cols, w, u)
+
+    def golden(f, exact, lo, hi):
+        line = ["line", set(range(len(states)))]  # coordinates that held every probe
+        events.append(line)
+
+        def recorded(v):
+            p = f(v)
+            line[1] &= {j for j, xj in enumerate(probed) if xj == v}
+            return p
+
+        return real_golden(recorded, exact, lo, hi)
+
+    monkeypatch.setattr(inner, "_weights", weights)
+    monkeypatch.setattr(inner, "_line_form", form)
+    monkeypatch.setattr(inner, "_golden_max", golden)
+    x, f, _ = _search([], draw, siblings, states, recording_cell, value, config)
+    assert [v.hex() for v in (*x, f)] == [v.hex() for v in (*exact_x, exact_f)]
+
+    lines = [ev[1] for ev in events if ev[0] == "line"]
+    sweeps, rest = divmod(len(lines), len(states))
+    assert sweeps >= 4 and rest == 0  # no line search was skipped
+    assert [{i} for i in range(len(states))] * sweeps == lines
+    assert [ev[1] for ev in events if ev[0] == "form"] == [*range(units + 1)] * sweeps
+    solves = {}  # line search (its coordinate) -> solves during it
+    line = None  # a line search runs from its _golden_max to the next one, or the next form
+    for ev in events:
+        if ev == "solve" and line is not None:
+            solves[line] = solves.get(line, 0) + 1
+        elif ev != "solve":
+            line = min(ev[1]) if ev[0] == "line" else None
+    assert solves and not p11 & set(solves)
 
 
 def test_a_probe_with_a_zero_move_raises_the_error_of_a_full_solve():

@@ -12,18 +12,21 @@ The objective is smooth but nonconvex in the 2*units free probabilities, so
 the maximizer runs multi-start coordinate ascent (`_search`, which the
 outer bound shares): constant grid seeds plus random restarts, each refined
 by coordinate-wise golden-section search on [CLAMP, 1-CLAMP]. A coordinate
-enters one state's cell (`states`), so a probe recomputes that cell alone;
-the cells carry only the reward columns that `value` reads, and `value`
-maps the chain's sums of them to the objective. While a line search moves
-state u's cell, the chain splits into three blocks: the accepted weights of
-the states below u, u's own weight, and the states above u, whose weights
-are u's weight times its up move times products of fixed moves.
-`_line_form` sums the two fixed blocks once per state, so a probe costs its
-cell plus O(1), and returns that form's objective with a proven bound on
-its distance from the exact float. Golden-section search only compares
-probes, so a comparison is decided from the form when the gap exceeds both
-bounds (a floating-point filter, as in Shewchuk's adaptive predicates), by
-equal cells when they are equal, and otherwise by exact probes. An exact
+enters one state's cell (`states`), so a probe recomputes that cell alone,
+through the line search's own cell function (`line(x, i)`, built once per
+line search from the same cell formula, so that probes neither write nor
+reread x); the cells carry only the reward columns that `value` reads, and
+`value` maps the chain's sums of them to the objective. While a line search
+moves state u's cell, the chain splits into three blocks: the accepted
+weights of the states below u, u's own weight, and the states above u,
+whose weights are u's weight times its up move times products of fixed
+moves. `_line_form` sums the two fixed blocks once per state, so a probe
+costs its cell plus O(1) straight-line arithmetic, and returns that form's
+objective with a proven bound on its distance from the exact float.
+Golden-section search (`_golden_max`) only compares probes, so a comparison
+is decided from the form when the gap exceeds both bounds (a floating-point
+filter, as in Shewchuk's adaptive predicates), by equal cells when they are
+equal, and otherwise by exact probes. An exact
 probe solves the chain only when its moves differ from the line search's
 latest solve (at first the accepted chain's), checking only those and going
 on from the accepted weights below u; else it sums its rewards against that
@@ -50,9 +53,11 @@ running every start.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,8 +148,8 @@ def _cell_sums(columns, w=None, u=None):
 def _line_form(cols, w, u):
     """The chain of cell columns cols (down, up, feasible, *rewards) as an
     O(1) function of state u's cell, every other cell fixed, for _search:
-    (lead, P, G, smin, smax, P_abs, G_abs, [(P_r, G_r) per reward column],
-    k, tiny), or None where the form is not certified.
+    (lead, P, G, smin, smax, P_abs, G_abs, [(P_r, G_r) per reward column]),
+    or None where the form is not certified.
 
     The weights are the accepted prefix w[:u], state u's
     w_u = lead / down_u with lead = w[u-1] * up[u-1] (the float the exact
@@ -155,8 +160,8 @@ def _line_form(cols, w, u):
     the prefix, and G and G_r sum g_k and g_k*r_k over the suffix; P_abs
     and G_abs are those of a_k = sum over columns of |r_k|, so that
     A = (P_abs + (w_u*a_u + s*G_abs)) / T bounds sum_j sum_k pi[k]*|r_jk|.
-    The value of those sums lies within k*A + tiny of the value of the
-    exact solve's sums (see _search). None when the prefix was rescaled
+    The value of those sums lies within _search's err, k*A + tiny, of the
+    value of the exact solve's sums. None when the prefix was rescaled
     (len(w) < u), a prefix weight, a g_k or a partial product of their
     recursion lies outside [_TINY, _HUGE], or an a_k, P or G lies above
     _HUGE; a probe is priced exactly unless smin <= s <= smax, T <= _HUGE
@@ -200,8 +205,6 @@ def _line_form(cols, w, u):
         sum(map(mul, pre, absr)),
         sum(map(mul, g, absr[u:])),
         [(sum(map(mul, pre, col)), sum(map(mul, g, col[u + 1 :]))) for col in rewards],
-        (top + 2) * 2.0**-48,
-        (top + 3) * 2.0**-160,
     )
 
 
@@ -219,33 +222,34 @@ def rates_for_policy(policy: MarginalPolicy) -> RatePair:
     return RatePair(r1=r1, r2=r2)
 
 
-def _greater(p, q, exact):
-    """Whether p's exact value exceeds q's, for probes [value, err, cell]
-    whose value lies within err of the exact one (err 0: it is the exact
-    one). Probes of the same cell have the same exact value (their chains
-    are the same), so neither exceeds the other. Otherwise this is decided
-    from the values when their gap exceeds both errors (float rounding is
-    monotone, so a gap computed above the computed error sum is above the
-    real one); if not, exact() makes the side with the larger error exact,
-    until the gap is decided or both sides are exact."""
-    if p[2] == q[2]:
-        return False
-    while not abs(p[0] - q[0]) > p[1] + q[1] and (p[1] or q[1]):
-        exact(p if p[1] and not q[1] > p[1] else q)
-    return p[0] > q[0]
-
-
 def _golden_max(f, exact, lo: float, hi: float) -> float:
     """Midpoint of the last bracket of golden-section maximization of a
-    unimodal-ish f on [lo, hi]; f is not called there. f(v) returns a
-    probe [value, err, ...] and exact(probe) makes it exact (see _greater),
-    so every comparison, and so the bracket, is the one of exact values."""
+    unimodal-ish f on [lo, hi]; f is not called there.
+
+    f(v) returns a probe [value, err, cell] whose value lies within err of
+    the exact one (err 0: it is the exact one), and exact(probe) makes it
+    exact. Each comparison of the bracket is the one of exact values: it
+    is decided from the values when their gap exceeds both errors (float
+    rounding is monotone, so a gap computed above the computed error sum
+    is above the real one); as a tie when both probes have the same cell
+    (their chains, and so their exact values, are the same); otherwise
+    exact() makes the side with the larger error exact, until the gap is
+    decided or both sides are exact.
+    """
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > _GOLDEN_XTOL:
-        if _greater(fc, fd, exact):
+        gap = fc[0] - fd[0]
+        if not abs(gap) > fc[1] + fd[1]:
+            if fc[2] == fd[2]:
+                gap = 0.0
+            else:
+                while (fc[1] or fd[1]) and not abs(fc[0] - fd[0]) > fc[1] + fd[1]:
+                    exact(fc if fc[1] and not fd[1] > fc[1] else fd)
+                gap = fc[0] - fd[0]
+        if gap > 0.0:  # fc[0] > fd[0], also at infinities
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = f(c)
@@ -264,20 +268,35 @@ def _checked_search(units: int, lam: float, search: SearchConfig | None) -> Sear
     return search or SearchConfig()
 
 
-def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, settled=None):
+class _Problem(NamedTuple):
+    """A chain objective for _search over a vector x of free entries."""
+
+    siblings: Sequence  # per coordinate, the other entries of its state's simplex
+    states: Sequence  # per coordinate, the one state whose cell it enters
+    cell: Callable  # cell(x, u): state u's cell (down, up, feasible, *rewards)
+    line: Callable  # line(x, i)(v): cell(x with x[i] = v, states[i])
+    value: Callable  # value(sums): the objective of the chain's reward sums
+    contract: float  # value's constant L in _search's contract
+
+
+def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
     """Best (x, f, starts run) of multi-start coordinate ascent of a chain
     objective.
 
-    f(x) is value(sums) of the chain whose state u has cell(x, u), or -inf
-    while a cell is infeasible. value must meet this contract, on which the
-    error bound below relies:
-    |value(s) - value(s')| <= 2 * sum_j |s_j - s'_j|, up to
-    2^-50 * sum_j (|s_j| + |s'_j|) of rounding. The three objectives meet
-    it: the inner one with weights 2*lam and 2*(1-lam), the outer sum bound
-    with weight 1, and the outer weighted one after max(., 0).
+    f(x) is value(sums) of the chain whose state u has cell(x, u), which
+    carries one or two reward columns, or -inf while a cell is infeasible.
+    value must meet this contract, with its constant L = problem.contract,
+    on which the error bound below relies:
+    |value(s) - value(s')| <= L * sum_j |s_j - s'_j|, up to
+    (L - 1) * 2^-50 * sum_j (|s_j| + |s'_j|) of rounding (none at L = 1:
+    value must be exact there). The outer sum bound's itemgetter(0) meets
+    it with L = 1; the inner objective (weights 2*lam and 2*(1-lam)) and
+    the outer weighted one (after max(., 0)) with L = 2.
 
     Coordinate i enters only state u = states[i]'s cell. A line search on
-    it keeps every other cell fixed, and its probes are of two kinds.
+    it keeps every other cell fixed, builds at = line(x, i) once and gets
+    each probe's cell as at(v), so x itself only changes when a move is
+    accepted. Its probes are of two kinds.
     - An exact probe writes its cell into the cached columns. If its moves
       are the line search's latest solve's (at first the accepted chain's),
       it sums its rewards against that solve's stationary law; else it
@@ -287,15 +306,16 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
       chain's unscaled weights of states 0..u-1, or of as many as precede
       the first overflow. Either way it returns a full evaluation's float.
     - An O(1) probe prices its cell by _line_form's three-block form of
-      the chain, built once per state, and returns that value with err, a
-      bound on its distance from the exact probe's float.
-    Golden-section search only compares probes (_greater): by the values
-    where their gap exceeds both errs, as equal where the cells are equal,
-    and otherwise after making a side exact. So its path is that of exact
-    probes alone. A line search ends with an exact probe of the midpoint of
-    its last bracket. If that gains, the probed chain is the accepted one:
-    its cell stays in the columns and its weights and law are the ones
-    later probes go on from. Otherwise the accepted cell is written back.
+      the chain, built once per state, in straight-line code with its one
+      or two reward columns written out, and returns that value with err,
+      a bound on its distance from the exact probe's float.
+    _golden_max only compares probes: by the values where their gap
+    exceeds both errs, as equal where the cells are equal, and otherwise
+    after making a side exact. So its path is that of exact probes alone.
+    A line search ends with an exact probe of the midpoint of its last
+    bracket. If that gains, the probed chain is the accepted one: its cell
+    stays in the columns and its weights and law are the ones later probes
+    go on from. Otherwise the accepted cell is written back.
 
     The err bound. Let n = U + 1 states, eps = 2^-53 and
     g_m = m*eps/(1 - m*eps), and let S_j be the real reward sums of the
@@ -309,11 +329,12 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
     a probe adds 4 roundings to the total and the numerators, and one
     division: it is within g_(6n+9) * A_j of S_j. With the contract, two
     values of sums within g_(12n+9) * A_j lie within
-    (24n + 34) * eps * sum_j A_j of each other, and the computed A, whose
-    own relative error is below g_(6n+12) for up to three reward columns,
-    is inflated to cover it:
-    err = k * A + tiny with k = (U + 2) * 2^-48 = 32(n + 1) * eps, which
-    exceeds that for every n >= 2 (and U < 2^28, far beyond memory). tiny =
+    (L * (12n + 9) + 16 * (L - 1)) * eps * sum_j A_j of each other, and the
+    computed A, whose own relative error is below g_(6n+12) for up to three
+    reward columns, is inflated to cover it:
+    err = k * A + tiny with k = L * (U + 2) * 2^-49 = 16L(n + 1) * eps,
+    which exceeds that by (4n + 7) * eps at L = 1 and (8n - 2) * eps at
+    L = 2, so for every n >= 2 (and U < 2^28, far beyond memory). tiny =
     (U + 3) * 2^-160 covers underflow: the form is used only while every
     weight, suffix product and total lies in [2^-900, 2^900] and every
     |reward| is at most 2^900, so an underflowed pi[k], product or
@@ -331,40 +352,52 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
     more than 1e-9; then the search stops there, and returns what running
     every start would. Raises ValueError when every start ends at -inf.
     """
+    siblings, states, cell, line, value, contract = problem
     rng = np.random.default_rng(config.seed)
     starts = list(fixed)
     while len(starts) < config.restarts:
         starts.append(draw(rng))
+    top = max(states)
+    k = contract * (top + 2) * 2.0**-49
+    tiny = (top + 3) * 2.0**-160
     best_x, best_f = None, -math.inf
     for ran, start in enumerate(starts, 1):
         x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
-        cols = [list(col) for col in zip(*(cell(x, u) for u in range(max(states) + 1)))]
+        cols = [list(col) for col in zip(*(cell(x, u) for u in range(top + 1)))]
+        two = len(cols) == 5
+        down, up, feasible, r0 = cols[:4]
+        r1 = cols[4] if two else None
         probed = [1.0]  # the weight list of the latest solve, which _weights extends in place
         sums, _, law = _cell_sums(cols, probed)
         w = probed  # the accepted chain's unscaled weights, up to the first that overflows
-        bad = cols[2].count(False)
+        bad = feasible.count(False)
         f = -math.inf if bad else value(sums)
 
         def probe(v, fast=True):
             """[f or its estimate, err, cell] with x[i] = v, which enters
             state u's cell only: the O(1) form's value and its error bound
             when fast and the form is certified, else exact(...)."""
-            old, x[i] = x[i], v
-            c = cell(x, u)
-            x[i] = old
+            c = at(v)
             if base - c[2]:
                 return [-math.inf, 0.0, c]
-            if fast and line and (c[0] > 0.0 or not u):
+            if fast and form and (c[0] > 0.0 or not u):
                 wu = lead / c[0] if u else 1.0
                 s = wu * c[1]
                 t = total + (wu + s * suffix)
-                rs = c[3:]
-                au = 0.0
-                for r in rs:
-                    au += abs(r)
-                if t <= _HUGE and smin <= s <= smax and au <= _HUGE:
-                    sums = [(pr + (wu * r + s * gr)) / t for r, (pr, gr) in zip(rs, terms)]
-                    return [value(sums), k * (pa + (wu * au + s * ga)) / t + tiny, c]
+                if t <= _HUGE and smin <= s <= smax:
+                    a = c[3]
+                    if two:
+                        b = c[4]
+                        au = abs(a) + abs(b)
+                        if au <= _HUGE:
+                            v0 = (p0 + (wu * a + s * g0)) / t
+                            v1 = (p1 + (wu * b + s * g1)) / t
+                            return [value([v0, v1]), k * (pa + (wu * au + s * ga)) / t + tiny, c]
+                    else:
+                        au = abs(a)
+                        if au <= _HUGE:
+                            v0 = (p0 + (wu * a + s * g0)) / t
+                            return [value([v0]), k * (pa + (wu * au + s * ga)) / t + tiny, c]
             return exact([None, None, c])
 
         def exact(p):
@@ -372,12 +405,14 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
             not the latest solve's `moves`; leaves p's cell in cols, the
             chain's weights (w[:u] extended) in `probed` and its law in `pi`."""
             nonlocal probed, moves, pi
-            for col, r in zip(cols, p[2]):
-                col[u] = r
-            if p[2][:2] == moves:
-                sums = [sum(map(mul, pi, col)) for col in cols[3:]]
+            c = p[2]
+            down[u], up[u], feasible[u], r0[u] = c[0], c[1], c[2], c[3]
+            if two:
+                r1[u] = c[4]
+            if c[0] == moves[0] and c[1] == moves[1]:
+                sums = [sum(map(mul, pi, r0)), sum(map(mul, pi, r1))] if two else [sum(map(mul, pi, r0))]
             else:
-                probed, moves = w[: u or 1], p[2][:2]  # w[0] = 1 at u = 0
+                probed, moves = w[: u or 1], c[:2]  # w[0] = 1 at u = 0
                 sums, _, pi = _cell_sums(cols, probed, u)
             p[0], p[1] = value(sums), 0.0
             return p
@@ -386,12 +421,15 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
             gained = 0.0
             for i, (sib, u) in enumerate(zip(siblings, states)):
                 if not i or states[i - 1] != u:  # a move accepted at u leaves the form as it is
-                    line = _line_form(cols, w, u)
-                    if line:
-                        lead, total, suffix, smin, smax, pa, ga, terms, k, tiny = line
+                    form = _line_form(cols, w, u)
+                    if form:
+                        lead, total, suffix, smin, smax, pa, ga, terms = form
+                        p0, g0 = terms[0]
+                        p1, g1 = terms[-1]
                 hi = 1.0 - sum(x[s] for s in sib) - CLAMP
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
+                at = line(x, i)
                 kept = tuple(col[u] for col in cols)  # the accepted cell
                 base = bad + kept[2]  # minus c[2]: infeasible cells with c in place
                 moves, pi, probed = kept[:2], law, w  # the latest solve: the accepted chain's
@@ -414,14 +452,24 @@ def _search(fixed, draw, siblings, states, cell, value, config: SearchConfig, se
     return best_x, best_f, ran
 
 
-def _inner_problem(units: int, lam: float):
-    """(siblings, states, cell, value) of the inner objective of x = (p1[1:], p2[1:])."""
+def _inner_problem(units: int, lam: float) -> _Problem:
+    """The inner objective of x = (p1[1:], p2[1:]) for _search."""
 
     def cell(x, u):
         return _inner_cell(x[u - 1] if u else 0.0, x[2 * units - 1 - u] if u < units else 0.0)
 
+    def line(x, i):
+        if i < units:  # p1[i + 1], in state i + 1
+            b = x[2 * units - 2 - i] if i + 1 < units else 0.0
+            return lambda v: _inner_cell(v, b)
+        a = x[2 * units - 2 - i] if i + 1 < 2 * units else 0.0  # p2[i + 1 - units], in state 2U - 1 - i
+        return lambda v: _inner_cell(a, v)
+
+    def value(s):
+        return 2.0 * (lam * s[0] + (1.0 - lam) * s[1])
+
     states = [*range(1, units + 1), *range(units - 1, -1, -1)]
-    return ((),) * len(states), states, cell, lambda s: 2.0 * (lam * s[0] + (1.0 - lam) * s[1])
+    return _Problem(((),) * len(states), states, cell, line, value, 2.0)
 
 
 def _wsp(w, c):
@@ -487,7 +535,7 @@ def _inner_settled(units: int, lam: float):
     the bound. Never raises: a step that is not finite, or a division by a
     weight that underflowed to 0, gives False.
     """
-    _, _, cell, value = _inner_problem(units, lam)
+    _, _, cell, _, value, _ = _inner_problem(units, lam)
 
     def settled(x, f):
         t = f + 1e-9 - 1e-12
@@ -534,7 +582,7 @@ def optimize_sum_rate(
     v, best_f, ran = _search(
         grid,
         lambda r: r.uniform(0.1, 0.9, nfree),
-        *_inner_problem(units, lam),
+        _inner_problem(units, lam),
         config,
         _inner_settled(units, lam),
     )

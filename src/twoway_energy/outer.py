@@ -30,7 +30,7 @@ import numpy as np
 
 from .chain import MarginalPolicy, _count, uniform_policy
 from .entropy import JointSymbolDist, _entropy, _h
-from .inner import CLAMP, SearchConfig, _cell_sums, _checked_search, _search
+from .inner import CLAMP, SearchConfig, _cell_sums, _checked_search, _Problem, _search
 from .inner import optimize_sum_rate, rates_for_policy
 
 # A search state is infeasible while its (0,0) mass is below this.
@@ -90,15 +90,17 @@ class OuterBoundValues:
     stationary: np.ndarray
 
 
-def _outer_cell(p00, p01, p10, p11, rates=True):
+def _outer_cell(p00, p01, p10, p11, rates=True, joint=True):
     """Cell of a state with joint (p00, p01, p10, p11): moves p10 and p01,
     feasible (only the search asks) while p00 >= CLAMP/2, rewards
-    H(X1,X2) - H(X2), H(X1,X2) - H(X1) and H(X1,X2), or H(X1,X2) alone
-    when not rates."""
+    H(X1,X2) - H(X2) and H(X1,X2) - H(X1) when rates, then H(X1,X2) when
+    joint (always when not rates)."""
     h = _entropy(p00, p01, p10, p11)
+    feasible = not p00 < _FEASIBLE
     if not rates:
-        return p10, p01, not p00 < _FEASIBLE, h
-    return p10, p01, not p00 < _FEASIBLE, h - _h(p01 + p11), h - _h(p10 + p11), h
+        return p10, p01, feasible, h
+    r1, r2 = h - _h(p01 + p11), h - _h(p10 + p11)
+    return (p10, p01, feasible, r1, r2, h) if joint else (p10, p01, feasible, r1, r2)
 
 
 def _outer_terms(dists):
@@ -150,38 +152,45 @@ def _pack(policy: JointStatePolicy, slots):
     return [d.as_tuple()[s] for d, free in zip(policy.dists, slots) for s in free]
 
 
-def _outer_problem(units, lam=None):
-    """(siblings, states, cell, value) over the search vector of
-    _free_slots(units) of the sum bound, or of 2*(lam*r1 + (1-lam)*r2) when
-    lam is given; a cell carries only the reward columns its objective
-    reads, and siblings are the other entries of a state."""
+def _outer_problem(units, lam=None) -> _Problem:
+    """The sum bound, or 2*(lam*r1 + (1-lam)*r2) when lam is given, over
+    the search vector of _free_slots(units), for _search; a cell carries
+    only the reward columns its objective reads, and siblings are the
+    other entries of a state."""
     slots = _free_slots(units)
     at = list(accumulate(map(len, slots), initial=0))
     states = [u for u, free in enumerate(slots) for _ in free]
     siblings = [tuple(j for j in range(at[u], at[u + 1]) if j != i) for i, u in enumerate(states)]
     rates = lam is not None
+    joint = not rates
 
-    def joint_cell(x, u):
-        # state u's free entries read straight from x in _free_slots' layout, and
-        # p00 the remainder in the order _dist takes it, so the floats are _dist's
+    # Each state's free entries are read straight from x in _free_slots'
+    # layout, and p00 is the remainder in the order _dist takes it, so the
+    # floats are _dist's.
+    def line(x, i):
+        u = states[i]
+        if u == 0:
+            return lambda v: _outer_cell(1.0 - v, v, 0.0, 0.0, rates, joint)
+        if u == units:
+            return lambda v: _outer_cell(1.0 - v, 0.0, v, 0.0, rates, joint)
         k = at[u]
-        if 0 < u < units:
-            p01, p10, p11 = x[k : k + 3]
-            return _outer_cell(((1.0 - p01) - p10) - p11, p01, p10, p11, rates)
-        if u:
-            return _outer_cell(1.0 - x[k], 0.0, x[k], 0.0, rates)
-        return _outer_cell(1.0 - x[k], x[k], 0.0, 0.0, rates)
-
-    if not rates:
-        return siblings, states, joint_cell, itemgetter(0)
+        p01, p10, p11 = x[k : k + 3]
+        if i == k:
+            return lambda v: _outer_cell(((1.0 - v) - p10) - p11, v, p10, p11, rates, joint)
+        if i == k + 1:
+            return lambda v: _outer_cell(((1.0 - p01) - v) - p11, p01, v, p11, rates, joint)
+        return lambda v: _outer_cell(((1.0 - p01) - p10) - v, p01, p10, v, rates, joint)
 
     def cell(x, u):
-        return joint_cell(x, u)[:5]
+        return line(x, at[u])(x[at[u]])
+
+    if not rates:
+        return _Problem(siblings, states, cell, line, itemgetter(0), 1.0)
 
     def value(sums):
         return 2.0 * (lam * max(sums[0], 0.0) + (1.0 - lam) * max(sums[1], 0.0))
 
-    return siblings, states, cell, value
+    return _Problem(siblings, states, cell, line, value, 2.0)
 
 
 def _optimize_outer(units, lam, search, seed_policies):
@@ -216,7 +225,7 @@ def _optimize_outer(units, lam, search, seed_policies):
                 vals.extend(rng.dirichlet((1.0,) * (len(free) + 1))[1:])
         return vals
 
-    best_x, _, _ = _search(fixed, draw, *_outer_problem(units, lam), config)
+    best_x, _, _ = _search(fixed, draw, _outer_problem(units, lam), config)
     dists = [JointSymbolDist(*(max(0.0, p) for p in d)) for d in _unpack(best_x, slots)]
     policy = JointStatePolicy(dists=tuple(dists))
     return policy, outer_values(policy)

@@ -23,7 +23,27 @@ def run_inner_search(units: int, lam: float, config, settled=None):
     def draw(rng):
         return rng.uniform(0.1, 0.9, nfree)
 
-    return inner._search(grid, draw, *inner._inner_problem(units, lam), config, settled)
+    return inner._search(grid, draw, inner._inner_problem(units, lam), config, settled)
+
+
+def changed_cells(problem, change):
+    """problem with each cell, of a whole chain (cell(x, u)) or of a line
+    search's probe (line(x, i)(v)), replaced by change(y, u, cell) for the
+    vector y it was built from."""
+
+    def cell(x, u):
+        return change(x, u, problem.cell(x, u))
+
+    def line(x, i):
+        at, u, y = problem.line(x, i), problem.states[i], list(x)
+
+        def cell_at(v):
+            y[i] = v
+            return change(y, u, at(v))
+
+        return cell_at
+
+    return problem._replace(cell=cell, line=line)
 
 
 def stationary_linear_oracle(matrix: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_policy, run_inner_search
+from conftest import changed_cells, random_policy, run_inner_search
 from twoway_energy import (
     JointStatePolicy,
     MarginalPolicy,
@@ -121,6 +121,38 @@ def test_the_search_stops_at_the_first_settled_start():
     assert res.restarts_used == _starts_until_settled(2, 0.5, config) == 3
     # A weight where the optimum sits on the clamp is never settled.
     assert optimize_sum_rate(2, 1.0, config).restarts_used == 6
+
+
+def test_an_inner_search_that_runs_every_start_matches_its_pin_bit_for_bit():
+    # At U = 4, lam = 0.7 the winning start ends about 2.3e-10 short of the
+    # certificate's 1e-9 band, so no start is settled and all six run: the
+    # pin covers the search's every start, which the sweep's settled rows
+    # do not.
+    res = optimize_sum_rate(4, 0.7, SearchConfig(restarts=6, seed=1))
+    assert res.restarts_used == 6
+    assert {
+        "objective": res.objective.hex(),
+        "rates": [res.rates.r1.hex(), res.rates.r2.hex()],
+        "p1": [float(v).hex() for v in res.policy.p1],
+        "p2": [float(v).hex() for v in res.policy.p2],
+    } == {
+        "objective": "0x1.dd5180a2ff12fp+0",
+        "rates": ["0x1.efd457694e224p-1", "0x1.b22036299bef2p-1"],
+        "p1": [
+            "0x0.0p+0",
+            "0x1.a13238c990fd0p-2",
+            "0x1.efb8d55a28318p-2",
+            "0x1.18e8be8752c2fp-1",
+            "0x1.3498df336d6d3p-1",
+        ],
+        "p2": [
+            "0x0.0p+0",
+            "0x1.7dc0012271c7ep-2",
+            "0x1.15090320c48e0p-1",
+            "0x1.8245836af2cd8p-1",
+            "0x1.c498e3e74764cp-1",
+        ],
+    }
 
 
 def _pinned_rows():
@@ -239,22 +271,22 @@ def test_a_probe_names_the_impossible_move_of_its_state(move, message):
     # gets a zero move, and the search raises what a full solve of that
     # chain raises.
     units = 4
-    siblings, states, cell, value = _inner_problem(units, 0.5)
     probed = []
 
-    def zeroing_cell(x, u):
+    def zeroing(x, u, c):
         probed[:] = x
-        c = list(cell(x, u))
+        c = list(c)
         if u == 2 and x[1] > 0.6:
             c[move] = 0.0
         return tuple(c)
 
+    problem = changed_cells(_inner_problem(units, 0.5), zeroing)
     exactly = f"^{re.escape(message)}$"
     start = [0.5] * (2 * units)
     with pytest.raises(NotIrreducibleError, match=exactly):
-        _search([start], None, siblings, states, zeroing_cell, value, SearchConfig(restarts=1))
+        _search([start], None, problem, SearchConfig(restarts=1))
     assert probed[1] > 0.6
-    columns = list(zip(*(zeroing_cell(probed, u) for u in range(units + 1))))
+    columns = list(zip(*(problem.cell(probed, u) for u in range(units + 1))))
     with pytest.raises(NotIrreducibleError, match=exactly):
         _cell_sums(columns)
 

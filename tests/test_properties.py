@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    changed_cells,
     compensated_sum,
     expected_handovers,
     library_sum,
@@ -51,6 +52,7 @@ from twoway_energy.inner import (
     _inner_problem,
     _inner_settled,
     _line_form,
+    _Problem,
     _rates_updown,
     _search,
     _state_below,
@@ -168,7 +170,7 @@ def _fresh_value(problem, units, lam, x):
 
 
 def _problem(problem, units, lam):
-    """(siblings, states, cell, value) of one of the three search objectives."""
+    """The _Problem of one of the three search objectives."""
     if problem == "inner":
         return _inner_problem(units, lam)
     return _outer_problem(units, None if problem == "outer sum" else lam)
@@ -180,11 +182,14 @@ class _Cell(tuple):
 
 @contextlib.contextmanager
 def _checked_problem(problem, units, lam, sizes):
-    """(siblings, states, cell, value, probed, counts) of a search problem
-    whose probes are checked against fresh evaluations of their vectors,
-    while inner._golden_max is wrapped to see every probe [value, err, cell]
-    and inner._weights to see every chain solve.
+    """(problem, probed, counts) of a search problem whose probes are
+    checked against fresh evaluations of their vectors, while
+    inner._golden_max is wrapped to see every probe [value, err, cell] and
+    inner._weights to see every chain solve.
 
+    - Every cell, of a whole chain (cell(x, u)) or of a line search's probe
+      (line(x, i)(v)), is tagged with the vector it was built from, and a
+      probe's cell equals cell() of its vector.
     - Every chain solve sums its weights with the sum under test (sizes is
       what library_sum yields).
     - A probe priced from a stationary law (err 0) equals the fresh
@@ -199,9 +204,9 @@ def _checked_problem(problem, units, lam, sizes):
       wrapped probe checks the err.
     - exact(probe) leaves the probe equal to the fresh evaluation.
 
-    probed lists the vector of every cell(x, u) call, and counts the
-    probes priced each way ("exact" and "O(1)")."""
-    siblings, states, cell, value = _problem(problem, units, lam)
+    probed lists the vector of every cell, and counts the probes priced
+    each way ("exact" and "O(1)")."""
+    siblings, states, cell, line, value, _ = searched = _problem(problem, units, lam)
     probed = []
     counts = {"exact": 0, "O(1)": 0}
     seen = [len(sizes)]  # sums made before the latest value() or cell() call
@@ -215,13 +220,27 @@ def _checked_problem(problem, units, lam, sizes):
         seen[0] = len(sizes)
         return val
 
-    def recording_cell(x, u):
+    def tagged(c, x):
         seen[0] = len(sizes)  # a start's solve of infeasible cells prices nothing
         summed[0] = False  # until this probe's value() prices reward sums
-        probed.append(list(x))
-        c = _Cell(cell(x, u))
-        c.x = probed[-1]
+        probed.append(x)
+        c = _Cell(c)
+        c.x = x
         return c
+
+    def recording_cell(x, u):
+        return tagged(cell(x, u), list(x))
+
+    def recording_line(x, i):
+        at, u, y = line(x, i), states[i], list(x)
+
+        def cell_at(v):
+            y[i] = v
+            c = tagged(at(v), list(y))
+            assert c == cell(c.x, u)
+            return c
+
+        return cell_at
 
     def checked_value(sums):
         # a chain has units + 1 states; no other sum the search makes is that long
@@ -273,7 +292,7 @@ def _checked_problem(problem, units, lam, sizes):
 
     inner._golden_max, inner._weights = golden, checked_weights
     try:
-        yield siblings, states, recording_cell, checked_value, probed, counts
+        yield searched._replace(cell=recording_cell, line=recording_line, value=checked_value), probed, counts
     finally:
         inner._golden_max, inner._weights = real_golden, real_weights
 
@@ -298,17 +317,17 @@ def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, s
     every solve and every reward sum must have summed with it."""
     high = 1.0 if problem == "inner" else 0.45
     with library_sum(summer) as sizes, _checked_problem(problem, units, lam, sizes) as checked:
-        siblings, states, cell, value, _, _ = checked
+        searched, _, _ = checked
 
         def draw(rng):
-            return rng.uniform(0.0, high, len(states))
+            return rng.uniform(0.0, high, len(searched.states))
 
         rng = np.random.default_rng(seed)  # the search's own draws, replayed
         starts = [[min(max(v, CLAMP), 1.0 - CLAMP) for v in draw(rng)] for _ in range(restarts)]
         config = SearchConfig(restarts=restarts, seed=seed)
         start_values = [_fresh_value(problem, units, lam, s) for s in starts]
         try:
-            x, f, _ = _search([], draw, siblings, states, cell, value, config)
+            x, f, _ = _search([], draw, searched, config)
         except ValueError:
             # The search gives up only when no start, and so no ascent, was feasible
             assert max(start_values) == -math.inf
@@ -320,7 +339,7 @@ def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, s
 def _overflows(problem, units, x):
     """Whether the plain detailed-balance product of x's chain, or its sum,
     overflows."""
-    cell = _problem(problem, units, 0.5)[2]
+    cell = _problem(problem, units, 0.5).cell
     cells = [cell(x, u) for u in range(units + 1)]
     w = [1.0]
     for k in range(1, units + 1):
@@ -332,9 +351,9 @@ def _one_sweep(problem, units, start, summer):
     """One checked sweep of the search from start, under summer; returns
     every probed vector and the counts of the probes priced each way."""
     with library_sum(summer) as sizes, _checked_problem(problem, units, 0.5, sizes) as checked:
-        siblings, states, cell, value, probed, counts = checked
+        searched, probed, counts = checked
         config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
-        x, f, _ = _search([start], None, siblings, states, cell, value, config)
+        x, f, _ = _search([start], None, searched, config)
         assert f == _fresh_value(problem, units, 0.5, x)
     return probed, counts
 
@@ -389,14 +408,14 @@ def _exact_only():
 def _search_bits(problem, units, lam, seed, restarts):
     """float.hex of the (x, f) and the starts run of a search from random
     feasible starts."""
-    siblings, states, cell, value = _problem(problem, units, lam)
+    searched = _problem(problem, units, lam)
     high = 1.0 if problem == "inner" else 0.3  # an interior p00 stays >= 0.1
 
     def draw(rng):
-        return rng.uniform(0.0, high, len(states))
+        return rng.uniform(0.0, high, len(searched.states))
 
     config = SearchConfig(restarts=restarts, seed=seed)
-    x, f, ran = _search([], draw, siblings, states, cell, value, config)
+    x, f, ran = _search([], draw, searched, config)
     return [v.hex() for v in x], f.hex(), ran
 
 
@@ -434,7 +453,7 @@ def test_the_line_form_fails_closed_past_a_rescaled_prefix():
     # overflows, and no line search of a state past them has a form.
     units = 60
     start = [0.98, *[0.98, CLAMP, CLAMP] * (units - 1), CLAMP]
-    cols, w = _start_chain(_problem("outer sum", units, 0.5)[2], units, start)
+    cols, w = _start_chain(_problem("outer sum", units, 0.5).cell, units, start)
     assert len(w) < units
     assert all(_line_form(cols, w, u) is None for u in range(len(w) + 1, units + 1))
     assert _line_form(cols, w, 30) is not None  # prefix and suffix both within range
@@ -456,11 +475,11 @@ def test_the_line_form_fails_closed_on_a_weight_out_of_range():
     # the suffix products pass 2^900, at state 27 the prefix weights do.
     units = 27
     start = [0.5, 0.0075] + [CLAMP] * (units - 2) + [1.0 - CLAMP] * units
-    cols, w = _start_chain(_problem("inner", units, 0.5)[2], units, start)
+    cols, w = _start_chain(_problem("inner", units, 0.5).cell, units, start)
     assert len(w) == units + 1 and 2.0**900 < max(w) < math.inf
     assert _line_form(cols, w, 1) is None
     assert _line_form(cols, w, units) is None
-    cols, w = _start_chain(_problem("inner", units, 0.5)[2], units, [0.5] * (2 * units))
+    cols, w = _start_chain(_problem("inner", units, 0.5).cell, units, [0.5] * (2 * units))
     assert all(_line_form(cols, w, u) is not None for u in range(units + 1))
 
 
@@ -476,9 +495,12 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     def cell(x, u):
         return below[u] if u < 2 else _outer_cell(1.0 - x[0], 0.0, x[0], 0.0, False)
 
+    def line(x, i):
+        return lambda v: _outer_cell(1.0 - v, 0.0, v, 0.0, False)
+
     cols, w = _start_chain(cell, 2, [0.5])
     assert w[1] == 2.0**899
-    lead, total, suffix, smin, smax, _, _, _, _, _ = _line_form(cols, w, 2)
+    lead, total, suffix, smin, smax, _, _, _ = _line_form(cols, w, 2)
     probes = []
     real_golden = inner._golden_max
 
@@ -492,7 +514,7 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
 
     monkeypatch.setattr(inner, "_golden_max", golden)
     config = SearchConfig(restarts=1, tol=math.inf)  # one line search
-    x, f, _ = _search([[0.5]], None, [()], [2], cell, itemgetter(0), config)
+    x, f, _ = _search([[0.5]], None, _Problem([()], [2], cell, line, itemgetter(0), 1.0), config)
     assert f == _cell_sums(_start_chain(cell, 2, x)[0])[0][0]
     over = []
     for err, c in probes:
@@ -513,7 +535,8 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
     # p11 lines of a state read one line form, built when the state is
     # first searched in a sweep.
     units = 4
-    siblings, states, cell, value = _problem("outer sum", units, 0.5)
+    searched = _problem("outer sum", units, 0.5)
+    states = searched.states
     at = list(accumulate(map(len, _free_slots(units)), initial=0))
     p11 = {at[u] + 2 for u in range(1, units)}
 
@@ -522,14 +545,14 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
 
     config = SearchConfig(restarts=2, seed=5)
     with _exact_only():
-        exact_x, exact_f, _ = _search([], draw, siblings, states, cell, value, config)
+        exact_x, exact_f, _ = _search([], draw, searched, config)
 
     events = []  # "solve", ("form", u) and ["line", i] in call order
     probed = []  # the vector of the latest cell
 
-    def recording_cell(x, u):
+    def recording(x, u, c):
         probed[:] = x
-        return cell(x, u)
+        return c
 
     real_weights, real_form, real_golden = inner._weights, inner._line_form, inner._golden_max
 
@@ -555,7 +578,7 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
     monkeypatch.setattr(inner, "_weights", weights)
     monkeypatch.setattr(inner, "_line_form", form)
     monkeypatch.setattr(inner, "_golden_max", golden)
-    x, f, _ = _search([], draw, siblings, states, recording_cell, value, config)
+    x, f, _ = _search([], draw, changed_cells(searched, recording), config)
     assert [v.hex() for v in (*x, f)] == [v.hex() for v in (*exact_x, exact_f)]
 
     lines = [ev[1] for ev in events if ev[0] == "line"]
@@ -577,16 +600,47 @@ def test_a_probe_with_a_zero_move_raises_the_error_of_a_full_solve():
     # State 1's down move is 0 once p1[1] drops below 0.45, and the first
     # probe of its line search is at about 0.38. That probe is priced by a
     # solve, which raises as a full evaluation would, with or without the form.
-    siblings, states, cell, value = _problem("inner", 2, 0.5)
-
-    def zero_move(x, u):
-        c = cell(x, u)
+    def zero_move(x, u, c):
         return (0.0, *c[1:]) if u == 1 and x[0] < 0.45 else c
 
+    searched = changed_cells(_problem("inner", 2, 0.5), zero_move)
     message = r"^state 1 cannot reach state 0 \(down-move probability is 0\)$"
     for paths in (contextlib.nullcontext(), _exact_only()):
         with paths, pytest.raises(NotIrreducibleError, match=message):
-            _search([[0.5] * 4], None, siblings, states, zero_move, value, SearchConfig(restarts=1))
+            _search([[0.5] * 4], None, searched, SearchConfig(restarts=1))
+
+
+def _bits(c):
+    return [r if isinstance(r, bool) else r.hex() for r in c]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    problem=st.sampled_from(["inner", "outer sum", "outer weighted"]),
+    units=st.integers(min_value=1, max_value=8),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    data=st.data(),
+)
+def test_a_line_gives_the_cell_of_its_vector_bit_for_bit(problem, units, lam, data):
+    # line(x, i)(v) is cell(x with x[i] = v, states[i]) for every coordinate,
+    # the end states' too, and for v that puts p00 = 1 - v - (the state's
+    # other entries) near CLAMP/2, at 0 or below it, where the outer cell
+    # turns infeasible and its entropy drops the p00 term.
+    searched = _problem(problem, units, lam)
+    n = len(searched.states)
+    x = data.draw(st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=n, max_size=n))
+    before = list(x)
+    for i, u in enumerate(searched.states):
+        at = searched.line(x, i)
+        rest = 1.0 - sum(x[j] for j in searched.siblings[i])
+        drawn = data.draw(st.floats(min_value=0.0, max_value=1.0))
+        for v in (drawn, rest - CLAMP, rest - CLAMP / 2.0, rest - CLAMP / 4.0, rest, rest + 0.01):
+            y = list(x)
+            y[i] = v
+            assert _bits(at(v)) == _bits(searched.cell(y, u))
+        if problem != "inner":
+            assert at(rest - CLAMP)[2] and not at(rest - CLAMP / 4.0)[2] and not at(rest + 0.01)[2]
+    assert x == before  # a line reads x and leaves it as it is
 
 
 SUMS = st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=2, max_size=2)
@@ -602,15 +656,20 @@ SUMS = st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=2, max_size=2
 )
 def test_every_objective_moves_at_most_twice_its_sums(problem, lam, s, t, nudge):
     # The contract of _search's value that the O(1) form's error bound
-    # relies on: |value(s) - value(t)| <= 2 * sum_j |s_j - t_j|, up to
-    # 2^-50 * sum_j (|s_j| + |t_j|) of rounding. nudge puts t within a
-    # few ulps of s, where the rounding term matters.
-    value = _problem(problem, 2, lam)[3]
+    # relies on, with the objective's own constant L:
+    # |value(s) - value(t)| <= L * sum_j |s_j - t_j|, up to
+    # (L - 1) * 2^-50 * sum_j (|s_j| + |t_j|) of rounding. L is 1 for the
+    # sum bound, which must then be exact, and 2 for the others. nudge puts
+    # t within a few ulps of s, where the rounding term matters.
+    searched = _problem(problem, 2, lam)
+    value, contract = searched.value, searched.contract
+    assert contract == (1.0 if problem == "outer sum" else 2.0)
     if nudge:
         t = [a + a * 2.0**-50 * b for a, b in zip(s, t)]
     if problem == "outer sum":
         s, t = s[:1], t[:1]
-    bound = 2.0 * sum(abs(a - b) for a, b in zip(s, t)) + 2.0**-50 * sum(map(abs, s + t))
+    rounding = (contract - 1.0) * 2.0**-50 * sum(map(abs, s + t))
+    bound = contract * sum(abs(a - b) for a, b in zip(s, t)) + rounding
     assert abs(value(s) - value(t)) <= bound
 
 
@@ -622,10 +681,9 @@ def test_search_moves_every_state_once_an_infeasible_start_is_repaired():
     # the same sweep. That sweep gains inf; the next gains less than tol, so
     # the search stops there. A search that still counted state 1 infeasible
     # would price every later probe at -inf, and x[4] would stay put.
-    siblings, states, cell, value = _problem("outer sum", 2, 0.5)
     start = [0.5, 0.45, 0.45, 0.45, 0.5]
     config = SearchConfig(restarts=1, tol=math.inf)
-    x, f, _ = _search([start], None, siblings, states, cell, value, config)
+    x, f, _ = _search([start], None, _problem("outer sum", 2, 0.5), config)
     assert x[4] != start[4]
     assert f == _fresh_value("outer sum", 2, 0.5, x)
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .chain import MarginalPolicy, _count, uniform_policy
 from .entropy import JointSymbolDist, _entropy, _h
-from .inner import CLAMP, SearchConfig, _cell_sums, _checked_search, _Problem, _search
 from .inner import optimize_sum_rate, rates_for_policy
+from .search import CLAMP, SearchConfig, _cell_sums, _checked_search, _Problem, _search
 
 # A search state is infeasible while its (0,0) mass is below this.
 _FEASIBLE = CLAMP * 0.5
@@ -181,16 +181,13 @@ def _outer_problem(units, lam=None) -> _Problem:
             return lambda v: _outer_cell(((1.0 - p01) - v) - p11, p01, v, p11, rates, joint)
         return lambda v: _outer_cell(((1.0 - p01) - p10) - v, p01, p10, v, rates, joint)
 
-    def cell(x, u):
-        return line(x, at[u])(x[at[u]])
-
     if not rates:
-        return _Problem(siblings, states, cell, line, itemgetter(0), 1.0)
+        return _Problem(siblings, states, line, itemgetter(0), 1.0)
 
     def value(sums):
         return 2.0 * (lam * max(sums[0], 0.0) + (1.0 - lam) * max(sums[1], 0.0))
 
-    return _Problem(siblings, states, cell, line, value, 2.0)
+    return _Problem(siblings, states, line, value, 2.0)
 
 
 def _optimize_outer(units, lam, search, seed_policies):

@@ -1,0 +1,367 @@
+"""The multi-start coordinate-ascent search that both bounds share.
+
+A search problem (`_Problem`) is a chain objective over a vector x of free
+probabilities. Each coordinate enters one state's cell (`states`), a cell
+being (down move, up move, feasible, *rewards), and `value` maps the
+chain's sums of the reward columns to the objective; the cells carry only
+the reward columns that `value` reads. Cells are built through one
+function per line search, `line(x, i)`, from the problem's one cell
+formula, so that probes neither write nor reread x; a start builds its
+cells through the same lines, at one coordinate of each state.
+
+The objective is smooth but nonconvex, so the search runs from fixed
+starts plus random restarts, each refined by coordinate-wise
+golden-section search on [CLAMP, 1-CLAMP] (`_golden_max`). A line search
+on coordinate i of state u keeps every other cell fixed, and its probes
+are of two kinds.
+- An exact probe writes its cell into the cached columns. If its moves are
+  the line search's latest solve's (at first the accepted chain's), it
+  sums its rewards against that solve's stationary law; else it checks
+  only its two moves (the others were checked at their states' probes or
+  the start's one full solve; one made impossible raises a full solve's
+  NotIrreducibleError) and solves on from the accepted chain's unscaled
+  weights of states 0..u-1, or of as many as precede the first overflow.
+  Either way it returns a full evaluation's float.
+- An O(1) probe prices its cell by `_line_form`. While the line search
+  moves u's cell, the chain splits into three blocks: the accepted weights
+  of the states below u, u's own weight, and the states above u, whose
+  weights are u's weight times its up move times products of fixed moves.
+  `_line_form` sums the two fixed blocks once per state, so the probe costs
+  its cell plus straight-line arithmetic, with its one or two reward
+  columns written out, and returns that form's value with err, a bound on
+  its distance from the exact probe's float.
+Golden-section search only compares probes: by the values where their gap
+exceeds both errs (a floating-point filter, as in Shewchuk's adaptive
+predicates), as equal where the cells are equal, and otherwise after
+making a side exact. So the search takes the path, and returns the bits,
+of one that solves the chain at every probe. A line search ends with an
+exact probe of the midpoint of its last bracket. If that gains, the probed
+chain is the accepted one: its cell stays in the columns and its weights
+and law are the ones later probes go on from. Otherwise the accepted cell
+is written back. The clamp keeps every policy strictly interior, hence the
+chain irreducible; the boundary of the rate region is approached but
+never evaluated at degenerate policies. Restarts are independent and the
+reduction (max by objective, first within 1e-9 wins) is deterministic
+given the seed.
+
+The err bound. Let n = U + 1 states, eps = 2^-53 and
+g_m = m*eps/(1 - m*eps), and let S_j be the real reward sums of the chain
+whose weights are the accepted prefix, the float w_u that both kinds of
+probe compute, and the real recursion above u. The exact solve rounds a
+weight above u at most 2n times, the total n times more, each pi[k] twice
+more and each product once more, and its column sum adds n (also a bound
+for the compensated sum of CPython 3.12): it is within g_6n * A_j of S_j,
+where A_j = sum_k pi[k] * |r_jk|. The O(1) form rounds each suffix product
+at most 2n times and its sums n times more; a probe adds 4 roundings to
+the total and the numerators, and one division: it is within
+g_(6n+9) * A_j of S_j. With value's contract (see _search), two values of
+sums within g_(12n+9) * A_j lie within
+(L * (12n + 9) + 16 * (L - 1)) * eps * sum_j A_j of each other, and the
+computed A, whose own relative error is below g_(6n+12) for up to three
+reward columns, is inflated to cover it:
+err = k * A + tiny with k = L * (U + 2) * 2^-49 = 16L(n + 1) * eps,
+which exceeds that by (4n + 7) * eps at L = 1 and (8n - 2) * eps at
+L = 2, so for every n >= 2 (and U < 2^28, far beyond memory). tiny =
+(U + 3) * 2^-160 covers underflow: the form is used only while every
+weight, suffix product and total lies in [2^-900, 2^900] and every
+|reward| is at most 2^900, so an underflowed pi[k], product or division
+costs at most about 2^-174 each. Where any of this cannot be shown (see
+_line_form), or the probe's own moves are not positive, the probe is
+exact; an infeasible cell is -inf with err 0.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
+from operator import add, mul
+from typing import NamedTuple
+
+import numpy as np
+
+from .chain import _count, _weights
+
+_GOLDEN_XTOL = 1e-6
+_MAX_SWEEPS = 200
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Both optimizers keep every free probability in [CLAMP, 1 - CLAMP].
+CLAMP = 1e-6
+# A line search prices a probe by its O(1) form (_line_form) only while every
+# weight, product and total of the form and of the probed chain's exact solve
+# lies in [_TINY, _HUGE], so that none overflows or underflows.
+_TINY = 2.0**-900
+_HUGE = 2.0**900
+
+
+@dataclass(frozen=True)
+class SearchConfig:
+    """Knobs of the multi-start local search (shared by both bounds)."""
+
+    restarts: int = 32
+    tol: float = 1e-6
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "restarts", _count(self.restarts, "restarts"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", low=0))
+        if not self.tol > 0.0:
+            raise ValueError(f"tol must be > 0, got {self.tol}")
+
+
+def _cell_sums(columns, w=None, u=None):
+    """([sum_k pi[k] * col[k] for each reward column], weights, pi) of the
+    chain with cell columns (down, up, feasible, *rewards), where pi, the
+    weights over their sum, is its stationary law and each sum is one sum()
+    over the whole column; w is an optional prefix of the chain's unscaled
+    detailed-balance weights, and u the one state whose moves are not yet
+    checked (see _weights)."""
+    w, total = _weights(columns[0], columns[1], w or [1.0], u)
+    pi = [x / total for x in w]
+    return [sum(map(mul, pi, col)) for col in columns[3:]], w, pi
+
+
+def _line_form(cols, w, u):
+    """The chain of cell columns cols (down, up, feasible, *rewards) as an
+    O(1) function of state u's cell, every other cell fixed, for _search:
+    (lead, P, G, smin, smax, P_abs, G_abs, [(P_r, G_r) per reward column]),
+    or None where the form is not certified.
+
+    The weights are the accepted prefix w[:u], state u's
+    w_u = lead / down_u with lead = w[u-1] * up[u-1] (the float the exact
+    solve computes; w_u = 1 at u = 0), and s * g_k above u, with
+    s = w_u * up_u and g_k = prod_{u<j<k} up_j / prod_{u<j<=k} down_j. So
+    the total is T = P + (w_u + s*G) and each reward sum is
+    (P_r + (w_u*r_u + s*G_r)) / T, where P and P_r sum w_k and w_k*r_k over
+    the prefix, and G and G_r sum g_k and g_k*r_k over the suffix; P_abs
+    and G_abs are those of a_k = sum over columns of |r_k|, so that
+    A = (P_abs + (w_u*a_u + s*G_abs)) / T bounds sum_j sum_k pi[k]*|r_jk|.
+    The value of those sums lies within err, k*A + tiny (see the module
+    docstring), of the value of the exact solve's sums. None when the
+    prefix was rescaled (len(w) < u), a prefix weight, a g_k or a partial
+    product of their recursion lies outside [_TINY, _HUGE], or an a_k, P or
+    G lies above _HUGE; a probe is priced exactly unless smin <= s <= smax,
+    T <= _HUGE and a_u <= _HUGE, which keep every weight and partial
+    product of the exact solve in that range.
+    """
+    down, up, _, *rewards = cols
+    top = len(down) - 1
+    if len(w) < u:
+        return None
+    pre = w[:u]
+    g, partial, x = [], [1.0], 1.0  # partial: each product before its division, over s
+    for k in range(u + 1, top + 1):
+        x /= down[k]
+        g.append(x)
+        if k < top:
+            x *= up[k]
+            partial.append(x)
+    absr = list(map(abs, rewards[0]))
+    for col in rewards[1:]:
+        absr = list(map(add, absr, map(abs, col)))
+    del absr[u]
+    partial += g
+    low, high = min(partial), max(partial)
+    total, suffix = sum(pre), sum(g)
+    if not (
+        (not pre or _TINY <= min(pre) and max(pre) <= _HUGE)
+        and _TINY <= low
+        and high <= _HUGE
+        and max(absr) <= _HUGE
+        and total <= _HUGE
+        and suffix <= _HUGE
+    ):
+        return None
+    return (
+        w[u - 1] * up[u - 1] if u else 1.0,
+        total,
+        suffix,
+        _TINY / low if g else 0.0,
+        _HUGE / high,
+        sum(map(mul, pre, absr)),
+        sum(map(mul, g, absr[u:])),
+        [(sum(map(mul, pre, col)), sum(map(mul, g, col[u + 1 :]))) for col in rewards],
+    )
+
+
+def _golden_max(f, exact, lo: float, hi: float) -> float:
+    """Midpoint of the last bracket of golden-section maximization of a
+    unimodal-ish f on [lo, hi]; f is not called there.
+
+    f(v) returns a probe [value, err, cell] whose value lies within err of
+    the exact one (err 0: it is the exact one), and exact(probe) makes it
+    exact. Each comparison of the bracket is the one of exact values: it
+    is decided from the values when their gap exceeds both errors (float
+    rounding is monotone, so a gap computed above the computed error sum
+    is above the real one); as a tie when both probes have the same cell
+    (their chains, and so their exact values, are the same); otherwise
+    exact() makes the side with the larger error exact, until the gap is
+    decided or both sides are exact.
+    """
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > _GOLDEN_XTOL:
+        gap = fc[0] - fd[0]
+        if not abs(gap) > fc[1] + fd[1]:
+            if fc[2] == fd[2]:
+                gap = 0.0
+            else:
+                while (fc[1] or fd[1]) and not abs(fc[0] - fd[0]) > fc[1] + fd[1]:
+                    exact(fc if fc[1] and not fd[1] > fc[1] else fd)
+                gap = fc[0] - fd[0]
+        if gap > 0.0:  # fc[0] > fd[0], also at infinities
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _checked_search(units: int, lam: float, search: SearchConfig | None) -> SearchConfig:
+    """The search config to use, after checking units and lam."""
+    _count(units, "units")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0,1]")
+    return search or SearchConfig()
+
+
+class _Problem(NamedTuple):
+    """A chain objective for _search over a vector x of free entries, in
+    which every state 0..max(states) has a coordinate."""
+
+    siblings: Sequence  # per coordinate, the other entries of its state's simplex
+    states: Sequence  # per coordinate, the one state whose cell it enters
+    line: Callable  # line(x, i)(v): the cell (down, up, feasible, *rewards) of states[i], x[i] = v
+    value: Callable  # value(sums): the objective of the chain's reward sums
+    contract: float  # value's constant L in _search's contract
+
+
+def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
+    """Best (x, f, starts run) of multi-start coordinate ascent of a chain
+    objective, by the mechanism of the module docstring.
+
+    f(x) is value(sums) of the chain whose state u has the cell
+    line(x, i)(x[i]) of any coordinate i of u, which carries one or two
+    reward columns, or -inf while a cell is infeasible. value must meet
+    this contract, with its constant L = problem.contract, on which the
+    O(1) probes' error bound relies:
+    |value(s) - value(s')| <= L * sum_j |s_j - s'_j|, up to
+    (L - 1) * 2^-50 * sum_j (|s_j| + |s'_j|) of rounding (none at L = 1:
+    value must be exact there). The outer sum bound's itemgetter(0) meets
+    it with L = 1; the inner objective (weights 2*lam and 2*(1-lam)) and
+    the outer weighted one (after max(., 0)) with L = 2.
+
+    The starts are `fixed`, then draw(rng) until config.restarts, clipped
+    into [CLAMP, 1-CLAMP]. Coordinate i ranges over
+    [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while that range
+    is no longer than the line search's tolerance, and is refined by
+    golden-section search; an ascent stops when a full sweep gains
+    < config.tol. A later start wins only by more than 1e-9. Whenever a
+    start wins, settled(x, f) may prove that no later start can beat f by
+    more than 1e-9; then the search stops there, and returns what running
+    every start would. Raises ValueError when every start ends at -inf.
+    """
+    siblings, states, line, value, contract = problem
+    rng = np.random.default_rng(config.seed)
+    starts = list(fixed)
+    while len(starts) < config.restarts:
+        starts.append(draw(rng))
+    top = max(states)
+    one = dict(zip(states, range(len(states))))  # per state, one coordinate that enters its cell
+    k = contract * (top + 2) * 2.0**-49
+    tiny = (top + 3) * 2.0**-160
+    best_x, best_f = None, -math.inf
+    for ran, start in enumerate(starts, 1):
+        x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
+        cols = [list(col) for col in zip(*(line(x, one[u])(x[one[u]]) for u in range(top + 1)))]
+        two = len(cols) == 5
+        down, up, feasible, r0 = cols[:4]
+        r1 = cols[4] if two else None
+        probed = [1.0]  # the weight list of the latest solve, which _weights extends in place
+        sums, _, law = _cell_sums(cols, probed)
+        w = probed  # the accepted chain's unscaled weights, up to the first that overflows
+        bad = feasible.count(False)
+        f = -math.inf if bad else value(sums)
+
+        def probe(v, fast=True):
+            """[f or its estimate, err, cell] with x[i] = v, which enters
+            state u's cell only: the O(1) form's value and its error bound
+            when fast and the form is certified, else exact(...)."""
+            c = at(v)
+            if base - c[2]:
+                return [-math.inf, 0.0, c]
+            if fast and form and (c[0] > 0.0 or not u):
+                wu = lead / c[0] if u else 1.0
+                s = wu * c[1]
+                t = total + (wu + s * suffix)
+                if t <= _HUGE and smin <= s <= smax:
+                    a = c[3]
+                    if two:
+                        b = c[4]
+                        au = abs(a) + abs(b)
+                        if au <= _HUGE:
+                            v0 = (p0 + (wu * a + s * g0)) / t
+                            v1 = (p1 + (wu * b + s * g1)) / t
+                            return [value([v0, v1]), k * (pa + (wu * au + s * ga)) / t + tiny, c]
+                    else:
+                        au = abs(a)
+                        if au <= _HUGE:
+                            v0 = (p0 + (wu * a + s * g0)) / t
+                            return [value([v0]), k * (pa + (wu * au + s * ga)) / t + tiny, c]
+            return exact([None, None, c])
+
+        def exact(p):
+            """p = [f, 0, cell] from p's chain, solved only if p's moves are
+            not the latest solve's `moves`; leaves p's cell in cols, the
+            chain's weights (w[:u] extended) in `probed` and its law in `pi`."""
+            nonlocal probed, moves, pi
+            c = p[2]
+            down[u], up[u], feasible[u], r0[u] = c[0], c[1], c[2], c[3]
+            if two:
+                r1[u] = c[4]
+            if c[0] == moves[0] and c[1] == moves[1]:
+                sums = [sum(map(mul, pi, r0)), sum(map(mul, pi, r1))] if two else [sum(map(mul, pi, r0))]
+            else:
+                probed, moves = w[: u or 1], c[:2]  # w[0] = 1 at u = 0
+                sums, _, pi = _cell_sums(cols, probed, u)
+            p[0], p[1] = value(sums), 0.0
+            return p
+
+        for _ in range(_MAX_SWEEPS):
+            gained = 0.0
+            for i, (sib, u) in enumerate(zip(siblings, states)):
+                if not i or states[i - 1] != u:  # a move accepted at u leaves the form as it is
+                    form = _line_form(cols, w, u)
+                    if form:
+                        lead, total, suffix, smin, smax, pa, ga, terms = form
+                        p0, g0 = terms[0]
+                        p1, g1 = terms[-1]
+                hi = 1.0 - sum(x[s] for s in sib) - CLAMP
+                if hi - CLAMP <= _GOLDEN_XTOL:
+                    continue
+                at = line(x, i)
+                kept = tuple(col[u] for col in cols)  # the accepted cell
+                base = bad + kept[2]  # minus c[2]: infeasible cells with c in place
+                moves, pi, probed = kept[:2], law, w  # the latest solve: the accepted chain's
+                xi = _golden_max(probe, exact, CLAMP, hi)
+                fi = probe(xi, False)[0]
+                if fi > f:  # the probed chain is accepted; fi is finite, so no cell is infeasible
+                    gained += fi - f
+                    x[i], f, w, law, bad = xi, fi, probed, pi, 0
+                else:
+                    for col, r in zip(cols, kept):
+                        col[u] = r
+            if gained < config.tol:
+                break
+        if f > best_f + 1e-9:
+            best_x, best_f = x, f
+            if settled is not None and settled(x, f):
+                break
+    if best_x is None:
+        raise ValueError(f"no search start reached a feasible point ({len(starts)} tried)")
+    return best_x, best_f, ran

@@ -1,10 +1,20 @@
 import contextlib
 import math
+import types
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from twoway_energy import JointSymbolDist, MarginalPolicy, Transcript, chain, entropy, inner, outer
+import twoway_energy
+from twoway_energy import JointSymbolDist, MarginalPolicy, Transcript, inner, search
+
+# Every module that `import twoway_energy` loads, read before any test imports
+# another, so that no module of the bounds code escapes library_sum's swap.
+LIBRARY = tuple(
+    m
+    for m in vars(twoway_energy).values()
+    if isinstance(m, types.ModuleType) and m.__name__.startswith("twoway_energy.")
+)
 
 
 def random_policy(rng, units: int, lo: float = 0.05, hi: float = 0.95) -> MarginalPolicy:
@@ -15,7 +25,7 @@ def random_policy(rng, units: int, lo: float = 0.05, hi: float = 0.95) -> Margin
 
 
 def run_inner_search(units: int, lam: float, config, settled=None):
-    """inner._search of the weighted objective from the starts that
+    """search._search of the weighted inner objective from the starts that
     optimize_sum_rate gives it: (x, f, starts run)."""
     nfree = 2 * units
     grid = [[g] * nfree for g in inner.GRID_SEEDS[: config.restarts]]
@@ -23,16 +33,13 @@ def run_inner_search(units: int, lam: float, config, settled=None):
     def draw(rng):
         return rng.uniform(0.1, 0.9, nfree)
 
-    return inner._search(grid, draw, inner._inner_problem(units, lam), config, settled)
+    return search._search(grid, draw, inner._inner_problem(units, lam), config, settled)
 
 
 def changed_cells(problem, change):
-    """problem with each cell, of a whole chain (cell(x, u)) or of a line
-    search's probe (line(x, i)(v)), replaced by change(y, u, cell) for the
-    vector y it was built from."""
-
-    def cell(x, u):
-        return change(x, u, problem.cell(x, u))
+    """problem with each cell that its lines build (line(x, i)(v), for a
+    start's chain or a line search's probe) replaced by change(y, u, cell)
+    for the vector y it was built from."""
 
     def line(x, i):
         at, u, y = problem.line(x, i), problem.states[i], list(x)
@@ -43,7 +50,7 @@ def changed_cells(problem, change):
 
         return cell_at
 
-    return problem._replace(cell=cell, line=line)
+    return problem._replace(line=line)
 
 
 def stationary_linear_oracle(matrix: np.ndarray) -> np.ndarray:
@@ -219,7 +226,7 @@ def compensated_sum(iterable, start=0):
 
 @contextlib.contextmanager
 def library_sum(fn):
-    """Run the bounds code (chain, entropy, inner, outer) with fn as its sum.
+    """Run the library (every module in LIBRARY) with fn as its sum.
     Yields the lengths of the lists summed, one per call and in call order,
     so that a test can check that the code did sum with fn: a sum bound
     locally (a default argument or a module alias) would escape the swap."""
@@ -230,11 +237,10 @@ def library_sum(fn):
         sizes.append(len(items))
         return fn(items, start)
 
-    modules = (chain, entropy, inner, outer)
-    for module in modules:
+    for module in LIBRARY:
         module.sum = counted
     try:
         yield sizes
     finally:
-        for module in modules:
+        for module in LIBRARY:
             del module.sum

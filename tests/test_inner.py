@@ -22,7 +22,8 @@ from twoway_energy import (
 )
 from twoway_energy.chain import NotIrreducibleError
 from twoway_energy.entropy import _h
-from twoway_energy.inner import CLAMP, _cell_sums, _inner_problem, _inner_settled, _search
+from twoway_energy.inner import _inner_columns, _inner_problem, _inner_settled
+from twoway_energy.search import CLAMP, _cell_sums, _search
 
 FAST = SearchConfig(restarts=6, tol=1e-6, seed=0)
 
@@ -286,7 +287,8 @@ def test_a_probe_names_the_impossible_move_of_its_state(move, message):
     with pytest.raises(NotIrreducibleError, match=exactly):
         _search([start], None, problem, SearchConfig(restarts=1))
     assert probed[1] > 0.6
-    columns = list(zip(*(problem.cell(probed, u) for u in range(units + 1))))
+    columns = [list(col) for col in _inner_columns([0.0, *probed[:units]], [0.0, *probed[units:]])]
+    columns[move][2] = 0.0  # the probed chain, with the probe's zero move
     with pytest.raises(NotIrreducibleError, match=exactly):
         _cell_sums(columns)
 

@@ -5,8 +5,10 @@ schedules (verbatim time sharing and the variable-length code)."""
 import contextlib
 import math
 import sys
+from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,19 +47,17 @@ from twoway_energy import (
     validate_transcript,
     variable_length_sim,
 )
-from twoway_energy import inner
+from twoway_energy import search
 from twoway_energy.inner import (
-    CLAMP,
-    _cell_sums,
+    _inner_cell,
+    _inner_columns,
     _inner_problem,
     _inner_settled,
-    _line_form,
-    _Problem,
     _rates_updown,
-    _search,
     _state_below,
 )
 from twoway_energy.outer import _free_slots, _outer_cell, _outer_problem, _outer_terms, _unpack
+from twoway_energy.search import CLAMP, _HUGE, _cell_sums, _line_form, _Problem, _search
 from twoway_energy.protocol import _holder_transcript, _seed_words, _stack_walk_prefix
 
 PROB = st.floats(min_value=1e-12, max_value=1.0 - 1e-12)
@@ -176,6 +176,17 @@ def _problem(problem, units, lam):
     return _outer_problem(units, None if problem == "outer sum" else lam)
 
 
+def _cells(problem, units, x):
+    """Every state's cell of x for one of the three search objectives, built
+    as the bounds' own evaluations build them, not through the problem's
+    line: the inner columns of the policy lists, or each joint as _unpack
+    gives it."""
+    if problem == "inner":
+        return list(zip(*_inner_columns([0.0, *x[:units]], [0.0, *x[units:]])))
+    rates = problem != "outer sum"
+    return [_outer_cell(*d, rates, not rates) for d in _unpack(x, _free_slots(units))]
+
+
 class _Cell(tuple):
     """A cell that keeps the vector x it was built from."""
 
@@ -184,12 +195,12 @@ class _Cell(tuple):
 def _checked_problem(problem, units, lam, sizes):
     """(problem, probed, counts) of a search problem whose probes are
     checked against fresh evaluations of their vectors, while
-    inner._golden_max is wrapped to see every probe [value, err, cell] and
-    inner._weights to see every chain solve.
+    search._golden_max is wrapped to see every probe [value, err, cell] and
+    search._weights to see every chain solve.
 
-    - Every cell, of a whole chain (cell(x, u)) or of a line search's probe
-      (line(x, i)(v)), is tagged with the vector it was built from, and a
-      probe's cell equals cell() of its vector.
+    - Every cell its lines build (line(x, i)(v), for a start's chain or a
+      line search's probe) is tagged with the vector it was built from, and
+      equals that vector's cell as _cells builds it.
     - Every chain solve sums its weights with the sum under test (sizes is
       what library_sum yields).
     - A probe priced from a stationary law (err 0) equals the fresh
@@ -206,7 +217,7 @@ def _checked_problem(problem, units, lam, sizes):
 
     probed lists the vector of every cell, and counts the probes priced
     each way ("exact" and "O(1)")."""
-    siblings, states, cell, line, value, _ = searched = _problem(problem, units, lam)
+    siblings, states, line, value, _ = searched = _problem(problem, units, lam)
     probed = []
     counts = {"exact": 0, "O(1)": 0}
     seen = [len(sizes)]  # sums made before the latest value() or cell() call
@@ -228,16 +239,13 @@ def _checked_problem(problem, units, lam, sizes):
         c.x = x
         return c
 
-    def recording_cell(x, u):
-        return tagged(cell(x, u), list(x))
-
     def recording_line(x, i):
         at, u, y = line(x, i), states[i], list(x)
 
         def cell_at(v):
             y[i] = v
             c = tagged(at(v), list(y))
-            assert c == cell(c.x, u)
+            assert c == _cells(problem, units, c.x)[u]
             return c
 
         return cell_at
@@ -253,7 +261,7 @@ def _checked_problem(problem, units, lam, sizes):
         seen[0] = len(sizes)
         return val
 
-    real_weights = inner._weights
+    real_weights = search._weights
 
     def checked_weights(*args):
         made = len(sizes)
@@ -262,7 +270,7 @@ def _checked_problem(problem, units, lam, sizes):
         seen[0] = len(sizes)  # so that value() counts the reward columns' sums alone
         return solve
 
-    real_golden = inner._golden_max
+    real_golden = search._golden_max
 
     def golden(f, exact, lo, hi):
         def checked_f(v):
@@ -290,11 +298,9 @@ def _checked_problem(problem, units, lam, sizes):
 
         return real_golden(checked_f, checked_exact, lo, hi)
 
-    inner._golden_max, inner._weights = golden, checked_weights
-    try:
-        yield searched._replace(cell=recording_cell, line=recording_line, value=checked_value), probed, counts
-    finally:
-        inner._golden_max, inner._weights = real_golden, real_weights
+    # patch.object raises where search has no such name, so a patch cannot miss
+    with mock.patch.object(search, "_golden_max", golden), mock.patch.object(search, "_weights", checked_weights):
+        yield searched._replace(line=recording_line, value=checked_value), probed, counts
 
 
 @settings(max_examples=30, deadline=None)
@@ -339,8 +345,7 @@ def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, s
 def _overflows(problem, units, x):
     """Whether the plain detailed-balance product of x's chain, or its sum,
     overflows."""
-    cell = _problem(problem, units, 0.5).cell
-    cells = [cell(x, u) for u in range(units + 1)]
+    cells = _cells(problem, units, x)
     w = [1.0]
     for k in range(1, units + 1):
         w.append(w[-1] * cells[k - 1][1] / cells[k][0])
@@ -393,16 +398,10 @@ def test_search_probes_that_overflow_an_unscaled_chain_are_fresh_evaluations(sum
     assert _overflows("inner", units, first_probe)
 
 
-@contextlib.contextmanager
 def _exact_only():
     """Runs the search with its O(1) line form always failing closed, so
     that every probe is priced by a chain solve."""
-    real = inner._line_form
-    inner._line_form = lambda cols, w, u: None
-    try:
-        yield
-    finally:
-        inner._line_form = real
+    return mock.patch.object(search, "_line_form", lambda cols, w, u: None)
 
 
 def _search_bits(problem, units, lam, seed, restarts):
@@ -438,10 +437,28 @@ def test_the_line_form_returns_the_exact_only_search_bit_for_bit(problem, units,
             assert _search_bits(problem, units, lam, seed, restarts) == shipped
 
 
-def _start_chain(cell, units, start):
-    """(cell columns, accepted weights) of a search start of cell, as
-    _search builds them."""
-    cols = [list(col) for col in zip(*(cell(start, u) for u in range(units + 1)))]
+def test_the_harness_patches_reach_the_search():
+    # The p11 test's U = 4 outer sum search, once under the checked problem
+    # alone and once with the form failing closed as well. A patch of a
+    # module that _search does not read would see no probe at all in the
+    # first run, or would leave the shipped search pricing probes by the form
+    # in the second, so that the exact-only test compared it with itself.
+    for paths, priced in ((contextlib.nullcontext(), True), (_exact_only(), False)):
+        with library_sum(sum) as sizes, _checked_problem("outer sum", 4, 0.5, sizes) as checked, paths:
+            searched, _, counts = checked
+
+            def draw(rng):
+                return rng.uniform(0.0, 0.3, len(searched.states))
+
+            _search([], draw, searched, SearchConfig(restarts=2, seed=5))
+        assert counts["exact"] + counts["O(1)"] > 0  # the wrapped _golden_max saw the probes
+        assert (counts["O(1)"] > 0) == priced
+
+
+def _start_chain(cells):
+    """(cell columns, accepted weights) of a search start whose states have
+    cells, as _search builds them."""
+    cols = [list(col) for col in zip(*cells)]
     w = [1.0]
     _cell_sums(cols, w)
     return cols, w
@@ -453,7 +470,7 @@ def test_the_line_form_fails_closed_past_a_rescaled_prefix():
     # overflows, and no line search of a state past them has a form.
     units = 60
     start = [0.98, *[0.98, CLAMP, CLAMP] * (units - 1), CLAMP]
-    cols, w = _start_chain(_problem("outer sum", units, 0.5).cell, units, start)
+    cols, w = _start_chain(_cells("outer sum", units, start))
     assert len(w) < units
     assert all(_line_form(cols, w, u) is None for u in range(len(w) + 1, units + 1))
     assert _line_form(cols, w, 30) is not None  # prefix and suffix both within range
@@ -475,12 +492,78 @@ def test_the_line_form_fails_closed_on_a_weight_out_of_range():
     # the suffix products pass 2^900, at state 27 the prefix weights do.
     units = 27
     start = [0.5, 0.0075] + [CLAMP] * (units - 2) + [1.0 - CLAMP] * units
-    cols, w = _start_chain(_problem("inner", units, 0.5).cell, units, start)
+    cols, w = _start_chain(_cells("inner", units, start))
     assert len(w) == units + 1 and 2.0**900 < max(w) < math.inf
     assert _line_form(cols, w, 1) is None
     assert _line_form(cols, w, units) is None
-    cols, w = _start_chain(_problem("inner", units, 0.5).cell, units, [0.5] * (2 * units))
+    cols, w = _start_chain(_cells("inner", units, [0.5] * (2 * units)))
     assert all(_line_form(cols, w, u) is not None for u in range(units + 1))
+
+
+def _gamma(m):
+    """g_m = m*eps / (1 - m*eps) with eps = 2^-53, exactly."""
+    e = Fraction(m, 2**53)
+    return e / (1 - e)
+
+
+def _random_cell(kind, units, u, data):
+    """State u's cell of a random inner or weighted-outer chain. The moves
+    stay within a factor of about 1e4 of each other, so at U <= 64 every
+    weight of the chain lies within 2^+-860: the form is certified and
+    nothing underflows."""
+    if kind == "inner":
+        p = st.floats(min_value=0.01, max_value=0.99)
+        a = data.draw(p) if u else 0.0
+        b = data.draw(p) if u < units else 0.0
+        return _inner_cell(a, b)
+    move = st.floats(min_value=0.01, max_value=0.45)
+    p01 = data.draw(move) if u < units else 0.0
+    p10 = data.draw(move) if u else 0.0
+    p11 = data.draw(st.floats(min_value=0.0, max_value=0.09)) if 0 < u < units else 0.0
+    return _outer_cell(((1.0 - p01) - p10) - p11, p01, p10, p11, True, False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["inner", "outer weighted"]),
+    units=st.integers(min_value=1, max_value=64),
+    summer=st.sampled_from([sum, compensated_sum]),
+    data=st.data(),
+)
+def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, summer, data):
+    # The two halves of the err bound in the search module's docstring, in
+    # exact rationals. S_j are the real reward sums of the chain whose
+    # weights are the accepted chain's float prefix below the probed state
+    # u, the probe's float w_u, and the real recursion above u. The exact
+    # solve of the probed chain must lie within g_6n * A_j of S_j, and the
+    # O(1) form's value within g_(6n+9) * A_j, where A_j = sum_k pi[k]*|r_jk|
+    # and n = U + 1, under CPython 3.11's sum and 3.12's compensated sum.
+    u = data.draw(st.integers(min_value=0, max_value=units))
+    cells = [_random_cell(kind, units, k, data) for k in range(units + 1)]
+    c = _random_cell(kind, units, u, data)
+    probed = list(zip(*(c if k == u else cell for k, cell in enumerate(cells))))  # the probed chain's columns
+    with library_sum(summer):
+        cols, w = _start_chain(cells)  # the accepted chain
+        form = _line_form(cols, w, u)
+        solved, _, _ = _cell_sums(probed, w[: u or 1], u)
+    assert len(w) == units + 1 and form is not None
+    lead, total, suffix, smin, smax, _, _, terms = form
+    wu = lead / c[0] if u else 1.0
+    s = wu * c[1]
+    t = total + (wu + s * suffix)
+    assert t <= _HUGE and smin <= s <= smax  # the probe is priced by the form
+    priced = [(p + (wu * r + s * g)) / t for (p, g), r in zip(terms, c[3:])]
+
+    weights = [Fraction(x) for x in w[:u]] + [Fraction(wu)]
+    for k in range(u + 1, units + 1):
+        weights.append(weights[-1] * Fraction(probed[1][k - 1]) / Fraction(probed[0][k]))
+    real_total = sum(weights)
+    n = units + 1
+    for j, r in enumerate(probed[3:]):
+        real = sum(wk * Fraction(rk) for wk, rk in zip(weights, r)) / real_total
+        a = sum(wk * abs(Fraction(rk)) for wk, rk in zip(weights, r)) / real_total
+        assert abs(Fraction(solved[j]) - real) <= _gamma(6 * n) * a
+        assert abs(Fraction(priced[j]) - real) <= _gamma(6 * n + 9) * a
 
 
 def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch):
@@ -492,17 +575,21 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     # and the top state has no up move, so s = 0.
     below = [_outer_cell(0.5, 0.5, 0.0, 0.0, False), _outer_cell(0.5, 0.5, 2.0**-900, 0.0, False)]
 
-    def cell(x, u):
-        return below[u] if u < 2 else _outer_cell(1.0 - x[0], 0.0, x[0], 0.0, False)
+    def top(v):
+        return _outer_cell(1.0 - v, 0.0, v, 0.0, False)
 
     def line(x, i):
-        return lambda v: _outer_cell(1.0 - v, 0.0, v, 0.0, False)
+        return top if i == 2 else lambda v: below[i]
 
-    cols, w = _start_chain(cell, 2, [0.5])
+    # States 0 and 1 stay fixed: each has one coordinate, held at 1 - CLAMP
+    # with the other as its sibling, so that its range is empty and no line
+    # search runs on it.
+    fixed = _Problem([(1,), (0,), ()], [0, 1, 2], line, itemgetter(0), 1.0)
+    cols, w = _start_chain([*below, top(0.5)])
     assert w[1] == 2.0**899
     lead, total, suffix, smin, smax, _, _, _ = _line_form(cols, w, 2)
     probes = []
-    real_golden = inner._golden_max
+    real_golden = search._golden_max
 
     def golden(f, exact, lo, hi):
         def recorded(v):
@@ -512,16 +599,16 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
 
         return real_golden(recorded, exact, lo, hi)
 
-    monkeypatch.setattr(inner, "_golden_max", golden)
+    monkeypatch.setattr(search, "_golden_max", golden)
     config = SearchConfig(restarts=1, tol=math.inf)  # one line search
-    x, f, _ = _search([[0.5]], None, _Problem([()], [2], cell, line, itemgetter(0), 1.0), config)
-    assert f == _cell_sums(_start_chain(cell, 2, x)[0])[0][0]
+    x, f, _ = _search([[1.0, 1.0, 0.5]], None, fixed, config)
+    assert f == _cell_sums(_start_chain([*below, top(x[2])])[0])[0][0]
     over = []
     for err, c in probes:
         wu = lead / c[0]
         s = wu * c[1]
-        assert smin <= s <= smax and abs(c[3]) <= inner._HUGE
-        if total + (wu + s * suffix) > inner._HUGE:
+        assert smin <= s <= smax and abs(c[3]) <= _HUGE
+        if total + (wu + s * suffix) > _HUGE:
             over.append(err)
         else:
             assert err > 0.0  # priced by the form
@@ -554,7 +641,7 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
         probed[:] = x
         return c
 
-    real_weights, real_form, real_golden = inner._weights, inner._line_form, inner._golden_max
+    real_weights, real_form, real_golden = search._weights, search._line_form, search._golden_max
 
     def weights(*args):
         events.append("solve")
@@ -575,9 +662,9 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
 
         return real_golden(recorded, exact, lo, hi)
 
-    monkeypatch.setattr(inner, "_weights", weights)
-    monkeypatch.setattr(inner, "_line_form", form)
-    monkeypatch.setattr(inner, "_golden_max", golden)
+    monkeypatch.setattr(search, "_weights", weights)
+    monkeypatch.setattr(search, "_line_form", form)
+    monkeypatch.setattr(search, "_golden_max", golden)
     x, f, _ = _search([], draw, changed_cells(searched, recording), config)
     assert [v.hex() for v in (*x, f)] == [v.hex() for v in (*exact_x, exact_f)]
 
@@ -622,10 +709,12 @@ def _bits(c):
     data=st.data(),
 )
 def test_a_line_gives_the_cell_of_its_vector_bit_for_bit(problem, units, lam, data):
-    # line(x, i)(v) is cell(x with x[i] = v, states[i]) for every coordinate,
-    # the end states' too, and for v that puts p00 = 1 - v - (the state's
-    # other entries) near CLAMP/2, at 0 or below it, where the outer cell
-    # turns infeasible and its entropy drops the p00 term.
+    # line(x, i)(v) is state states[i]'s cell of x with x[i] = v, as the
+    # bounds' own evaluations build it (_cells), for every coordinate, the
+    # end states' too, and for v that puts p00 = 1 - v - (the state's other
+    # entries) near CLAMP/2, at 0 or below it, where the outer cell turns
+    # infeasible and its entropy drops the p00 term. For the outer bound this
+    # checks that the line computes p00 in _dist's order.
     searched = _problem(problem, units, lam)
     n = len(searched.states)
     x = data.draw(st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=n, max_size=n))
@@ -637,7 +726,7 @@ def test_a_line_gives_the_cell_of_its_vector_bit_for_bit(problem, units, lam, da
         for v in (drawn, rest - CLAMP, rest - CLAMP / 2.0, rest - CLAMP / 4.0, rest, rest + 0.01):
             y = list(x)
             y[i] = v
-            assert _bits(at(v)) == _bits(searched.cell(y, u))
+            assert _bits(at(v)) == _bits(_cells(problem, units, y)[u])
         if problem != "inner":
             assert at(rest - CLAMP)[2] and not at(rest - CLAMP / 4.0)[2] and not at(rest + 0.01)[2]
     assert x == before  # a line reads x and leaves it as it is

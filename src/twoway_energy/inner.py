@@ -5,8 +5,8 @@ A marginal policy achieves R1 = sum_u pi[u] H(p1[u]) and
 R2 = sum_u pi[u] H(p2[units-u]) where pi is the stationary law of the
 induced energy chain. The weighted objective 2*(lam*R1 + (1-lam)*R2)
 reduces to the plain sum-rate at lam = 0.5. The chain and the rewards
-are built from one cell per state u, (down move, up move, feasible,
-*rewards) = (a(1-b), (1-a)b, True, H(a), H(b)) at a = p1[u], b = p2[units-u].
+are built from one cell per state u, (down move, up move, *rewards) =
+(a(1-b), (1-a)b, H(a), H(b)) at a = p1[u], b = p2[units-u].
 
 The objective is smooth but nonconvex in the 2*units free probabilities, so
 the maximizer runs the multi-start coordinate ascent that the outer bound
@@ -78,11 +78,11 @@ class OptimizationResult:
 
 def _inner_cell(a, b):
     """Cell of a state where node 1 sends "1" w.p. a and node 2 w.p. b."""
-    return a * (1.0 - b), (1.0 - a) * b, True, _h(a), _h(b)
+    return a * (1.0 - b), (1.0 - a) * b, _h(a), _h(b)
 
 
 def _inner_columns(p1, p2):
-    """Cell columns (down, up, feasible, H(p1), H(p2)) of the chain of
+    """Cell columns (down, up, H(p1), H(p2)) of the chain of
     policy lists with the forced zeros at index 0."""
     return list(zip(*(_inner_cell(a, b) for a, b in zip(p1, p2[::-1]))))  # p2[e] acts in state units-e
 
@@ -187,7 +187,7 @@ def _inner_settled(units: int, lam: float):
         columns = _inner_columns([0.0, *x[:units]], [0.0, *x[units:]])
         sums, w, _ = _cell_sums(columns)
         rho = value(sums)
-        gaps = [wk * (rho - value(r)) for wk, *r in zip(w, columns[3], columns[4])]
+        gaps = [wk * (rho - value(r)) for wk, *r in zip(w, columns[2], columns[3])]
         heads = list(accumulate(gaps))
         tails = list(accumulate(reversed(gaps)))[::-1]
         try:

@@ -31,10 +31,7 @@ import numpy as np
 from .chain import MarginalPolicy, _count, uniform_policy
 from .entropy import JointSymbolDist, _entropy, _h
 from .inner import optimize_sum_rate, rates_for_policy
-from .search import CLAMP, SearchConfig, _cell_sums, _checked_search, _Problem, _search
-
-# A search state is infeasible while its (0,0) mass is below this.
-_FEASIBLE = CLAMP * 0.5
+from .search import SearchConfig, _cell_sums, _checked_search, _Problem, _search
 
 
 @dataclass(frozen=True)
@@ -91,16 +88,14 @@ class OuterBoundValues:
 
 
 def _outer_cell(p00, p01, p10, p11, rates=True, joint=True):
-    """Cell of a state with joint (p00, p01, p10, p11): moves p10 and p01,
-    feasible (only the search asks) while p00 >= CLAMP/2, rewards
-    H(X1,X2) - H(X2) and H(X1,X2) - H(X1) when rates, then H(X1,X2) when
-    joint (always when not rates)."""
+    """Cell (down, up, *rewards) of a state with joint (p00, p01, p10, p11):
+    moves p10 and p01, then rewards H(X1,X2) - H(X2) and H(X1,X2) - H(X1)
+    when rates, then H(X1,X2) when joint (always when not rates)."""
     h = _entropy(p00, p01, p10, p11)
-    feasible = not p00 < _FEASIBLE
     if not rates:
-        return p10, p01, feasible, h
+        return p10, p01, h
     r1, r2 = h - _h(p01 + p11), h - _h(p10 + p11)
-    return (p10, p01, feasible, r1, r2, h) if joint else (p10, p01, feasible, r1, r2)
+    return (p10, p01, r1, r2, h) if joint else (p10, p01, r1, r2)
 
 
 def _outer_terms(dists):
@@ -125,8 +120,8 @@ def outer_values(policy: JointStatePolicy) -> OuterBoundValues:
 # -- maximization over joint-state policies ---------------------------------
 #
 # The search vector lists each state's free entries in turn; the (0,0)
-# mass absorbs the remainder. Every entry is kept >= CLAMP so the chain
-# stays irreducible and entropies smooth.
+# mass absorbs the remainder. The search keeps every entry, the (0,0) mass
+# too, >= CLAMP so the chain stays irreducible and entropies smooth.
 
 
 def _free_slots(units: int):
@@ -194,7 +189,9 @@ def _optimize_outer(units, lam, search, seed_policies):
     """Multi-start ascent of the sum bound (lam None) or of the weighted
     rate bound. Starts: every seed policy (by default a quick inner optimum
     at lam, or 0.5), however many search.restarts asks for; then the uniform
-    product policy and random ones fill up to search.restarts."""
+    product policy and random ones fill up to search.restarts. The search
+    brings each start into its region (every entry, p00 too, at least CLAMP)
+    rather than dropping it."""
     inner_lam = 0.5 if lam is None else lam
     config = _checked_search(units, inner_lam, search)
     seeds = list(seed_policies)
@@ -223,7 +220,7 @@ def _optimize_outer(units, lam, search, seed_policies):
         return vals
 
     best_x, _, _ = _search(fixed, draw, _outer_problem(units, lam), config)
-    dists = [JointSymbolDist(*(max(0.0, p) for p in d)) for d in _unpack(best_x, slots)]
+    dists = [JointSymbolDist(*d) for d in _unpack(best_x, slots)]
     policy = JointStatePolicy(dists=tuple(dists))
     return policy, outer_values(policy)
 
@@ -240,7 +237,9 @@ def optimize_outer_sum(
     supplies one, so the returned bound dominates the best product
     policy it can find. Every seed policy runs, even beyond
     search.restarts; the uniform product policy and random starts fill up
-    to search.restarts.
+    to search.restarts. A seed with an entry, or a (0,0) mass, below the
+    search's CLAMP is capped into its region and runs from there; no seed
+    is dropped.
     """
     return _optimize_outer(units, None, search, seed_policies)
 
@@ -252,7 +251,8 @@ def optimize_outer_weighted(
     seed_policies=(),
 ) -> tuple[JointStatePolicy, OuterBoundValues]:
     """Maximize 2*(lam*r1_bound + (1-lam)*r2_bound) over joint-state
-    policies, from starts as in optimize_outer_sum."""
+    policies, from starts as in optimize_outer_sum (seeds capped into the
+    search's region, not dropped)."""
     return _optimize_outer(units, lam, search, seed_policies)
 
 

@@ -2,7 +2,7 @@
 
 A search problem (`_Problem`) is a chain objective over a vector x of free
 probabilities. Each coordinate enters one state's cell (`states`), a cell
-being (down move, up move, feasible, *rewards), and `value` maps the
+being (down move, up move, *rewards), and `value` maps the
 chain's sums of the reward columns to the objective; the cells carry only
 the reward columns that `value` reads. Cells are built through one
 function per line search, `line(x, i)`, from the problem's one cell
@@ -11,7 +11,11 @@ cells through the same lines, at one coordinate of each state.
 
 The objective is smooth but nonconvex, so the search runs from fixed
 starts plus random restarts, each refined by coordinate-wise
-golden-section search on [CLAMP, 1-CLAMP] (`_golden_max`). A line search
+golden-section search (`_golden_max`). Coordinate i's line search ranges
+over [CLAMP, 1 - (its siblings' sum) - CLAMP], so that every entry of its
+state's simplex, the remainder (an outer state's p00) too, stays at least
+CLAMP, and each start is brought into that region before its ascent: every
+point the search evaluates lies in it. A line search
 on coordinate i of state u keeps every other cell fixed, and its probes
 are of two kinds.
 - An exact probe writes its cell into the cached columns. If its moves are
@@ -38,8 +42,8 @@ of one that solves the chain at every probe. A line search ends with an
 exact probe of the midpoint of its last bracket. If that gains, the probed
 chain is the accepted one: its cell stays in the columns and its weights
 and law are the ones later probes go on from. Otherwise the accepted cell
-is written back. The clamp keeps every policy strictly interior, hence the
-chain irreducible; the boundary of the rate region is approached but
+is written back. The region keeps every policy strictly interior, hence
+the chain irreducible; the boundary of the rate region is approached but
 never evaluated at degenerate policies. Restarts are independent and the
 reduction (max by objective, first within 1e-9 wins) is deterministic
 given the seed.
@@ -67,7 +71,7 @@ weight, suffix product and total lies in [2^-900, 2^900] and every
 |reward| is at most 2^900, so an underflowed pi[k], product or division
 costs at most about 2^-174 each. Where any of this cannot be shown (see
 _line_form), or the probe's own moves are not positive, the probe is
-exact; an infeasible cell is -inf with err 0.
+exact.
 """
 
 from __future__ import annotations
@@ -111,18 +115,18 @@ class SearchConfig:
 
 def _cell_sums(columns, w=None, u=None):
     """([sum_k pi[k] * col[k] for each reward column], weights, pi) of the
-    chain with cell columns (down, up, feasible, *rewards), where pi, the
+    chain with cell columns (down, up, *rewards), where pi, the
     weights over their sum, is its stationary law and each sum is one sum()
     over the whole column; w is an optional prefix of the chain's unscaled
     detailed-balance weights, and u the one state whose moves are not yet
     checked (see _weights)."""
     w, total = _weights(columns[0], columns[1], w or [1.0], u)
     pi = [x / total for x in w]
-    return [sum(map(mul, pi, col)) for col in columns[3:]], w, pi
+    return [sum(map(mul, pi, col)) for col in columns[2:]], w, pi
 
 
 def _line_form(cols, w, u):
-    """The chain of cell columns cols (down, up, feasible, *rewards) as an
+    """The chain of cell columns cols (down, up, *rewards) as an
     O(1) function of state u's cell, every other cell fixed, for _search:
     (lead, P, G, smin, smax, P_abs, G_abs, [(P_r, G_r) per reward column]),
     or None where the form is not certified.
@@ -144,7 +148,7 @@ def _line_form(cols, w, u):
     T <= _HUGE and a_u <= _HUGE, which keep every weight and partial
     product of the exact solve in that range.
     """
-    down, up, _, *rewards = cols
+    down, up, *rewards = cols
     top = len(down) - 1
     if len(w) < u:
         return None
@@ -211,7 +215,7 @@ def _golden_max(f, exact, lo: float, hi: float) -> float:
                 while (fc[1] or fd[1]) and not abs(fc[0] - fd[0]) > fc[1] + fd[1]:
                     exact(fc if fc[1] and not fd[1] > fc[1] else fd)
                 gap = fc[0] - fd[0]
-        if gap > 0.0:  # fc[0] > fd[0], also at infinities
+        if gap > 0.0:  # fc[0] > fd[0]
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = f(c)
@@ -236,7 +240,7 @@ class _Problem(NamedTuple):
 
     siblings: Sequence  # per coordinate, the other entries of its state's simplex
     states: Sequence  # per coordinate, the one state whose cell it enters
-    line: Callable  # line(x, i)(v): the cell (down, up, feasible, *rewards) of states[i], x[i] = v
+    line: Callable  # line(x, i)(v): the cell (down, up, *rewards) of states[i], x[i] = v
     value: Callable  # value(sums): the objective of the chain's reward sums
     contract: float  # value's constant L in _search's contract
 
@@ -247,7 +251,7 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
 
     f(x) is value(sums) of the chain whose state u has the cell
     line(x, i)(x[i]) of any coordinate i of u, which carries one or two
-    reward columns, or -inf while a cell is infeasible. value must meet
+    reward columns. value must meet
     this contract, with its constant L = problem.contract, on which the
     O(1) probes' error bound relies:
     |value(s) - value(s')| <= L * sum_j |s_j - s'_j|, up to
@@ -256,15 +260,18 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
     it with L = 1; the inner objective (weights 2*lam and 2*(1-lam)) and
     the outer weighted one (after max(., 0)) with L = 2.
 
-    The starts are `fixed`, then draw(rng) until config.restarts, clipped
-    into [CLAMP, 1-CLAMP]. Coordinate i ranges over
-    [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while that range
-    is no longer than the line search's tolerance, and is refined by
-    golden-section search; an ascent stops when a full sweep gains
-    < config.tol. A later start wins only by more than 1e-9. Whenever a
-    start wins, settled(x, f) may prove that no later start can beat f by
-    more than 1e-9; then the search stops there, and returns what running
-    every start would. Raises ValueError when every start ends at -inf.
+    The starts are `fixed`, then draw(rng) until config.restarts. Coordinate
+    i ranges over [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while
+    that range is no longer than the line search's tolerance, and is refined
+    by golden-section search; an ascent stops when a full sweep gains
+    < config.tol. A start is clipped into [CLAMP, 1-CLAMP], then each
+    coordinate in turn is capped at the upper end of its range (at least
+    CLAMP): a state with k entries then has its first j sum to at most
+    1 - (k - j + 1) * CLAMP, so its remainder is at least CLAMP up to
+    rounding, and a start already in the region is left as it is. A later
+    start wins only by more than 1e-9. Whenever a start wins, settled(x, f)
+    may prove that no later start can beat f by more than 1e-9; then the
+    search stops there, and returns what running every start would.
     """
     siblings, states, line, value, contract = problem
     rng = np.random.default_rng(config.seed)
@@ -278,31 +285,30 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
     best_x, best_f = None, -math.inf
     for ran, start in enumerate(starts, 1):
         x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
+        for i, sib in enumerate(siblings):
+            x[i] = min(x[i], max(CLAMP, 1.0 - sum(x[s] for s in sib) - CLAMP))
         cols = [list(col) for col in zip(*(line(x, one[u])(x[one[u]]) for u in range(top + 1)))]
-        two = len(cols) == 5
-        down, up, feasible, r0 = cols[:4]
-        r1 = cols[4] if two else None
+        two = len(cols) == 4
+        down, up, r0 = cols[:3]
+        r1 = cols[3] if two else None
         probed = [1.0]  # the weight list of the latest solve, which _weights extends in place
         sums, _, law = _cell_sums(cols, probed)
         w = probed  # the accepted chain's unscaled weights, up to the first that overflows
-        bad = feasible.count(False)
-        f = -math.inf if bad else value(sums)
+        f = value(sums)
 
-        def probe(v, fast=True):
+        def probe(v):
             """[f or its estimate, err, cell] with x[i] = v, which enters
             state u's cell only: the O(1) form's value and its error bound
-            when fast and the form is certified, else exact(...)."""
+            when the form is certified, else exact(...)."""
             c = at(v)
-            if base - c[2]:
-                return [-math.inf, 0.0, c]
-            if fast and form and (c[0] > 0.0 or not u):
+            if form and (c[0] > 0.0 or not u):
                 wu = lead / c[0] if u else 1.0
                 s = wu * c[1]
                 t = total + (wu + s * suffix)
                 if t <= _HUGE and smin <= s <= smax:
-                    a = c[3]
+                    a = c[2]
                     if two:
-                        b = c[4]
+                        b = c[3]
                         au = abs(a) + abs(b)
                         if au <= _HUGE:
                             v0 = (p0 + (wu * a + s * g0)) / t
@@ -321,9 +327,9 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
             chain's weights (w[:u] extended) in `probed` and its law in `pi`."""
             nonlocal probed, moves, pi
             c = p[2]
-            down[u], up[u], feasible[u], r0[u] = c[0], c[1], c[2], c[3]
+            down[u], up[u], r0[u] = c[0], c[1], c[2]
             if two:
-                r1[u] = c[4]
+                r1[u] = c[3]
             if c[0] == moves[0] and c[1] == moves[1]:
                 sums = [sum(map(mul, pi, r0)), sum(map(mul, pi, r1))] if two else [sum(map(mul, pi, r0))]
             else:
@@ -346,13 +352,12 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
                     continue
                 at = line(x, i)
                 kept = tuple(col[u] for col in cols)  # the accepted cell
-                base = bad + kept[2]  # minus c[2]: infeasible cells with c in place
                 moves, pi, probed = kept[:2], law, w  # the latest solve: the accepted chain's
                 xi = _golden_max(probe, exact, CLAMP, hi)
-                fi = probe(xi, False)[0]
-                if fi > f:  # the probed chain is accepted; fi is finite, so no cell is infeasible
+                fi = exact([None, None, at(xi)])[0]
+                if fi > f:  # the probed chain is accepted
                     gained += fi - f
-                    x[i], f, w, law, bad = xi, fi, probed, pi, 0
+                    x[i], f, w, law = xi, fi, probed, pi
                 else:
                     for col, r in zip(cols, kept):
                         col[u] = r
@@ -362,6 +367,4 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
             best_x, best_f = x, f
             if settled is not None and settled(x, f):
                 break
-    if best_x is None:
-        raise ValueError(f"no search start reached a feasible point ({len(starts)} tried)")
     return best_x, best_f, ran

@@ -36,6 +36,18 @@ def run_inner_search(units: int, lam: float, config, settled=None):
     return search._search(grid, draw, inner._inner_problem(units, lam), config, settled)
 
 
+def capped_start(problem, start):
+    """The point search._search runs a start from: each entry clipped into
+    [CLAMP, 1 - CLAMP], then each coordinate in turn capped at the upper end
+    of its line search's range, 1 - (its siblings' sum) - CLAMP, but not
+    below CLAMP."""
+    clamp = search.CLAMP
+    x = [min(max(float(v), clamp), 1.0 - clamp) for v in start]
+    for i, sib in enumerate(problem.siblings):
+        x[i] = min(x[i], max(clamp, 1.0 - sum(x[s] for s in sib) - clamp))
+    return x
+
+
 def changed_cells(problem, change):
     """problem with each cell that its lines build (line(x, i)(v), for a
     start's chain or a line search's probe) replaced by change(y, u, cell)

@@ -5,6 +5,7 @@ import pytest
 
 from twoway_energy import SweepRow, sweep_details
 from twoway_energy import cli
+from twoway_energy.chain import TransitionKernel
 from twoway_energy.cli import main, render_sweep_csv
 from twoway_energy.inner import SearchConfig
 
@@ -67,6 +68,27 @@ def test_outer_command(capsys):
     assert main(["outer", "--budget", "1", *FAST]) == 0
     out = capsys.readouterr().out
     assert "sum_bound: 1.000000" in out
+
+
+def test_outer_weighted_search_from_a_seed_outside_its_region(capsys):
+    # The quick inner seed at U = 3 has two states with p00 < CLAMP; the
+    # search caps it into its region rather than failing on it.
+    for lam in ("1.0", "0.0"):
+        assert main(["outer", "--budget", "3", "--lambda", lam, "--restarts", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "r1_bound: " in out and "nan" not in out and "inf" not in out
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+def test_memory_exhaustion_is_runtime_error(capsys, monkeypatch, message):
+    # stationary --budget 100000 asks numpy for a 74.5 GiB dense kernel
+    def matrix(self):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(TransitionKernel, "matrix", property(matrix))
+    assert main(["stationary", "--budget", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message or 'MemoryError'}\n"
 
 
 def test_stationary_optimized_policy(capsys):

@@ -1,10 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_policy
+from conftest import capped_start, random_policy
 from twoway_energy import (
     JointStatePolicy,
     JointSymbolDist,
@@ -18,6 +19,8 @@ from twoway_energy import (
     sweep_details,
     uniform_policy,
 )
+from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _pack, _unpack
+from twoway_energy.search import CLAMP
 
 FAST = SearchConfig(restarts=6, tol=1e-6, seed=0)
 
@@ -153,12 +156,30 @@ def test_optimize_outer_validates_arguments():
         seed_pol = JointStatePolicy.from_marginal(uniform_policy(seed_units))
         with pytest.raises(ValueError, match=f"{seed_units} units, expected {units}"):
             optimize_outer_sum(units, search=FAST, seed_policies=[seed_pol])
-    # p = 1 leaves two interior states with (0, 0) mass below CLAMP / 2 after
-    # clipping; one coordinate move repairs only one, so the start stays at -inf
-    stuck = [JointStatePolicy.from_marginal(uniform_policy(3, 1.0))]
+    # p = 1 leaves two interior states with (0, 0) mass below CLAMP after
+    # clipping; the search caps the seed into its region and runs from there
+    outside = [JointStatePolicy.from_marginal(uniform_policy(3, 1.0))]
     for optimize in (optimize_outer_sum, optimize_outer_weighted):
-        with pytest.raises(ValueError, match="no search start reached a feasible point"):
-            optimize(3, search=SearchConfig(restarts=1), seed_policies=stuck)
+        _, vals = optimize(3, search=SearchConfig(restarts=1), seed_policies=outside)
+        assert all(map(math.isfinite, (vals.r1_bound, vals.r2_bound, vals.sum_bound)))
+
+
+def test_a_quick_inner_seed_outside_the_search_region_runs_capped():
+    # At U = 3 and lam = 1 the quick inner seed has p00 < CLAMP in states 1
+    # and 2. The one start runs from that seed capped into the search's
+    # region, and the ascent keeps at least the capped seed's value.
+    units, lam, config = 3, 1.0, SearchConfig(restarts=1)
+    quick = SearchConfig(restarts=2, tol=config.tol, seed=config.seed + 1)  # as _optimize_outer's
+    seed = JointStatePolicy.from_marginal(optimize_sum_rate(units, lam, quick).policy)
+    slots = _free_slots(units)
+    start = capped_start(_outer_problem(units, lam), _pack(seed, slots))
+    assert [d.p00 < CLAMP for d in seed.dists] == [False, True, True, False]
+    assert all(d[0] >= CLAMP * (1.0 - 1e-9) for d in _unpack(start, slots))
+    r1, _, _, _ = _outer_terms(_unpack(start, slots))
+    _, vals = optimize_outer_weighted(units, lam, config)
+    # at lam = 1 the objective is 2 * r1; 1e-12 covers the (0,0) mass, which
+    # the search recomputes as a remainder
+    assert vals.r1_bound >= r1 - 1e-12
 
 
 def test_sweep_takes_only_integer_budgets():

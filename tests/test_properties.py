@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    capped_start,
     changed_cells,
     compensated_sum,
     expected_handovers,
@@ -158,13 +159,14 @@ def _weight(problem, lam):
 
 
 def _fresh_value(problem, units, lam, x):
-    """The objective of x, evaluated from scratch over the whole chain."""
+    """The objective of x, evaluated from scratch over the whole chain; an
+    outer x must lie in the search's region, every p00 at least CLAMP up to
+    rounding."""
     if problem == "inner":
         r1, r2, _ = _rates_updown([0.0, *x[:units]], [0.0, *x[units:]])
         return 2.0 * (lam * r1 + (1.0 - lam) * r2)
     dists = _unpack(x, _free_slots(units))
-    if any(d[0] < CLAMP * 0.5 for d in dists):
-        return -math.inf
+    assert all(d[0] >= CLAMP * (1.0 - 1e-9) for d in dists)
     r1, r2, total, _ = _outer_terms(dists)
     return _weight(problem, lam)(r1, r2, total)
 
@@ -232,7 +234,7 @@ def _checked_problem(problem, units, lam, sizes):
         return val
 
     def tagged(c, x):
-        seen[0] = len(sizes)  # a start's solve of infeasible cells prices nothing
+        seen[0] = len(sizes)  # sums made before this cell price nothing of it
         summed[0] = False  # until this probe's value() prices reward sums
         probed.append(x)
         c = _Cell(c)
@@ -282,8 +284,8 @@ def _checked_problem(problem, units, lam, sizes):
             if p[1]:
                 assert not summed[0] and abs(p[0] - fresh(p[2].x)) <= p[1]
                 counts["O(1)"] += 1
-            else:  # value() compared it with its vector's, or no cell was feasible
-                assert summed[0] or p[0] == fresh(p[2].x) == -math.inf
+            else:  # value() compared it with its vector's
+                assert summed[0]
                 counts["exact"] += 1
             return p
 
@@ -316,28 +318,24 @@ def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, s
     """Every probe priced from a stationary law, and the value the search
     returns, equals a fresh evaluation of the probed vector bit for bit;
     every probe priced by the O(1) form lies within its stated error of
-    it; and no start is lost. Outer starts put each free entry in
-    [0, 0.45], so some states start infeasible (p00 < CLAMP/2). Under
-    CPython 3.12's compensated sum a probe that resumed a partial sum of
-    the chain would differ, so the library runs under that sum too, and
-    every solve and every reward sum must have summed with it."""
-    high = 1.0 if problem == "inner" else 0.45
+    it; and no start is lost. Outer starts put each free entry in [0, 1],
+    so most interior states start outside the search's region
+    (p00 < CLAMP) and run from their capped start, and _fresh_value checks
+    that no probe leaves the region. Under CPython 3.12's compensated sum a
+    probe that resumed a partial sum of the chain would differ, so the
+    library runs under that sum too, and every solve and every reward sum
+    must have summed with it."""
     with library_sum(summer) as sizes, _checked_problem(problem, units, lam, sizes) as checked:
         searched, _, _ = checked
 
         def draw(rng):
-            return rng.uniform(0.0, high, len(searched.states))
+            return rng.uniform(0.0, 1.0, len(searched.states))
 
         rng = np.random.default_rng(seed)  # the search's own draws, replayed
-        starts = [[min(max(v, CLAMP), 1.0 - CLAMP) for v in draw(rng)] for _ in range(restarts)]
+        starts = [capped_start(searched, draw(rng)) for _ in range(restarts)]
         config = SearchConfig(restarts=restarts, seed=seed)
         start_values = [_fresh_value(problem, units, lam, s) for s in starts]
-        try:
-            x, f, _ = _search([], draw, searched, config)
-        except ValueError:
-            # The search gives up only when no start, and so no ascent, was feasible
-            assert max(start_values) == -math.inf
-            return
+        x, f, _ = _search([], draw, searched, config)
         assert f >= max(start_values) - 1e-9
         assert f == _fresh_value(problem, units, lam, x)
 
@@ -406,7 +404,7 @@ def _exact_only():
 
 def _search_bits(problem, units, lam, seed, restarts):
     """float.hex of the (x, f) and the starts run of a search from random
-    feasible starts."""
+    starts inside its region."""
     searched = _problem(problem, units, lam)
     high = 1.0 if problem == "inner" else 0.3  # an interior p00 stays >= 0.1
 
@@ -479,7 +477,7 @@ def test_the_line_form_fails_closed_past_a_rescaled_prefix():
     # rescale at states 3 and 4.
     units = 4
     down, up = [0.0, 2.0**-600, 2.0**-600, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 0.0]
-    cols = [down, up, [True] * (units + 1), [1.0] * (units + 1)]
+    cols = [down, up, [1.0] * (units + 1)]
     w = [1.0]
     _cell_sums(cols, w)
     assert w == [1.0, 2.0**600]
@@ -552,14 +550,14 @@ def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, s
     s = wu * c[1]
     t = total + (wu + s * suffix)
     assert t <= _HUGE and smin <= s <= smax  # the probe is priced by the form
-    priced = [(p + (wu * r + s * g)) / t for (p, g), r in zip(terms, c[3:])]
+    priced = [(p + (wu * r + s * g)) / t for (p, g), r in zip(terms, c[2:])]
 
     weights = [Fraction(x) for x in w[:u]] + [Fraction(wu)]
     for k in range(u + 1, units + 1):
         weights.append(weights[-1] * Fraction(probed[1][k - 1]) / Fraction(probed[0][k]))
     real_total = sum(weights)
     n = units + 1
-    for j, r in enumerate(probed[3:]):
+    for j, r in enumerate(probed[2:]):
         real = sum(wk * Fraction(rk) for wk, rk in zip(weights, r)) / real_total
         a = sum(wk * abs(Fraction(rk)) for wk, rk in zip(weights, r)) / real_total
         assert abs(Fraction(solved[j]) - real) <= _gamma(6 * n) * a
@@ -581,17 +579,21 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     def line(x, i):
         return top if i == 2 else lambda v: below[i]
 
-    # States 0 and 1 stay fixed: each has one coordinate, held at 1 - CLAMP
-    # with the other as its sibling, so that its range is empty and no line
-    # search runs on it.
-    fixed = _Problem([(1,), (0,), ()], [0, 1, 2], line, itemgetter(0), 1.0)
+    # States 0 and 1 stay fixed: each has one coordinate, which its cell does
+    # not read, so every probe of its line search has the accepted cell and
+    # none gains. The last of the sweep's three line searches is the top
+    # state's.
+    fixed = _Problem([(), (), ()], [0, 1, 2], line, itemgetter(0), 1.0)
     cols, w = _start_chain([*below, top(0.5)])
     assert w[1] == 2.0**899
     lead, total, suffix, smin, smax, _, _, _ = _line_form(cols, w, 2)
-    probes = []
+    searches = []  # per line search, its probes' (err, cell)
     real_golden = search._golden_max
 
     def golden(f, exact, lo, hi):
+        probes = []
+        searches.append(probes)
+
         def recorded(v):
             p = f(v)
             probes.append((p[1], p[2]))  # a later comparison may make p exact
@@ -600,14 +602,15 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
         return real_golden(recorded, exact, lo, hi)
 
     monkeypatch.setattr(search, "_golden_max", golden)
-    config = SearchConfig(restarts=1, tol=math.inf)  # one line search
-    x, f, _ = _search([[1.0, 1.0, 0.5]], None, fixed, config)
+    config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
+    x, f, _ = _search([[0.5, 0.5, 0.5]], None, fixed, config)
+    assert x[:2] == [0.5, 0.5] and len(searches) == 3
     assert f == _cell_sums(_start_chain([*below, top(x[2])])[0])[0][0]
     over = []
-    for err, c in probes:
+    for err, c in searches[-1]:
         wu = lead / c[0]
         s = wu * c[1]
-        assert smin <= s <= smax and abs(c[3]) <= _HUGE
+        assert smin <= s <= smax and abs(c[2]) <= _HUGE
         if total + (wu + s * suffix) > _HUGE:
             over.append(err)
         else:
@@ -698,7 +701,7 @@ def test_a_probe_with_a_zero_move_raises_the_error_of_a_full_solve():
 
 
 def _bits(c):
-    return [r if isinstance(r, bool) else r.hex() for r in c]
+    return [r.hex() for r in c]
 
 
 @settings(max_examples=100, deadline=None)
@@ -712,9 +715,9 @@ def test_a_line_gives_the_cell_of_its_vector_bit_for_bit(problem, units, lam, da
     # line(x, i)(v) is state states[i]'s cell of x with x[i] = v, as the
     # bounds' own evaluations build it (_cells), for every coordinate, the
     # end states' too, and for v that puts p00 = 1 - v - (the state's other
-    # entries) near CLAMP/2, at 0 or below it, where the outer cell turns
-    # infeasible and its entropy drops the p00 term. For the outer bound this
-    # checks that the line computes p00 in _dist's order.
+    # entries) near CLAMP/2, at 0 or below it, where the outer entropy drops
+    # the p00 term. For the outer bound this checks that the line computes p00
+    # in _dist's order.
     searched = _problem(problem, units, lam)
     n = len(searched.states)
     x = data.draw(st.lists(st.floats(min_value=0.0, max_value=0.5), min_size=n, max_size=n))
@@ -727,8 +730,6 @@ def test_a_line_gives_the_cell_of_its_vector_bit_for_bit(problem, units, lam, da
             y = list(x)
             y[i] = v
             assert _bits(at(v)) == _bits(_cells(problem, units, y)[u])
-        if problem != "inner":
-            assert at(rest - CLAMP)[2] and not at(rest - CLAMP / 4.0)[2] and not at(rest + 0.01)[2]
     assert x == before  # a line reads x and leaves it as it is
 
 
@@ -762,17 +763,32 @@ def test_every_objective_moves_at_most_twice_its_sums(problem, lam, s, t, nudge)
     assert abs(value(s) - value(t)) <= bound
 
 
-def test_search_moves_every_state_once_an_infeasible_start_is_repaired():
+def test_search_runs_a_start_outside_its_region_from_the_capped_start():
     # Outer sum at U = 2 from a start whose interior state has p01 = p10 =
-    # p11 = 0.45, so its (0, 0) mass is negative and the start is at -inf.
-    # The line search of that state's p01 (coordinate 1) repairs it, so no
-    # cell is infeasible after it, and state 2's p10 (coordinate 4) moves in
-    # the same sweep. That sweep gains inf; the next gains less than tol, so
-    # the search stops there. A search that still counted state 1 infeasible
-    # would price every later probe at -inf, and x[4] would stay put.
+    # p11 = 0.45, so its (0, 0) mass is negative. The search caps each
+    # coordinate in turn at the upper end of its line search's range,
+    # 1 - (its siblings' sum) - CLAMP: p01 drops to 0.1 - CLAMP, p10 and p11
+    # stay at about 0.45, and p00 ends at about CLAMP. The end states'
+    # entries lie in their ranges and stay as they are. Every cell of the
+    # start is built from that vector, bit for bit, and the ascent runs from
+    # it: state 2's p10 (coordinate 4) moves in the first sweep.
     start = [0.5, 0.45, 0.45, 0.45, 0.5]
+    p01 = (1.0 - (0.45 + 0.45)) - CLAMP
+    p10 = min(0.45, (1.0 - (p01 + 0.45)) - CLAMP)
+    p11 = min(0.45, (1.0 - (p01 + p10)) - CLAMP)
+    capped = [0.5, p01, p10, p11, 0.5]
+    p00 = _unpack(capped, _free_slots(2))[1][0]
+    assert CLAMP * (1.0 - 1e-9) <= p00 <= CLAMP * (1.0 + 1e-9)
+    built = []  # the vector of every cell, as float.hex
+
+    def recording(x, u, c):
+        built.append([v.hex() for v in x])
+        return c
+
+    searched = changed_cells(_problem("outer sum", 2, 0.5), recording)
     config = SearchConfig(restarts=1, tol=math.inf)
-    x, f, _ = _search([start], None, _problem("outer sum", 2, 0.5), config)
+    x, f, _ = _search([start], None, searched, config)
+    assert built[:3] == [[v.hex() for v in capped]] * 3  # the start's three cells
     assert x[4] != start[4]
     assert f == _fresh_value("outer sum", 2, 0.5, x)
 

@@ -121,7 +121,8 @@ class TransitionKernel:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense (units+1)x(units+1) view, for display and tests."""
+        """Dense (units+1)x(units+1) view, for the demos and tests; it takes
+        O(units^2) memory, so the CLI prints the move vectors instead."""
         stay = np.maximum(0.0, 1.0 - np.append(0.0, self.down) - np.append(self.up, 0.0))
         q = np.diag(stay)
         i = np.arange(self.units)

@@ -137,10 +137,11 @@ def cmd_stationary(args) -> int:
     print(f"energy units: {units}")
     print(f"policy p1: {_fmt_vec(policy.p1)}")
     print(f"policy p2: {_fmt_vec(policy.p2)}")
-    print("state  pi        kernel row")
-    for u, q_row in enumerate(kernel.matrix):
-        row = " ".join(f"{q:.6f}" for q in q_row)
-        print(f"{u:>5}  {pi[u]:.6f}  {row}")
+    # Each state's three moves, from the move vectors: the dense kernel
+    # would take O(units^2) memory and output.
+    print("state  pi        down      stay      up")
+    for u, (d, r) in enumerate(zip((0.0, *kernel.down), (*kernel.up, 0.0))):
+        print(f"{u:>5}  {pi[u]:.6f}  {d:.6f}  {max(0.0, 1.0 - d - r):.6f}  {r:.6f}")
     if steps is not None:
         occ = simulate_chain(kernel, steps, initial_state=0, seed=args.seed)
         print(f"simulated occupancy ({steps} steps): {_fmt_vec(occ)}")

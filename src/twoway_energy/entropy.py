@@ -37,6 +37,42 @@ def _entropy(p00: float, p01: float, p10: float, p11: float) -> float:
     return h
 
 
+def _entropy_line(p01: float, p10: float, p11: float, slot: int):
+    """_entropy along a line: the function of (p00, v) that returns
+    _entropy(p00, p01, p10, p11) with the entry at slot (1, 2 or 3: p01,
+    p10 or p11) set to v, bit for bit. The two fixed entries' terms are
+    computed once; the four terms are subtracted in _entropy's order under
+    its p > 0 rule, a fixed p <= 0 as 0.0 (x - 0.0 is x)."""
+    t01 = p01 * log2(p01) if p01 > 0.0 else 0.0
+    t10 = p10 * log2(p10) if p10 > 0.0 else 0.0
+    t11 = p11 * log2(p11) if p11 > 0.0 else 0.0
+    if slot == 1:
+
+        def line(p00, v):
+            h = 0.0 - p00 * log2(p00) if p00 > 0.0 else 0.0
+            if v > 0.0:
+                h -= v * log2(v)
+            return (h - t10) - t11
+
+    elif slot == 2:
+
+        def line(p00, v):
+            h = (0.0 - p00 * log2(p00) if p00 > 0.0 else 0.0) - t01
+            if v > 0.0:
+                h -= v * log2(v)
+            return h - t11
+
+    else:
+
+        def line(p00, v):
+            h = ((0.0 - p00 * log2(p00) if p00 > 0.0 else 0.0) - t01) - t10
+            if v > 0.0:
+                h -= v * log2(v)
+            return h
+
+    return line
+
+
 def binary_entropy(p: float) -> float:
     """Entropy of a Bern(p) symbol in bits; raises ValueError outside [0,1]."""
     if not 0.0 <= p <= 1.0:

@@ -103,12 +103,16 @@ def rates_for_policy(policy: MarginalPolicy) -> RatePair:
 def _inner_problem(units: int, lam: float) -> _Problem:
     """The inner objective of x = (p1[1:], p2[1:]) for _search."""
 
+    # _inner_cell's floats, with the fixed symbol's entropy and complement
+    # formed once per line
     def line(x, i):
         if i < units:  # p1[i + 1], in state i + 1
             b = x[2 * units - 2 - i] if i + 1 < units else 0.0
-            return lambda v: _inner_cell(v, b)
+            hb, nb = _h(b), 1.0 - b
+            return lambda v: (v * nb, (1.0 - v) * b, _h(v), hb)
         a = x[2 * units - 2 - i] if i + 1 < 2 * units else 0.0  # p2[i + 1 - units], in state 2U - 1 - i
-        return lambda v: _inner_cell(a, v)
+        ha, na = _h(a), 1.0 - a
+        return lambda v: (a * (1.0 - v), na * v, ha, _h(v))
 
     def value(s):
         return 2.0 * (lam * s[0] + (1.0 - lam) * s[1])

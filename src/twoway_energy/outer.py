@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .chain import MarginalPolicy, _count, uniform_policy
-from .entropy import JointSymbolDist, _entropy, _h
+from .entropy import JointSymbolDist, _entropy, _entropy_line, _h
 from .inner import optimize_sum_rate, rates_for_policy
 from .search import SearchConfig, _cell_sums, _checked_search, _Problem, _search
 
@@ -157,24 +157,46 @@ def _outer_problem(units, lam=None) -> _Problem:
     states = [u for u, free in enumerate(slots) for _ in free]
     siblings = [tuple(j for j in range(at[u], at[u + 1]) if j != i) for i, u in enumerate(states)]
     rates = lam is not None
-    joint = not rates
 
-    # Each state's free entries are read straight from x in _free_slots'
-    # layout, and p00 is the remainder in the order _dist takes it, so the
-    # floats are _dist's.
+    searched = [s for free in slots for s in free]  # per coordinate, its slot in (p00, p01, p10, p11)
+
+    # A line reads its state's other entries straight from x in _free_slots'
+    # layout (an end state's are its forced zeros, which subtract exactly)
+    # and takes p00 as the remainder in _dist's order, so the floats are
+    # _dist's; the entropy's fixed terms, and for the weighted objective the
+    # fixed marginal's entropy, are formed once per line.
     def line(x, i):
         u = states[i]
-        if u == 0:
-            return lambda v: _outer_cell(1.0 - v, v, 0.0, 0.0, rates, joint)
-        if u == units:
-            return lambda v: _outer_cell(1.0 - v, 0.0, v, 0.0, rates, joint)
-        k = at[u]
-        p01, p10, p11 = x[k : k + 3]
-        if i == k:
-            return lambda v: _outer_cell(((1.0 - v) - p10) - p11, v, p10, p11, rates, joint)
-        if i == k + 1:
-            return lambda v: _outer_cell(((1.0 - p01) - v) - p11, p01, v, p11, rates, joint)
-        return lambda v: _outer_cell(((1.0 - p01) - p10) - v, p01, p10, v, rates, joint)
+        p01, p10, p11 = x[at[u] : at[u] + 3] if 0 < u < units else (0.0, 0.0, 0.0)
+        slot = searched[i]
+        h = _entropy_line(p01, p10, p11, slot)
+        if slot == 1:
+            if not rates:
+                return lambda v: (p10, v, h(((1.0 - v) - p10) - p11, v))
+            h2 = _h(p10 + p11)
+
+            def cell(v):
+                e = h(((1.0 - v) - p10) - p11, v)
+                return p10, v, e - _h(v + p11), e - h2
+
+        elif slot == 2:
+            if not rates:
+                return lambda v: (v, p01, h(((1.0 - p01) - v) - p11, v))
+            h1 = _h(p01 + p11)
+
+            def cell(v):
+                e = h(((1.0 - p01) - v) - p11, v)
+                return v, p01, e - h1, e - _h(v + p11)
+
+        else:
+            if not rates:
+                return lambda v: (p10, p01, h(((1.0 - p01) - p10) - v, v))
+
+            def cell(v):
+                e = h(((1.0 - p01) - p10) - v, v)
+                return p10, p01, e - _h(p01 + v), e - _h(p10 + v)
+
+        return cell
 
     if not rates:
         return _Problem(siblings, states, line, itemgetter(0), 1.0)

@@ -306,6 +306,12 @@ class CodebookLevel:
     p: float
     size: int  # codeword count (top-53-bit representation for huge books)
 
+    def __repr__(self):
+        # A huge size is shown by its bit length: its decimal form can pass
+        # int's string-conversion limit (4300 digits), where repr would raise.
+        size = self.size if self.size.bit_length() <= 64 else f"<{self.size.bit_length()}-bit int>"
+        return f"CodebookLevel(length={self.length!r}, p={self.p!r}, size={size})"
+
 
 @dataclass(frozen=True)
 class CodebookSet:

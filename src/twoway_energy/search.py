@@ -5,8 +5,9 @@ probabilities. Each coordinate enters one state's cell (`states`), a cell
 being (down move, up move, *rewards), and `value` maps the
 chain's sums of the reward columns to the objective; the cells carry only
 the reward columns that `value` reads. Cells are built through one
-function per line search, `line(x, i)`, from the problem's one cell
-formula, so that probes neither write nor reread x; a start builds its
+function per line search, `line(x, i)`, which gives the floats of the
+problem's one cell formula and computes what the line's fixed entries give
+once, so that probes neither write nor reread x; a start builds its
 cells through the same lines, at one coordinate of each state.
 
 The objective is smooth but nonconvex, so the search runs from fixed

@@ -5,7 +5,7 @@ import pytest
 
 from twoway_energy import SweepRow, sweep_details
 from twoway_energy import cli
-from twoway_energy.chain import TransitionKernel
+from twoway_energy.chain import TransitionKernel, build_kernel, uniform_policy
 from twoway_energy.cli import main, render_sweep_csv
 from twoway_energy.inner import SearchConfig
 
@@ -81,14 +81,34 @@ def test_outer_weighted_search_from_a_seed_outside_its_region(capsys):
 
 @pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
 def test_memory_exhaustion_is_runtime_error(capsys, monkeypatch, message):
-    # stationary --budget 100000 asks numpy for a 74.5 GiB dense kernel
-    def matrix(self):
+    # a solve that cannot get its memory, as numpy reports it
+    def stationary(kernel):
         raise MemoryError(message)
 
-    monkeypatch.setattr(TransitionKernel, "matrix", property(matrix))
+    monkeypatch.setattr(cli, "stationary", stationary)
     assert main(["stationary", "--budget", "2"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message or 'MemoryError'}\n"
+
+
+def test_stationary_prints_each_states_moves_without_the_dense_kernel(capsys, monkeypatch):
+    # The table holds each state's down, stay and up moves, the nonzero band
+    # of its dense kernel row, and never builds the O(U^2) matrix.
+    rows = build_kernel(uniform_policy(3, 0.3)).matrix
+
+    def matrix(self):
+        raise AssertionError("the dense kernel was built")
+
+    monkeypatch.setattr(TransitionKernel, "matrix", property(matrix))
+    assert main(["stationary", "--budget", "3", "--p", "0.3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = lines.index("state  pi        down      stay      up")
+    table = [line.split() for line in lines[head + 1 :]]
+    assert [int(row[0]) for row in table] == [0, 1, 2, 3]
+    for u, row in enumerate(table):
+        band = [rows[u, u - 1] if u else 0.0, rows[u, u], rows[u, u + 1] if u < 3 else 0.0]
+        assert row[2:] == [f"{q:.6f}" for q in band]
+        assert np.count_nonzero(rows[u]) == sum(q != 0.0 for q in band)
 
 
 def test_stationary_optimized_policy(capsys):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import marginals_and_conditionals
 from twoway_energy import JointSymbolDist, binary_entropy, joint_entropy, joint_from_marginals
+from twoway_energy.entropy import _entropy, _entropy_line
 
 
 def test_binary_entropy_endpoints_and_uniform():
@@ -116,3 +119,31 @@ def test_joint_entropy_oracle_cross_check():
         d = JointSymbolDist(*(raw / raw.sum()))
         expected = scipy.stats.entropy(list(d.as_tuple()), base=2)
         assert joint_entropy(d) == pytest.approx(expected, abs=1e-12)
+
+
+# Probabilities where the p > 0 rule and the sign of a zero matter (0.0, -0.0,
+# 1.0, whose term is 0.0), below 0, and in (0, 1], the last also as multiples
+# of 2^-53 with full mantissas, whose terms round.
+ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(min_value=-1.0, max_value=0.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.integers(min_value=1, max_value=2**53).map(lambda k: k * 2.0**-53),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    fixed=st.lists(ENTRY, min_size=3, max_size=3),
+    points=st.lists(st.tuples(ENTRY, ENTRY), min_size=1, max_size=4),
+)
+def test_a_line_form_is_the_joint_entropy_bit_for_bit(fixed, points):
+    # The line form of each slot (1, 2, 3: p01, p10, p11) gives _entropy's
+    # float at every (p00, v) of one line; the entry at slot in fixed is not
+    # read.
+    for slot in (1, 2, 3):
+        line = _entropy_line(*fixed, slot)
+        for p00, v in points:
+            entries = list(fixed)
+            entries[slot - 1] = v
+            assert line(p00, v).hex() == _entropy(p00, *entries).hex()

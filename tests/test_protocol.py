@@ -414,6 +414,19 @@ def test_collision_sample_is_certain_without_a_draw_at_p_zero_or_one():
         assert rng.calls == 0
 
 
+def test_codebook_repr_shows_a_huge_size_by_its_bit_length():
+    # At n = 1e5 each book's size has thousands of decimal digits, past int's
+    # string-conversion limit; repr names it by its bit length instead.
+    books = build_codebooks(uniform_policy(2, 0.5), 100_000, 0.02, 0.1)
+    text = repr(books)
+    for lv in books.levels.values():
+        assert lv.size.bit_length() > 14_300  # above 4300 decimal digits
+        shown = f"CodebookLevel(length={lv.length}, p={lv.p!r}, size=<{lv.size.bit_length()}-bit int>)"
+        assert repr(lv) == shown and shown in text
+    assert repr(CodebookLevel(length=8, p=0.5, size=5)) == "CodebookLevel(length=8, p=0.5, size=5)"
+    assert repr(CodebookLevel(length=8, p=0.5, size=2**64 - 1)).endswith(f"size={2**64 - 1})")
+
+
 def test_margin_exhaustion_names_the_starved_book():
     # U = 2 fair coins: pi = (1/4, 1/2, 1/4) and node 1's level-2 book is
     # the first whose state mass 1/4 lies below the margin

@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError, OverflowError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

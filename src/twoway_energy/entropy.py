@@ -24,16 +24,12 @@ def _h(p: float) -> float:
 
 def _entropy(p00: float, p01: float, p10: float, p11: float) -> float:
     """Unchecked Shannon entropy in bits of the four probabilities of a
-    symbol pair, with terms in that order; a p <= 0 adds nothing."""
+    symbol pair, with terms in that order; a p <= 0 adds nothing. Search
+    probes price it through its line form, _entropy_line."""
     h = 0.0
-    if p00 > 0.0:
-        h -= p00 * log2(p00)
-    if p01 > 0.0:
-        h -= p01 * log2(p01)
-    if p10 > 0.0:
-        h -= p10 * log2(p10)
-    if p11 > 0.0:
-        h -= p11 * log2(p11)
+    for p in (p00, p01, p10, p11):
+        if p > 0.0:
+            h -= p * log2(p)
     return h
 
 

@@ -87,15 +87,12 @@ class OuterBoundValues:
     stationary: np.ndarray
 
 
-def _outer_cell(p00, p01, p10, p11, rates=True, joint=True):
-    """Cell (down, up, *rewards) of a state with joint (p00, p01, p10, p11):
-    moves p10 and p01, then rewards H(X1,X2) - H(X2) and H(X1,X2) - H(X1)
-    when rates, then H(X1,X2) when joint (always when not rates)."""
+def _outer_cell(p00, p01, p10, p11):
+    """Cell (down, up, r1, r2, h) of a state with joint (p00, p01, p10, p11):
+    moves p10 and p01, rewards H(X1,X2) - H(X2) and H(X1,X2) - H(X1), and
+    the joint entropy h = H(X1,X2) that the sum bound reads."""
     h = _entropy(p00, p01, p10, p11)
-    if not rates:
-        return p10, p01, h
-    r1, r2 = h - _h(p01 + p11), h - _h(p10 + p11)
-    return (p10, p01, r1, r2, h) if joint else (p10, p01, r1, r2)
+    return p10, p01, h - _h(p01 + p11), h - _h(p10 + p11), h
 
 
 def _outer_terms(dists):
@@ -163,38 +160,33 @@ def _outer_problem(units, lam=None) -> _Problem:
     # A line reads its state's other entries straight from x in _free_slots'
     # layout (an end state's are its forced zeros, which subtract exactly)
     # and takes p00 as the remainder in _dist's order, so the floats are
-    # _dist's; the entropy's fixed terms, and for the weighted objective the
-    # fixed marginal's entropy, are formed once per line.
+    # _dist's; the entropy's fixed terms are formed once per line. The sum
+    # bound's cell is (down, up, H(X1,X2)); the weighted cell subtracts the
+    # two marginals' entropies from that joint entropy, as _outer_cell does.
     def line(x, i):
         u = states[i]
         p01, p10, p11 = x[at[u] : at[u] + 3] if 0 < u < units else (0.0, 0.0, 0.0)
         slot = searched[i]
         h = _entropy_line(p01, p10, p11, slot)
         if slot == 1:
-            if not rates:
-                return lambda v: (p10, v, h(((1.0 - v) - p10) - p11, v))
-            h2 = _h(p10 + p11)
-
-            def cell(v):
-                e = h(((1.0 - v) - p10) - p11, v)
-                return p10, v, e - _h(v + p11), e - h2
-
+            joint = lambda v: (p10, v, h(((1.0 - v) - p10) - p11, v))
         elif slot == 2:
-            if not rates:
-                return lambda v: (v, p01, h(((1.0 - p01) - v) - p11, v))
-            h1 = _h(p01 + p11)
+            joint = lambda v: (v, p01, h(((1.0 - p01) - v) - p11, v))
+        else:
+            joint = lambda v: (p10, p01, h(((1.0 - p01) - p10) - v, v))
+        if not rates:
+            return joint
+        if slot == 3:
 
             def cell(v):
-                e = h(((1.0 - p01) - v) - p11, v)
-                return v, p01, e - h1, e - _h(v + p11)
+                down, up, e = joint(v)
+                return down, up, e - _h(up + v), e - _h(down + v)
 
         else:
-            if not rates:
-                return lambda v: (p10, p01, h(((1.0 - p01) - p10) - v, v))
 
             def cell(v):
-                e = h(((1.0 - p01) - p10) - v, v)
-                return p10, p01, e - _h(p01 + v), e - _h(p10 + v)
+                down, up, e = joint(v)
+                return down, up, e - _h(up + p11), e - _h(down + p11)
 
         return cell
 

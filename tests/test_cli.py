@@ -91,6 +91,23 @@ def test_memory_exhaustion_is_runtime_error(capsys, monkeypatch, message):
     assert err == f"error: {message or 'MemoryError'}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the grid of start vectors is sized by the budget
+        ["inner", "--budget", "99999999999999999999999", "--restarts", "1"],
+        ["outer", "--budget", "99999999999999999999999", "--restarts", "1"],
+        # a codebook size of 2^(n*rate) that no int can hold
+        ["simulate", "--budget", "1", "--blocklength", "99999999999999999999999", "--trials", "1"],
+    ],
+)
+def test_overflow_is_runtime_error(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_stationary_prints_each_states_moves_without_the_dense_kernel(capsys, monkeypatch):
     # The table holds each state's down, stay and up moves, the nonzero band
     # of its dense kernel row, and never builds the O(U^2) matrix.

@@ -199,37 +199,87 @@ def test_from_marginal_round_trip():
     assert joint.dists[2].p10 == pytest.approx(0.5)
 
 
-def test_weighted_searches_match_their_pins_bit_for_bit():
-    # float.hex of the objective, the rates and the policy of both weighted
-    # searches at U = 3, lam = 0.3; the bounds sweep pins only lam = 0.5
+# float.hex of the objective, the rates and the policy of both weighted
+# searches at U = 3: lam = 0.3, and the end weights, where one rate column of
+# the outer search sits on the clamp; the bounds sweep pins only lam = 0.5
+@pytest.mark.parametrize(
+    "lam, inner_pin, outer_pin",
+    [
+        (
+            0.3,
+            {
+                "objective": "0x1.c80b3c530ab17p+0",
+                "rates": ["0x1.85ed1a821863dp-1", "0x1.e4614ad129650p-1"],
+                "p1": ["0x0.0p+0", "0x1.be7d3e98a208ep-2", "0x1.720aeb02f6341p-1", "0x1.be9c903811f90p-1"],
+                "p2": ["0x0.0p+0", "0x1.b27e6d6ab629ep-2", "0x1.0bb8f7af90856p-1", "0x1.2c0db3c218e10p-1"],
+            },
+            {
+                "objective": "0x1.caa8693accfb0p+0",
+                "rates": ["0x1.8d457fb364f17p-1", "0x1.e4f75f9967483p-1"],
+                "dists": [
+                    ["0x1.a5c1688d5701ep-2", "0x1.2d1f4bb9547f1p-1", "0x0.0p+0", "0x0.0p+0"],
+                    ["0x1.2800b3e972fc5p-2", "0x1.1c55c388116b8p-2", "0x1.7e40683babd74p-3", "0x1.f912a8e14b592p-3"],
+                    ["0x1.85691e68870ccp-3", "0x1.8e29a92e3f972p-4", "0x1.89cecd73be06ap-2", "0x1.4ff2390c6e8d4p-2"],
+                    ["0x1.027ca24f99ab0p-3", "0x0.0p+0", "0x1.bf60d76c19954p-1", "0x0.0p+0"],
+                ],
+            },
+        ),
+        (
+            0.0,
+            {
+                "objective": "0x1.fffffffffede4p+0",
+                "rates": ["0x1.f5fed41e6fbeap-17", "0x1.fffffffffede4p-1"],
+                "p1": ["0x0.0p+0", "0x1.ffffcfdad5b24p-1", "0x1.ffffcfdad5b24p-1", "0x1.ffffcfdad5b24p-1"],
+                "p2": ["0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1"],
+            },
+            {
+                "objective": "0x1.fffffffffd8b7p+0",
+                "rates": ["0x1.55d2fd4b28df7p-16", "0x1.fffffffffd8b7p-1"],
+                "dists": [
+                    ["0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x0.0p+0", "0x0.0p+0"],
+                    ["0x1.0c6f7a0b00000p-20", "0x1.0c6f7a0b5ed8dp-20", "0x1.ffffa9ed6d481p-2", "0x1.ffffcfdad5b24p-2"],
+                    ["0x1.0c6f7a0b00000p-20", "0x1.0c6f7a0b5ed8dp-20", "0x1.ffffa9ed6d481p-2", "0x1.ffffcfdad5b24p-2"],
+                    ["0x1.8129526e00000p-20", "0x0.0p+0", "0x1.ffffcfdad5b24p-1", "0x0.0p+0"],
+                ],
+            },
+        ),
+        (
+            1.0,
+            {
+                "objective": "0x1.fffffffffeb16p+0",
+                "rates": ["0x1.fffffffffeb16p-1", "0x1.f5fec930d206fp-17"],
+                "p1": ["0x0.0p+0", "0x1.0000f1a80861cp-1", "0x1.fffff4da89a60p-2", "0x1.fffff4da89a5ep-2"],
+                "p2": ["0x0.0p+0", "0x1.ffffcfdad5b24p-1", "0x1.ffffcfdad5b24p-1", "0x1.ffffcfdad5b24p-1"],
+            },
+            {
+                "objective": "0x1.fffffffffdab9p+0",
+                "rates": ["0x1.fffffffffdab9p-1", "0x1.55d2f5da9b69cp-16"],
+                "dists": [
+                    ["0x1.19093025e4000p-14", "0x1.fff737b67ed0ep-1", "0x0.0p+0", "0x0.0p+0"],
+                    ["0x1.0c6f7a0b00000p-20", "0x1.fffdc69d89f73p-2", "0x1.0c6f7a0b5ed8dp-20", "0x1.0000d9955c819p-1"],
+                    ["0x1.0c6f7a0b40000p-20", "0x1.ffffb512e295dp-2", "0x1.0c6f7a0b5ed8dp-20", "0x1.ffffc4b560649p-2"],
+                    ["0x1.00000592bb2d1p-1", "0x0.0p+0", "0x1.fffff4da89a5ep-2", "0x0.0p+0"],
+                ],
+            },
+        ),
+    ],
+    ids=["0.3", "0.0", "1.0"],
+)
+def test_weighted_searches_match_their_pins_bit_for_bit(lam, inner_pin, outer_pin):
     config = SearchConfig(restarts=4, seed=2)
-    inner = optimize_sum_rate(3, 0.3, config)
+    inner = optimize_sum_rate(3, lam, config)
     assert {
         "objective": inner.objective.hex(),
         "rates": [inner.rates.r1.hex(), inner.rates.r2.hex()],
         "p1": [float(v).hex() for v in inner.policy.p1],
         "p2": [float(v).hex() for v in inner.policy.p2],
-    } == {
-        "objective": "0x1.c80b3c530ab17p+0",
-        "rates": ["0x1.85ed1a821863dp-1", "0x1.e4614ad129650p-1"],
-        "p1": ["0x0.0p+0", "0x1.be7d3e98a208ep-2", "0x1.720aeb02f6341p-1", "0x1.be9c903811f90p-1"],
-        "p2": ["0x0.0p+0", "0x1.b27e6d6ab629ep-2", "0x1.0bb8f7af90856p-1", "0x1.2c0db3c218e10p-1"],
-    }
-    policy, values = optimize_outer_weighted(3, 0.3, config)
+    } == inner_pin
+    policy, values = optimize_outer_weighted(3, lam, config)
     assert {
-        "objective": (2.0 * (0.3 * values.r1_bound + 0.7 * values.r2_bound)).hex(),
+        "objective": (2.0 * (lam * values.r1_bound + (1.0 - lam) * values.r2_bound)).hex(),
         "rates": [values.r1_bound.hex(), values.r2_bound.hex()],
         "dists": [[float(p).hex() for p in d.as_tuple()] for d in policy.dists],
-    } == {
-        "objective": "0x1.caa8693accfb0p+0",
-        "rates": ["0x1.8d457fb364f17p-1", "0x1.e4f75f9967483p-1"],
-        "dists": [
-            ["0x1.a5c1688d5701ep-2", "0x1.2d1f4bb9547f1p-1", "0x0.0p+0", "0x0.0p+0"],
-            ["0x1.2800b3e972fc5p-2", "0x1.1c55c388116b8p-2", "0x1.7e40683babd74p-3", "0x1.f912a8e14b592p-3"],
-            ["0x1.85691e68870ccp-3", "0x1.8e29a92e3f972p-4", "0x1.89cecd73be06ap-2", "0x1.4ff2390c6e8d4p-2"],
-            ["0x1.027ca24f99ab0p-3", "0x0.0p+0", "0x1.bf60d76c19954p-1", "0x0.0p+0"],
-        ],
-    }
+    } == outer_pin
 
 
 def test_outer_sum_at_u32_matches_its_pin_bit_for_bit():

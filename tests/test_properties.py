@@ -185,8 +185,8 @@ def _cells(problem, units, x):
     gives it."""
     if problem == "inner":
         return list(zip(*_inner_columns([0.0, *x[:units]], [0.0, *x[units:]])))
-    rates = problem != "outer sum"
-    return [_outer_cell(*d, rates, not rates) for d in _unpack(x, _free_slots(units))]
+    cells = [_outer_cell(*d) for d in _unpack(x, _free_slots(units))]
+    return [c[:2] + c[4:] for c in cells] if problem == "outer sum" else [c[:4] for c in cells]
 
 
 class _Cell(tuple):
@@ -518,7 +518,7 @@ def _random_cell(kind, units, u, data):
     p01 = data.draw(move) if u < units else 0.0
     p10 = data.draw(move) if u else 0.0
     p11 = data.draw(st.floats(min_value=0.0, max_value=0.09)) if 0 < u < units else 0.0
-    return _outer_cell(((1.0 - p01) - p10) - p11, p01, p10, p11, True, False)
+    return _outer_cell(((1.0 - p01) - p10) - p11, p01, p10, p11)[:4]
 
 
 @settings(max_examples=100, deadline=None)
@@ -571,10 +571,11 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     # 2^898 / v and the form total 1 + 2^899 + 2^898 / v: above 2^900 for
     # v < 1/2, though every weight and sum the form itself holds is in range
     # and the top state has no up move, so s = 0.
-    below = [_outer_cell(0.5, 0.5, 0.0, 0.0, False), _outer_cell(0.5, 0.5, 2.0**-900, 0.0, False)]
+    below = [c[:2] + c[4:] for c in (_outer_cell(0.5, 0.5, 0.0, 0.0), _outer_cell(0.5, 0.5, 2.0**-900, 0.0))]
 
     def top(v):
-        return _outer_cell(1.0 - v, 0.0, v, 0.0, False)
+        c = _outer_cell(1.0 - v, 0.0, v, 0.0)
+        return c[:2] + c[4:]
 
     def line(x, i):
         return top if i == 2 else lambda v: below[i]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import nullcontext
 
@@ -346,7 +347,16 @@ def main(argv=None) -> int:
         run, _, keys, _ = COMMANDS[args.command]
         for key in (*keys.split(), *args._config):  # checks a shared file in full
             setattr(args, key, _resolve(args, key))
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (as by `| head`): point it at devnull, so
+        # that the interpreter's last flush cannot fail too, and end quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

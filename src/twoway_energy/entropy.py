@@ -25,7 +25,7 @@ def _h(p: float) -> float:
 def _entropy(p00: float, p01: float, p10: float, p11: float) -> float:
     """Unchecked Shannon entropy in bits of the four probabilities of a
     symbol pair, with terms in that order; a p <= 0 adds nothing. Search
-    probes price it through its line form, _entropy_line."""
+    probes price it through its line form, _joint_line."""
     h = 0.0
     for p in (p00, p01, p10, p11):
         if p > 0.0:
@@ -33,38 +33,45 @@ def _entropy(p00: float, p01: float, p10: float, p11: float) -> float:
     return h
 
 
-def _entropy_line(p01: float, p10: float, p11: float, slot: int):
-    """_entropy along a line: the function of (p00, v) that returns
-    _entropy(p00, p01, p10, p11) with the entry at slot (1, 2 or 3: p01,
-    p10 or p11) set to v, bit for bit. The two fixed entries' terms are
-    computed once; the four terms are subtracted in _entropy's order under
-    its p > 0 rule, a fixed p <= 0 as 0.0 (x - 0.0 is x)."""
+def _joint_line(p01: float, p10: float, p11: float, slot: int):
+    """The sum bound's cell along a line: the function of v that returns
+    (p10, p01, _entropy(p00, p01, p10, p11)) with the entry at slot (1, 2 or
+    3: p01, p10 or p11) set to v and p00 the remainder
+    ((1 - p01) - p10) - p11, bit for bit. The fixed entries' terms, and the
+    part of the remainder that they give, are computed once; the four terms
+    are subtracted in _entropy's order under its p > 0 rule, a fixed p <= 0
+    as 0.0 (x - 0.0 is x)."""
     t01 = p01 * log2(p01) if p01 > 0.0 else 0.0
     t10 = p10 * log2(p10) if p10 > 0.0 else 0.0
     t11 = p11 * log2(p11) if p11 > 0.0 else 0.0
     if slot == 1:
 
-        def line(p00, v):
+        def line(v):
+            p00 = ((1.0 - v) - p10) - p11
             h = 0.0 - p00 * log2(p00) if p00 > 0.0 else 0.0
             if v > 0.0:
                 h -= v * log2(v)
-            return (h - t10) - t11
+            return p10, v, (h - t10) - t11
 
     elif slot == 2:
+        rest = 1.0 - p01
 
-        def line(p00, v):
+        def line(v):
+            p00 = (rest - v) - p11
             h = (0.0 - p00 * log2(p00) if p00 > 0.0 else 0.0) - t01
             if v > 0.0:
                 h -= v * log2(v)
-            return h - t11
+            return v, p01, h - t11
 
     else:
+        rest = (1.0 - p01) - p10
 
-        def line(p00, v):
+        def line(v):
+            p00 = rest - v
             h = ((0.0 - p00 * log2(p00) if p00 > 0.0 else 0.0) - t01) - t10
             if v > 0.0:
                 h -= v * log2(v)
-            return h
+            return p10, p01, h
 
     return line
 

@@ -114,8 +114,8 @@ def _inner_problem(units: int, lam: float) -> _Problem:
         ha, na = _h(a), 1.0 - a
         return lambda v: (a * (1.0 - v), na * v, ha, _h(v))
 
-    def value(s):
-        return 2.0 * (lam * s[0] + (1.0 - lam) * s[1])
+    def value(s0, s1):
+        return 2.0 * (lam * s0 + (1.0 - lam) * s1)
 
     states = [*range(1, units + 1), *range(units - 1, -1, -1)]
     return _Problem(((),) * len(states), states, line, value, 2.0)
@@ -190,8 +190,8 @@ def _inner_settled(units: int, lam: float):
         t = f + 1e-9 - 1e-12
         columns = _inner_columns([0.0, *x[:units]], [0.0, *x[units:]])
         sums, w, _ = _cell_sums(columns)
-        rho = value(sums)
-        gaps = [wk * (rho - value(r)) for wk, *r in zip(w, columns[2], columns[3])]
+        rho = value(*sums)
+        gaps = [wk * (rho - value(r1, r2)) for wk, r1, r2 in zip(w, columns[2], columns[3])]
         heads = list(accumulate(gaps))
         tails = list(accumulate(reversed(gaps)))[::-1]
         try:

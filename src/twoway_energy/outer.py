@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, starmap
-from operator import itemgetter
 
 import numpy as np
 
 from .chain import MarginalPolicy, _count, uniform_policy
-from .entropy import JointSymbolDist, _entropy, _entropy_line, _h
+from .entropy import JointSymbolDist, _entropy, _h, _joint_line
 from .inner import optimize_sum_rate, rates_for_policy
 from .search import SearchConfig, _cell_sums, _checked_search, _Problem, _search
 
@@ -144,6 +143,11 @@ def _pack(policy: JointStatePolicy, slots):
     return [d.as_tuple()[s] for d, free in zip(policy.dists, slots) for s in free]
 
 
+def _sum_value(s):
+    """The sum bound's objective: its one reward sum, exactly."""
+    return s
+
+
 def _outer_problem(units, lam=None) -> _Problem:
     """The sum bound, or 2*(lam*r1 + (1-lam)*r2) when lam is given, over
     the search vector of _free_slots(units), for _search; a cell carries
@@ -158,22 +162,16 @@ def _outer_problem(units, lam=None) -> _Problem:
     searched = [s for free in slots for s in free]  # per coordinate, its slot in (p00, p01, p10, p11)
 
     # A line reads its state's other entries straight from x in _free_slots'
-    # layout (an end state's are its forced zeros, which subtract exactly)
-    # and takes p00 as the remainder in _dist's order, so the floats are
-    # _dist's; the entropy's fixed terms are formed once per line. The sum
-    # bound's cell is (down, up, H(X1,X2)); the weighted cell subtracts the
-    # two marginals' entropies from that joint entropy, as _outer_cell does.
+    # layout (an end state's are its forced zeros, which subtract exactly);
+    # the sum bound's line is the joint line form, (down, up, H(X1,X2)) with
+    # p00 the remainder in _dist's order, so the floats are _dist's. The
+    # weighted cell subtracts the two marginals' entropies from that joint
+    # entropy, as _outer_cell does.
     def line(x, i):
         u = states[i]
         p01, p10, p11 = x[at[u] : at[u] + 3] if 0 < u < units else (0.0, 0.0, 0.0)
         slot = searched[i]
-        h = _entropy_line(p01, p10, p11, slot)
-        if slot == 1:
-            joint = lambda v: (p10, v, h(((1.0 - v) - p10) - p11, v))
-        elif slot == 2:
-            joint = lambda v: (v, p01, h(((1.0 - p01) - v) - p11, v))
-        else:
-            joint = lambda v: (p10, p01, h(((1.0 - p01) - p10) - v, v))
+        joint = _joint_line(p01, p10, p11, slot)
         if not rates:
             return joint
         if slot == 3:
@@ -191,10 +189,10 @@ def _outer_problem(units, lam=None) -> _Problem:
         return cell
 
     if not rates:
-        return _Problem(siblings, states, line, itemgetter(0), 1.0)
+        return _Problem(siblings, states, line, _sum_value, 1.0)
 
-    def value(sums):
-        return 2.0 * (lam * max(sums[0], 0.0) + (1.0 - lam) * max(sums[1], 0.0))
+    def value(s0, s1):
+        return 2.0 * (lam * max(s0, 0.0) + (1.0 - lam) * max(s1, 0.0))
 
     return _Problem(siblings, states, line, value, 2.0)
 

@@ -2,13 +2,14 @@
 
 A search problem (`_Problem`) is a chain objective over a vector x of free
 probabilities. Each coordinate enters one state's cell (`states`), a cell
-being (down move, up move, *rewards), and `value` maps the
-chain's sums of the reward columns to the objective; the cells carry only
-the reward columns that `value` reads. Cells are built through one
-function per line search, `line(x, i)`, which gives the floats of the
-problem's one cell formula and computes what the line's fixed entries give
-once, so that probes neither write nor reread x; a start builds its
-cells through the same lines, at one coordinate of each state.
+being (down move, up move, *rewards), and `value` takes the chain's
+sums of the reward columns as its one or two arguments and returns the
+objective; the cells carry only the reward columns that `value` reads.
+Cells are built through one function per line search, `line(x, i)`,
+which gives the floats of the problem's one cell formula and computes what
+the line's fixed entries give once, so that probes neither write nor
+reread x; a start builds its cells through the same lines, at one
+coordinate of each state.
 
 The objective is smooth but nonconvex, so the search runs from fixed
 starts plus random restarts, each refined by coordinate-wise
@@ -17,9 +18,10 @@ over [CLAMP, 1 - (its siblings' sum) - CLAMP], so that every entry of its
 state's simplex, the remainder (an outer state's p00) too, stays at least
 CLAMP, and each start is brought into that region before its ascent: every
 point the search evaluates lies in it. A line search
-on coordinate i of state u keeps every other cell fixed, and its probes
-are of two kinds.
-- An exact probe writes its cell into the cached columns. If its moves are
+on coordinate i of state u keeps every other cell fixed. Each probe is
+one call that returns (value, err, cell), and its probes are of two kinds.
+- An exact probe (err 0), or exact(cell) for a probe priced the other
+  way, writes its cell into the cached columns. If its moves are
   the line search's latest solve's (at first the accepted chain's), it
   sums its rewards against that solve's stationary law; else it checks
   only its two moves (the others were checked at their states' probes or
@@ -33,8 +35,10 @@ are of two kinds.
   weights are u's weight times its up move times products of fixed moves.
   `_line_form` sums the two fixed blocks once per state, so the probe costs
   its cell plus straight-line arithmetic, with its one or two reward
-  columns written out, and returns that form's value with err, a bound on
-  its distance from the exact probe's float.
+  columns written out and passed to value as scalars, and returns that
+  form's value with err, a bound on its distance from the exact probe's
+  float: one constant per line, unless the probe's own rewards are larger
+  than every fixed state's.
 Golden-section search only compares probes: by the values where their gap
 exceeds both errs (a floating-point filter, as in Shewchuk's adaptive
 predicates), as equal where the cells are equal, and otherwise after
@@ -52,21 +56,27 @@ given the seed.
 The err bound. Let n = U + 1 states, eps = 2^-53 and
 g_m = m*eps/(1 - m*eps), and let S_j be the real reward sums of the chain
 whose weights are the accepted prefix, the float w_u that both kinds of
-probe compute, and the real recursion above u. The exact solve rounds a
-weight above u at most 2n times, the total n times more, each pi[k] twice
-more and each product once more, and its column sum adds n (also a bound
-for the compensated sum of CPython 3.12): it is within g_6n * A_j of S_j,
-where A_j = sum_k pi[k] * |r_jk|. The O(1) form rounds each suffix product
-at most 2n times and its sums n times more; a probe adds 4 roundings to
-the total and the numerators, and one division: it is within
-g_(6n+9) * A_j of S_j. With value's contract (see _search), two values of
-sums within g_(12n+9) * A_j lie within
-(L * (12n + 9) + 16 * (L - 1)) * eps * sum_j A_j of each other, and the
-computed A, whose own relative error is below g_(6n+12) for up to three
-reward columns, is inflated to cover it:
-err = k * A + tiny with k = L * (U + 2) * 2^-49 = 16L(n + 1) * eps,
-which exceeds that by (4n + 7) * eps at L = 1 and (8n - 2) * eps at
-L = 2, so for every n >= 2 (and U < 2^28, far beyond memory). tiny =
+probe compute, and the real recursion above u, with law pi. The exact
+solve rounds a weight above u at most 2n times, the total n times more,
+each pi[k] twice more and each product once more, and its column sum adds
+n (also a bound for the compensated sum of CPython 3.12): it is within
+g_6n * A_j of S_j, where A_j = sum_k pi[k] * |r_jk|. The O(1) form rounds
+each suffix product at most 2n times and its sums n times more; a probe
+adds 4 roundings to the total and the numerators, and one division: it is
+within g_(6n+9) * A_j of S_j. With value's contract (see _search), two
+values of sums within g_(12n+9) * A_j lie within
+(L * (12n + 9) + 16 * (L - 1)) * eps * sum_j A_j of each other, up to
+terms in eps^2. As pi sums to 1, sum_j A_j = sum_k pi[k] * a_k is at most
+a, the largest a_k = sum_j |r_jk| over the probed chain's states. A probe
+computes each a_k with at most one rounding (it has one or two reward
+columns), takes a as the max of the fixed states' (amax, once per form)
+and its own a_u, and bounds its distance by
+err = k * a + tiny with k = L * (U + 2) * 2^-49 = 16L(n + 1) * eps,
+rounded twice; a comparison adds two errs with one rounding more. k
+exceeds the constant above by (4n + 7) * eps at L = 1 and (8n - 2) * eps
+at L = 2, which covers those four relative roundings of eps and the eps^2
+terms for every n >= 2 (and U < 2^28, far beyond memory). So every probe
+whose a_u is at most amax has the same err, k * amax + tiny. tiny =
 (U + 3) * 2^-160 covers underflow: the form is used only while every
 weight, suffix product and total lies in [2^-900, 2^900] and every
 |reward| is at most 2^900, so an underflowed pi[k], product or division
@@ -77,6 +87,7 @@ exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -129,8 +140,8 @@ def _cell_sums(columns, w=None, u=None):
 def _line_form(cols, w, u):
     """The chain of cell columns cols (down, up, *rewards) as an
     O(1) function of state u's cell, every other cell fixed, for _search:
-    (lead, P, G, smin, smax, P_abs, G_abs, [(P_r, G_r) per reward column]),
-    or None where the form is not certified.
+    (lead, P, G, smin, smax, amax, [(P_r, G_r) per reward column]), or None
+    where the form is not certified.
 
     The weights are the accepted prefix w[:u], state u's
     w_u = lead / down_u with lead = w[u-1] * up[u-1] (the float the exact
@@ -138,16 +149,17 @@ def _line_form(cols, w, u):
     s = w_u * up_u and g_k = prod_{u<j<k} up_j / prod_{u<j<=k} down_j. So
     the total is T = P + (w_u + s*G) and each reward sum is
     (P_r + (w_u*r_u + s*G_r)) / T, where P and P_r sum w_k and w_k*r_k over
-    the prefix, and G and G_r sum g_k and g_k*r_k over the suffix; P_abs
-    and G_abs are those of a_k = sum over columns of |r_k|, so that
-    A = (P_abs + (w_u*a_u + s*G_abs)) / T bounds sum_j sum_k pi[k]*|r_jk|.
-    The value of those sums lies within err, k*A + tiny (see the module
-    docstring), of the value of the exact solve's sums. None when the
-    prefix was rescaled (len(w) < u), a prefix weight, a g_k or a partial
-    product of their recursion lies outside [_TINY, _HUGE], or an a_k, P or
-    G lies above _HUGE; a probe is priced exactly unless smin <= s <= smax,
-    T <= _HUGE and a_u <= _HUGE, which keep every weight and partial
-    product of the exact solve in that range.
+    the prefix, and G and G_r sum g_k and g_k*r_k over the suffix. amax is
+    the largest a_k = sum over columns of |r_k| of the fixed states; with
+    the probed state's own a_u it bounds every sum_j sum_k pi[k]*|r_jk|,
+    as pi sums to 1. The value of those sums lies within err,
+    k*max(amax, a_u) + tiny (see the module docstring), of the value of the
+    exact solve's sums. None when the prefix was rescaled (len(w) < u), a
+    prefix weight, a g_k or a partial product of their recursion lies
+    outside [_TINY, _HUGE], or an a_k, P or G lies above _HUGE; a probe is
+    priced exactly unless smin <= s <= smax, T <= _HUGE and a_u <= _HUGE,
+    which keep every weight and partial product of the exact solve in that
+    range.
     """
     down, up, *rewards = cols
     top = len(down) - 1
@@ -167,12 +179,12 @@ def _line_form(cols, w, u):
     del absr[u]
     partial += g
     low, high = min(partial), max(partial)
-    total, suffix = sum(pre), sum(g)
+    total, suffix, amax = sum(pre), sum(g), max(absr)
     if not (
         (not pre or _TINY <= min(pre) and max(pre) <= _HUGE)
         and _TINY <= low
         and high <= _HUGE
-        and max(absr) <= _HUGE
+        and amax <= _HUGE
         and total <= _HUGE
         and suffix <= _HUGE
     ):
@@ -183,8 +195,7 @@ def _line_form(cols, w, u):
         suffix,
         _TINY / low if g else 0.0,
         _HUGE / high,
-        sum(map(mul, pre, absr)),
-        sum(map(mul, g, absr[u:])),
+        amax,
         [(sum(map(mul, pre, col)), sum(map(mul, g, col[u + 1 :]))) for col in rewards],
     )
 
@@ -193,37 +204,42 @@ def _golden_max(f, exact, lo: float, hi: float) -> float:
     """Midpoint of the last bracket of golden-section maximization of a
     unimodal-ish f on [lo, hi]; f is not called there.
 
-    f(v) returns a probe [value, err, cell] whose value lies within err of
-    the exact one (err 0: it is the exact one), and exact(probe) makes it
-    exact. Each comparison of the bracket is the one of exact values: it
-    is decided from the values when their gap exceeds both errors (float
-    rounding is monotone, so a gap computed above the computed error sum
-    is above the real one); as a tie when both probes have the same cell
-    (their chains, and so their exact values, are the same); otherwise
-    exact() makes the side with the larger error exact, until the gap is
-    decided or both sides are exact.
+    f(v) returns a probe (value, err, cell) whose value lies within err of
+    the exact one (err 0: it is the exact one), and exact(cell) returns
+    the exact value. The bracket's two probes are held as scalars. Each
+    comparison of the bracket is the one of exact values: it is decided
+    from the values when their gap exceeds both errors (float rounding is
+    monotone, so a gap computed above the computed error sum is above the
+    real one); as a tie when both probes have the same cell (their chains,
+    and so their exact values, are the same); otherwise exact() prices the
+    side with the larger error, until the gap is decided or both sides are
+    exact.
     """
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    vc, ec, cc = f(c)
+    vd, ed, cd = f(d)
     while (b - a) > _GOLDEN_XTOL:
-        gap = fc[0] - fd[0]
-        if not abs(gap) > fc[1] + fd[1]:
-            if fc[2] == fd[2]:
+        gap = vc - vd
+        if not abs(gap) > ec + ed:
+            if cc == cd:
                 gap = 0.0
             else:
-                while (fc[1] or fd[1]) and not abs(fc[0] - fd[0]) > fc[1] + fd[1]:
-                    exact(fc if fc[1] and not fd[1] > fc[1] else fd)
-                gap = fc[0] - fd[0]
-        if gap > 0.0:  # fc[0] > fd[0]
-            b, d, fd = d, c, fc
+                while (ec or ed) and not abs(vc - vd) > ec + ed:
+                    if ec and not ed > ec:
+                        vc, ec = exact(cc), 0.0
+                    else:
+                        vd, ed = exact(cd), 0.0
+                gap = vc - vd
+        if gap > 0.0:  # vc > vd
+            b, d, vd, ed, cd = d, c, vc, ec, cc
             c = b - _INVPHI * (b - a)
-            fc = f(c)
+            vc, ec, cc = f(c)
         else:
-            a, c, fc = c, d, fd
+            a, c, vc, ec, cc = c, d, vd, ed, cd
             d = a + _INVPHI * (b - a)
-            fd = f(d)
+            vd, ed, cd = f(d)
     return 0.5 * (a + b)
 
 
@@ -242,7 +258,7 @@ class _Problem(NamedTuple):
     siblings: Sequence  # per coordinate, the other entries of its state's simplex
     states: Sequence  # per coordinate, the one state whose cell it enters
     line: Callable  # line(x, i)(v): the cell (down, up, *rewards) of states[i], x[i] = v
-    value: Callable  # value(sums): the objective of the chain's reward sums
+    value: Callable  # value(*sums): the objective of the chain's one or two reward sums
     contract: float  # value's constant L in _search's contract
 
 
@@ -250,18 +266,19 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
     """Best (x, f, starts run) of multi-start coordinate ascent of a chain
     objective, by the mechanism of the module docstring.
 
-    f(x) is value(sums) of the chain whose state u has the cell
+    f(x) is value(*sums) of the chain whose state u has the cell
     line(x, i)(x[i]) of any coordinate i of u, which carries one or two
-    reward columns. value must meet
+    reward columns, so value takes one or two sums. value must meet
     this contract, with its constant L = problem.contract, on which the
     O(1) probes' error bound relies:
     |value(s) - value(s')| <= L * sum_j |s_j - s'_j|, up to
     (L - 1) * 2^-50 * sum_j (|s_j| + |s'_j|) of rounding (none at L = 1:
-    value must be exact there). The outer sum bound's itemgetter(0) meets
-    it with L = 1; the inner objective (weights 2*lam and 2*(1-lam)) and
-    the outer weighted one (after max(., 0)) with L = 2.
+    value must be exact there). The outer sum bound's identity meets it
+    with L = 1; the inner objective (weights 2*lam and 2*(1-lam)) and the
+    outer weighted one (after max(., 0)) with L = 2.
 
-    The starts are `fixed`, then draw(rng) until config.restarts. Coordinate
+    The starts are `fixed`, then draw(rng) until config.restarts, each
+    drawn only when its turn comes. Coordinate
     i ranges over [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while
     that range is no longer than the line search's tolerance, and is refined
     by golden-section search; an ascent stops when a full sweep gains
@@ -275,19 +292,18 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
     search stops there, and returns what running every start would.
     """
     siblings, states, line, value, contract = problem
+    fixed = list(fixed)
     rng = np.random.default_rng(config.seed)
-    starts = list(fixed)
-    while len(starts) < config.restarts:
-        starts.append(draw(rng))
+    drawn = (draw(rng) for _ in range(config.restarts - len(fixed)))  # each when its turn comes
     top = max(states)
     one = dict(zip(states, range(len(states))))  # per state, one coordinate that enters its cell
     k = contract * (top + 2) * 2.0**-49
     tiny = (top + 3) * 2.0**-160
     best_x, best_f = None, -math.inf
-    for ran, start in enumerate(starts, 1):
+    for ran, start in enumerate(itertools.chain(fixed, drawn), 1):
         x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
         for i, sib in enumerate(siblings):
-            x[i] = min(x[i], max(CLAMP, 1.0 - sum(x[s] for s in sib) - CLAMP))
+            x[i] = min(x[i], max(CLAMP, 1.0 - sum(map(x.__getitem__, sib)) - CLAMP))
         cols = [list(col) for col in zip(*(line(x, one[u])(x[one[u]]) for u in range(top + 1)))]
         two = len(cols) == 4
         down, up, r0 = cols[:3]
@@ -295,12 +311,12 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
         probed = [1.0]  # the weight list of the latest solve, which _weights extends in place
         sums, _, law = _cell_sums(cols, probed)
         w = probed  # the accepted chain's unscaled weights, up to the first that overflows
-        f = value(sums)
+        f = value(*sums)
 
         def probe(v):
-            """[f or its estimate, err, cell] with x[i] = v, which enters
+            """(f or its estimate, err, cell) with x[i] = v, which enters
             state u's cell only: the O(1) form's value and its error bound
-            when the form is certified, else exact(...)."""
+            when the form is certified, else (exact(cell), 0.0, cell)."""
             c = at(v)
             if form and (c[0] > 0.0 or not u):
                 wu = lead / c[0] if u else 1.0
@@ -312,32 +328,36 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
                         b = c[3]
                         au = abs(a) + abs(b)
                         if au <= _HUGE:
-                            v0 = (p0 + (wu * a + s * g0)) / t
-                            v1 = (p1 + (wu * b + s * g1)) / t
-                            return [value([v0, v1]), k * (pa + (wu * au + s * ga)) / t + tiny, c]
+                            return (
+                                value((p0 + (wu * a + s * g0)) / t, (p1 + (wu * b + s * g1)) / t),
+                                kmax if au <= amax else k * au + tiny,
+                                c,
+                            )
                     else:
                         au = abs(a)
                         if au <= _HUGE:
-                            v0 = (p0 + (wu * a + s * g0)) / t
-                            return [value([v0]), k * (pa + (wu * au + s * ga)) / t + tiny, c]
-            return exact([None, None, c])
+                            return (
+                                value((p0 + (wu * a + s * g0)) / t),
+                                kmax if au <= amax else k * au + tiny,
+                                c,
+                            )
+            return exact(c), 0.0, c
 
-        def exact(p):
-            """p = [f, 0, cell] from p's chain, solved only if p's moves are
-            not the latest solve's `moves`; leaves p's cell in cols, the
-            chain's weights (w[:u] extended) in `probed` and its law in `pi`."""
-            nonlocal probed, moves, pi
-            c = p[2]
+        def exact(c):
+            """f of cell c's chain, solved only if c's moves are not the
+            latest solve's (md, mu); leaves c in cols, the chain's weights
+            (w[:u] extended) in `probed` and its law in `pi`."""
+            nonlocal probed, md, mu, pi
             down[u], up[u], r0[u] = c[0], c[1], c[2]
             if two:
                 r1[u] = c[3]
-            if c[0] == moves[0] and c[1] == moves[1]:
-                sums = [sum(map(mul, pi, r0)), sum(map(mul, pi, r1))] if two else [sum(map(mul, pi, r0))]
-            else:
-                probed, moves = w[: u or 1], c[:2]  # w[0] = 1 at u = 0
-                sums, _, pi = _cell_sums(cols, probed, u)
-            p[0], p[1] = value(sums), 0.0
-            return p
+            if c[0] == md and c[1] == mu:
+                if two:
+                    return value(sum(map(mul, pi, r0)), sum(map(mul, pi, r1)))
+                return value(sum(map(mul, pi, r0)))
+            probed, md, mu = w[: u or 1], c[0], c[1]  # w[0] = 1 at u = 0
+            sums, _, pi = _cell_sums(cols, probed, u)
+            return value(*sums)
 
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
@@ -345,17 +365,18 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
                 if not i or states[i - 1] != u:  # a move accepted at u leaves the form as it is
                     form = _line_form(cols, w, u)
                     if form:
-                        lead, total, suffix, smin, smax, pa, ga, terms = form
+                        lead, total, suffix, smin, smax, amax, terms = form
+                        kmax = k * amax + tiny  # the err of a probe whose a_u is at most amax
                         p0, g0 = terms[0]
                         p1, g1 = terms[-1]
-                hi = 1.0 - sum(x[s] for s in sib) - CLAMP
+                hi = 1.0 - sum(map(x.__getitem__, sib)) - CLAMP
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
                 at = line(x, i)
-                kept = tuple(col[u] for col in cols)  # the accepted cell
-                moves, pi, probed = kept[:2], law, w  # the latest solve: the accepted chain's
+                kept = (down[u], up[u], r0[u], r1[u]) if two else (down[u], up[u], r0[u])  # the accepted cell
+                md, mu, pi, probed = kept[0], kept[1], law, w  # the latest solve: the accepted chain's
                 xi = _golden_max(probe, exact, CLAMP, hi)
-                fi = exact([None, None, at(xi)])[0]
+                fi = exact(at(xi))
                 if fi > f:  # the probed chain is accepted
                     gained += fi - f
                     x[i], f, w, law = xi, fi, probed, pi

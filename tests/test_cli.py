@@ -1,4 +1,8 @@
+import errno
+import io
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +93,28 @@ def test_memory_exhaustion_is_runtime_error(capsys, monkeypatch, message):
     assert main(["stationary", "--budget", "2"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message or 'MemoryError'}\n"
+
+
+def test_a_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path):
+    # stdout as `| head` leaves it: every write raises BrokenPipeError. main
+    # points the stream's file descriptor (here a file's) at devnull, so the
+    # interpreter's last flush cannot fail, and exits 1 with nothing on stderr.
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        assert main(["stationary", "--budget", "3"]) == 1
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import marginals_and_conditionals
 from twoway_energy import JointSymbolDist, binary_entropy, joint_entropy, joint_from_marginals
-from twoway_energy.entropy import _entropy, _entropy_line
+from twoway_energy.entropy import _entropy, _joint_line
 
 
 def test_binary_entropy_endpoints_and_uniform():
@@ -123,7 +123,9 @@ def test_joint_entropy_oracle_cross_check():
 
 # Probabilities where the p > 0 rule and the sign of a zero matter (0.0, -0.0,
 # 1.0, whose term is 0.0), below 0, and in (0, 1], the last also as multiples
-# of 2^-53 with full mantissas, whose terms round.
+# of 2^-53 with full mantissas, whose terms round. The remainder p00 of three
+# such entries is 1.0 where all three are zeros, 0.0 where they sum to 1,
+# and below 0 or in (0, 1] otherwise.
 ENTRY = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0]),
     st.floats(min_value=-1.0, max_value=0.0, exclude_max=True),
@@ -135,15 +137,17 @@ ENTRY = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(
     fixed=st.lists(ENTRY, min_size=3, max_size=3),
-    points=st.lists(st.tuples(ENTRY, ENTRY), min_size=1, max_size=4),
+    points=st.lists(ENTRY, min_size=1, max_size=4),
 )
 def test_a_line_form_is_the_joint_entropy_bit_for_bit(fixed, points):
-    # The line form of each slot (1, 2, 3: p01, p10, p11) gives _entropy's
-    # float at every (p00, v) of one line; the entry at slot in fixed is not
+    # The line form of each slot (1, 2, 3: p01, p10, p11) gives the cell
+    # (p10, p01, _entropy's float) at every v of one line, with p00 the
+    # remainder ((1 - p01) - p10) - p11; the entry at slot in fixed is not
     # read.
     for slot in (1, 2, 3):
-        line = _entropy_line(*fixed, slot)
-        for p00, v in points:
-            entries = list(fixed)
-            entries[slot - 1] = v
-            assert line(p00, v).hex() == _entropy(p00, *entries).hex()
+        line = _joint_line(*fixed, slot)
+        for v in points:
+            p01, p10, p11 = entries = [*fixed[: slot - 1], v, *fixed[slot:]]
+            p00 = ((1.0 - p01) - p10) - p11
+            want = (p10, p01, _entropy(p00, *entries))
+            assert [x.hex() for x in line(v)] == [x.hex() for x in want]

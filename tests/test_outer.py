@@ -19,6 +19,7 @@ from twoway_energy import (
     sweep_details,
     uniform_policy,
 )
+from twoway_energy import outer, search
 from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _pack, _unpack
 from twoway_energy.search import CLAMP
 
@@ -289,3 +290,46 @@ def test_outer_sum_at_u32_matches_its_pin_bit_for_bit():
     policy, values = optimize_outer_sum(32, SearchConfig(restarts=2, seed=1))
     assert values.sum_bound.hex() == pin["sum_bound"]
     assert [[float(p).hex() for p in d.as_tuple()] for d in policy.dists] == pin["dists"]
+
+
+def test_the_sweeps_u16_outer_sum_search_does_its_pinned_work(monkeypatch):
+    # The sweep's U = 16 outer sum search, seeded with the sweep's inner
+    # optimum: how many probes its O(1) line form priced, how many chains it
+    # solved and how many line forms it built. A change to the comparison
+    # filter that silently loses decisions shows here as more solves. Like
+    # the float pins, these counts are CPython 3.11's path; another sum()
+    # takes another path.
+    config = SearchConfig(restarts=6, seed=1)
+    seed = JointStatePolicy.from_marginal(optimize_sum_rate(16, 0.5, config).policy)
+    counts = {"O(1) probes": 0, "solves": 0, "forms": 0}
+    real_golden, real_weights, real_form, real_search = (
+        search._golden_max, search._weights, search._line_form, outer._search
+    )
+
+    def golden(f, exact, lo, hi):
+        def counted(v):
+            p = f(v)
+            counts["O(1) probes"] += p[1] > 0.0
+            return p
+
+        return real_golden(counted, exact, lo, hi)
+
+    def weights(*args):
+        counts["solves"] += 1
+        return real_weights(*args)
+
+    def form(*args):
+        counts["forms"] += 1
+        return real_form(*args)
+
+    def counted_search(*args):  # the search's work, not outer_values' solve after it
+        with monkeypatch.context() as m:
+            m.setattr(search, "_golden_max", golden)
+            m.setattr(search, "_weights", weights)
+            m.setattr(search, "_line_form", form)
+            return real_search(*args)
+
+    monkeypatch.setattr(outer, "_search", counted_search)
+    _, values = optimize_outer_sum(16, config, seed_policies=[seed])
+    assert values.sum_bound.hex() == "0x1.fcd79e66d98e6p+0"
+    assert counts == {"O(1) probes": 77202, "solves": 11199, "forms": 935}

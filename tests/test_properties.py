@@ -7,7 +7,6 @@ import math
 import sys
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -197,8 +196,8 @@ class _Cell(tuple):
 def _checked_problem(problem, units, lam, sizes):
     """(problem, probed, counts) of a search problem whose probes are
     checked against fresh evaluations of their vectors, while
-    search._golden_max is wrapped to see every probe [value, err, cell] and
-    search._weights to see every chain solve.
+    search._golden_max is wrapped to see every probe (value, err, cell) and
+    every exact(cell), and search._weights to see every chain solve.
 
     - Every cell its lines build (line(x, i)(v), for a start's chain or a
       line search's probe) is tagged with the vector it was built from, and
@@ -208,14 +207,14 @@ def _checked_problem(problem, units, lam, sizes):
     - A probe priced from a stationary law (err 0) equals the fresh
       evaluation bit for bit, and its reward columns went through the sum
       under test, one sum each: value() asserts both whenever it prices
-      such sums, for the vector of the probe exact() was asked to price,
+      such sums, for the vector of the cell exact() was asked to price,
       else for the latest cell's vector. The law is that of a solve of the
       probe's chain, or of an earlier chain with the same moves.
     - A probe priced by the line search's O(1) form lies within its err
       of the fresh evaluation. Its value() call follows no reward sums;
       value() asserts that it comes from a line search's probe, and the
       wrapped probe checks the err.
-    - exact(probe) leaves the probe equal to the fresh evaluation.
+    - exact(cell) returns the fresh evaluation of the cell's vector.
 
     probed lists the vector of every cell, and counts the probes priced
     each way ("exact" and "O(1)")."""
@@ -252,10 +251,10 @@ def _checked_problem(problem, units, lam, sizes):
 
         return cell_at
 
-    def checked_value(sums):
+    def checked_value(*sums):
         # a chain has units + 1 states; no other sum the search makes is that long
         summed[0] = sizes[seen[0] :].count(units + 1) >= len(sums)
-        val = value(sums)
+        val = value(*sums)
         if summed[0]:
             assert val == fresh(solving[-1] if solving else probed[-1])
         else:
@@ -281,22 +280,25 @@ def _checked_problem(problem, units, lam, sizes):
                 p = f(v)
             finally:
                 pricing.pop()
-            if p[1]:
-                assert not summed[0] and abs(p[0] - fresh(p[2].x)) <= p[1]
+            assert type(p) is tuple and len(p) == 3
+            val, err, c = p
+            if err:
+                assert not summed[0] and abs(val - fresh(c.x)) <= err
                 counts["O(1)"] += 1
             else:  # value() compared it with its vector's
                 assert summed[0]
                 counts["exact"] += 1
             return p
 
-        def checked_exact(p):
-            solving.append(p[2].x)
+        def checked_exact(c):
+            solving.append(c.x)
             try:
-                exact(p)
+                val = exact(c)
             finally:
                 solving.pop()
-            assert p[1] == 0.0 and summed[0]  # and value() compared it with p's vector
-            return p
+            assert summed[0]  # and value() compared it with c's vector
+            assert val == fresh(c.x)
+            return val
 
         return real_golden(checked_f, checked_exact, lo, hi)
 
@@ -505,10 +507,10 @@ def _gamma(m):
 
 
 def _random_cell(kind, units, u, data):
-    """State u's cell of a random inner or weighted-outer chain. The moves
-    stay within a factor of about 1e4 of each other, so at U <= 64 every
-    weight of the chain lies within 2^+-860: the form is certified and
-    nothing underflows."""
+    """State u's cell of a random chain of one of the three search
+    objectives. The moves stay within a factor of about 1e4 of each other,
+    so at U <= 64 every weight of the chain lies within 2^+-860: the form is
+    certified and nothing underflows."""
     if kind == "inner":
         p = st.floats(min_value=0.01, max_value=0.99)
         a = data.draw(p) if u else 0.0
@@ -518,50 +520,95 @@ def _random_cell(kind, units, u, data):
     p01 = data.draw(move) if u < units else 0.0
     p10 = data.draw(move) if u else 0.0
     p11 = data.draw(st.floats(min_value=0.0, max_value=0.09)) if 0 < u < units else 0.0
-    return _outer_cell(((1.0 - p01) - p10) - p11, p01, p10, p11)[:4]
+    c = _outer_cell(((1.0 - p01) - p10) - p11, p01, p10, p11)
+    return c[:2] + c[4:] if kind == "outer sum" else c[:4]
+
+
+class _Probed(Exception):
+    """Ends a search after its first probe."""
+
+
+def _first_probe(searched, cells, u, c):
+    """((value, err, cell), exact(cell)) of the first probe of the search's
+    line search of state u, whose chain has cells, at a point where u's
+    cell is c. State u's coordinate is searched first, so the accepted
+    chain is the start's."""
+    n = len(cells)
+    states = [u, *(k for k in range(n) if k != u)]
+
+    def line(x, i):
+        k = states[i]
+        return (lambda v: cells[k] if v == 0.5 else c) if k == u else lambda v: cells[k]
+
+    got = []
+
+    def golden(f, exact, lo, hi):
+        got.append(f(0.25))
+        got.append(exact(got[0][2]))
+        raise _Probed
+
+    problem = searched._replace(siblings=((),) * n, states=states, line=line)
+    with mock.patch.object(search, "_golden_max", golden), pytest.raises(_Probed):
+        _search([[0.5] * n], None, problem, SearchConfig(restarts=1))
+    return got
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    kind=st.sampled_from(["inner", "outer weighted"]),
+    kind=st.sampled_from(["inner", "outer sum", "outer weighted"]),
     units=st.integers(min_value=1, max_value=64),
+    lam=st.floats(min_value=0.0, max_value=1.0),
     summer=st.sampled_from([sum, compensated_sum]),
     data=st.data(),
 )
-def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, summer, data):
-    # The two halves of the err bound in the search module's docstring, in
-    # exact rationals. S_j are the real reward sums of the chain whose
-    # weights are the accepted chain's float prefix below the probed state
-    # u, the probe's float w_u, and the real recursion above u. The exact
-    # solve of the probed chain must lie within g_6n * A_j of S_j, and the
-    # O(1) form's value within g_(6n+9) * A_j, where A_j = sum_k pi[k]*|r_jk|
-    # and n = U + 1, under CPython 3.11's sum and 3.12's compensated sum.
+def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, lam, summer, data):
+    # The err bound in the search module's docstring, in exact rationals.
+    # S_j are the real reward sums of the chain whose weights are the
+    # accepted chain's float prefix below the probed state u, the probe's
+    # float w_u, and the real recursion above u. The exact solve of the
+    # probed chain must lie within g_6n * A_j of S_j, and the O(1) form's
+    # value within g_(6n+9) * A_j, where A_j = sum_k pi[k]*|r_jk| and
+    # n = U + 1, under CPython 3.11's sum and 3.12's compensated sum. The
+    # err of the search's own probe must cover both halves and value's
+    # contract (L times the sums' distance, plus (L - 1) * 2^-50 times their
+    # magnitudes), even after the comparison rounds the sum of two errs.
     u = data.draw(st.integers(min_value=0, max_value=units))
     cells = [_random_cell(kind, units, k, data) for k in range(units + 1)]
     c = _random_cell(kind, units, u, data)
     probed = list(zip(*(c if k == u else cell for k, cell in enumerate(cells))))  # the probed chain's columns
+    searched = _problem(kind, units, lam)
+    value = searched.value
     with library_sum(summer):
         cols, w = _start_chain(cells)  # the accepted chain
         form = _line_form(cols, w, u)
         solved, _, _ = _cell_sums(probed, w[: u or 1], u)
+        (val, err, cell), exact = _first_probe(searched, cells, u, c)
     assert len(w) == units + 1 and form is not None
-    lead, total, suffix, smin, smax, _, _, terms = form
+    lead, total, suffix, smin, smax, _, terms = form
     wu = lead / c[0] if u else 1.0
     s = wu * c[1]
     t = total + (wu + s * suffix)
     assert t <= _HUGE and smin <= s <= smax  # the probe is priced by the form
     priced = [(p + (wu * r + s * g)) / t for (p, g), r in zip(terms, c[2:])]
+    assert cell == c and err > 0.0 and val == value(*priced)
+    assert exact == value(*solved)
 
     weights = [Fraction(x) for x in w[:u]] + [Fraction(wu)]
     for k in range(u + 1, units + 1):
         weights.append(weights[-1] * Fraction(probed[1][k - 1]) / Fraction(probed[0][k]))
     real_total = sum(weights)
     n = units + 1
+    halves = 0
     for j, r in enumerate(probed[2:]):
         real = sum(wk * Fraction(rk) for wk, rk in zip(weights, r)) / real_total
         a = sum(wk * abs(Fraction(rk)) for wk, rk in zip(weights, r)) / real_total
         assert abs(Fraction(solved[j]) - real) <= _gamma(6 * n) * a
         assert abs(Fraction(priced[j]) - real) <= _gamma(6 * n + 9) * a
+        halves += (_gamma(6 * n) + _gamma(6 * n + 9)) * a
+    magnitudes = sum(abs(Fraction(x)) for x in (*priced, *solved))
+    contract = Fraction(searched.contract)
+    needed = contract * halves + (contract - 1) * Fraction(1, 2**50) * magnitudes
+    assert Fraction(err) * (1 - Fraction(1, 2**53)) >= needed
 
 
 def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch):
@@ -584,10 +631,10 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     # not read, so every probe of its line search has the accepted cell and
     # none gains. The last of the sweep's three line searches is the top
     # state's.
-    fixed = _Problem([(), (), ()], [0, 1, 2], line, itemgetter(0), 1.0)
+    fixed = _Problem([(), (), ()], [0, 1, 2], line, _outer_problem(2).value, 1.0)
     cols, w = _start_chain([*below, top(0.5)])
     assert w[1] == 2.0**899
-    lead, total, suffix, smin, smax, _, _, _ = _line_form(cols, w, 2)
+    lead, total, suffix, smin, smax, _, _ = _line_form(cols, w, 2)
     searches = []  # per line search, its probes' (err, cell)
     real_golden = search._golden_max
 
@@ -597,7 +644,7 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
 
         def recorded(v):
             p = f(v)
-            probes.append((p[1], p[2]))  # a later comparison may make p exact
+            probes.append(p[1:])  # (err, cell)
             return p
 
         return real_golden(recorded, exact, lo, hi)
@@ -761,7 +808,7 @@ def test_every_objective_moves_at_most_twice_its_sums(problem, lam, s, t, nudge)
         s, t = s[:1], t[:1]
     rounding = (contract - 1.0) * 2.0**-50 * sum(map(abs, s + t))
     bound = contract * sum(abs(a - b) for a, b in zip(s, t)) + rounding
-    assert abs(value(s) - value(t)) <= bound
+    assert abs(value(*s) - value(*t)) <= bound
 
 
 def test_search_runs_a_start_outside_its_region_from_the_capped_start():
@@ -809,6 +856,30 @@ def test_a_settled_search_returns_the_full_search_bit_for_bit(units, lam, seed, 
     assert ran == restarts and 1 <= stopped <= restarts
     assert [v.hex() for v in x] == [v.hex() for v in full_x]
     assert f.hex() == full_f.hex()
+
+
+def test_the_search_draws_each_start_only_when_its_turn_comes():
+    # A settled that fires at the first winning start stops the search
+    # after one start, so of restarts=50 one random start is drawn, or none
+    # after a fixed start. A search that drew every start up front would call
+    # draw 50 times first (and would not end at a huge restarts).
+    drawn = []
+
+    def draw(rng):
+        drawn.append(rng)
+        return rng.uniform(0.1, 0.9, 4)
+
+    config = SearchConfig(restarts=50, seed=1)
+    for fixed, draws in (([], 1), ([[0.5] * 4], 0)):
+        drawn.clear()
+        _, _, ran = _search(fixed, draw, _inner_problem(2, 0.5), config, lambda x, f: True)
+        assert ran == 1 and len(drawn) == draws
+    # The U = 2 inner search settles at its third start, so restarts=10**30
+    # runs the restarts=6 search bit for bit: nothing else reads the draws.
+    ran = [optimize_sum_rate(2, 0.5, SearchConfig(restarts=r)) for r in (6, 10**30)]
+    assert [r.restarts_used for r in ran] == [3, 3]
+    bits = [[v.hex() for v in (*r.policy.p1, *r.policy.p2, r.objective)] for r in ran]
+    assert bits[0] == bits[1]
 
 
 _GRID = np.linspace(0.0, 1.0, 401)

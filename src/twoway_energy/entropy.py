@@ -33,6 +33,11 @@ def _entropy(p00: float, p01: float, p10: float, p11: float) -> float:
     return h
 
 
+def _term(p: float) -> float:
+    """p * log2(p), the term _entropy subtracts for p, or 0.0 where p <= 0."""
+    return p * log2(p) if p > 0.0 else 0.0
+
+
 def _joint_line(p01: float, p10: float, p11: float, slot: int):
     """The sum bound's cell along a line: the function of v that returns
     (p10, p01, _entropy(p00, p01, p10, p11)) with the entry at slot (1, 2 or
@@ -40,11 +45,10 @@ def _joint_line(p01: float, p10: float, p11: float, slot: int):
     ((1 - p01) - p10) - p11, bit for bit. The fixed entries' terms, and the
     part of the remainder that they give, are computed once; the four terms
     are subtracted in _entropy's order under its p > 0 rule, a fixed p <= 0
-    as 0.0 (x - 0.0 is x)."""
-    t01 = p01 * log2(p01) if p01 > 0.0 else 0.0
-    t10 = p10 * log2(p10) if p10 > 0.0 else 0.0
-    t11 = p11 * log2(p11) if p11 > 0.0 else 0.0
+    as 0.0 (x - 0.0 is x). A line computes only the two fixed terms it
+    subtracts."""
     if slot == 1:
+        t10, t11 = _term(p10), _term(p11)
 
         def line(v):
             p00 = ((1.0 - v) - p10) - p11
@@ -54,6 +58,7 @@ def _joint_line(p01: float, p10: float, p11: float, slot: int):
             return p10, v, (h - t10) - t11
 
     elif slot == 2:
+        t01, t11 = _term(p01), _term(p11)
         rest = 1.0 - p01
 
         def line(v):
@@ -64,6 +69,7 @@ def _joint_line(p01: float, p10: float, p11: float, slot: int):
             return v, p01, h - t11
 
     else:
+        t01, t10 = _term(p01), _term(p10)
         rest = (1.0 - p01) - p10
 
         def line(v):

@@ -18,27 +18,28 @@ over [CLAMP, 1 - (its siblings' sum) - CLAMP], so that every entry of its
 state's simplex, the remainder (an outer state's p00) too, stays at least
 CLAMP, and each start is brought into that region before its ascent: every
 point the search evaluates lies in it. A line search
-on coordinate i of state u keeps every other cell fixed. Each probe is
-one call that returns (value, err, cell), and its probes are of two kinds.
-- An exact probe (err 0), or exact(cell) for a probe priced the other
-  way, writes its cell into the cached columns. If its moves are
-  the line search's latest solve's (at first the accepted chain's), it
-  sums its rewards against that solve's stationary law; else it checks
-  only its two moves (the others were checked at their states' probes or
-  the start's one full solve; one made impossible raises a full solve's
-  NotIrreducibleError) and solves on from the accepted chain's unscaled
-  weights of states 0..u-1, or of as many as precede the first overflow.
-  Either way it returns a full evaluation's float.
-- An O(1) probe prices its cell by `_line_form`. While the line search
-  moves u's cell, the chain splits into three blocks: the accepted weights
-  of the states below u, u's own weight, and the states above u, whose
-  weights are u's weight times its up move times products of fixed moves.
-  `_line_form` sums the two fixed blocks once per state, so the probe costs
-  its cell plus straight-line arithmetic, with its one or two reward
-  columns written out and passed to value as scalars, and returns that
-  form's value with err, a bound on its distance from the exact probe's
-  float: one constant per line, unless the probe's own rewards are larger
-  than every fixed state's.
+on coordinate i of state u keeps every other cell fixed. `_golden_max`
+builds each probe's cell and prices it itself, one of two ways.
+- exact(cell), an exact probe (err 0), writes its cell into the cached
+  columns. If its moves are the line search's latest solve's (at first
+  the accepted chain's), it sums its rewards against that solve's
+  stationary law; else `_weights` checks only its two moves (the others
+  were checked at their states' probes or the start's one full solve; one
+  made impossible raises a full solve's NotIrreducibleError) and solves on
+  from the accepted chain's unscaled weights of states 0..u-1, or of as
+  many as precede the first overflow, and the new law is summed the same
+  way. Either way it returns a full evaluation's float.
+- An O(1) probe is priced by the state's `_line_form`. While the line
+  search moves u's cell, the chain splits into three blocks: the accepted
+  weights of the states below u, u's own weight, and the states above u,
+  whose weights are u's weight times its up move times products of fixed
+  moves. `_line_form` sums the two fixed blocks once per state, and
+  `_golden_max` holds its scalars as locals, so the probe costs its cell
+  plus straight-line arithmetic, with its one or two reward columns
+  written out and passed to value as scalars. Its price is that form's
+  value with err, a bound on its distance from the exact probe's float:
+  one constant per line, unless the probe's own rewards are larger than
+  every fixed state's.
 Golden-section search only compares probes: by the values where their gap
 exceeds both errs (a floating-point filter, as in Shewchuk's adaptive
 predicates), as equal where the cells are equal, and otherwise after
@@ -125,14 +126,13 @@ class SearchConfig:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
-def _cell_sums(columns, w=None, u=None):
+def _cell_sums(columns, w=None):
     """([sum_k pi[k] * col[k] for each reward column], weights, pi) of the
     chain with cell columns (down, up, *rewards), where pi, the
     weights over their sum, is its stationary law and each sum is one sum()
     over the whole column; w is an optional prefix of the chain's unscaled
-    detailed-balance weights, and u the one state whose moves are not yet
-    checked (see _weights)."""
-    w, total = _weights(columns[0], columns[1], w or [1.0], u)
+    detailed-balance weights, which _weights extends in place."""
+    w, total = _weights(columns[0], columns[1], w or [1.0])
     pi = [x / total for x in w]
     return [sum(map(mul, pi, col)) for col in columns[2:]], w, pi
 
@@ -200,27 +200,67 @@ def _line_form(cols, w, u):
     )
 
 
-def _golden_max(f, exact, lo: float, hi: float) -> float:
+def _golden_max(at, form, exact, value, lo: float, hi: float) -> float:
     """Midpoint of the last bracket of golden-section maximization of a
-    unimodal-ish f on [lo, hi]; f is not called there.
+    unimodal-ish objective along the line at on [lo, hi]; nothing is
+    priced there.
 
-    f(v) returns a probe (value, err, cell) whose value lies within err of
-    the exact one (err 0: it is the exact one), and exact(cell) returns
-    the exact value. The bracket's two probes are held as scalars. Each
-    comparison of the bracket is the one of exact values: it is decided
-    from the values when their gap exceeds both errors (float rounding is
-    monotone, so a gap computed above the computed error sum is above the
-    real one); as a tie when both probes have the same cell (their chains,
-    and so their exact values, are the same); otherwise exact() prices the
-    side with the larger error, until the gap is decided or both sides are
+    A probe at v is the cell at(v) and its price. With the state's line
+    form, form = (u, k, tiny, *_line_form(...)) for the line's state u and
+    the search's err constants, a probe that passes the form's checks is
+    priced in O(1) by value of the form's sums, with err k * max(amax, a_u)
+    + tiny (see the module docstring); any other probe, and every probe when
+    form is None, is priced by exact(cell), with err 0. The bracket's two
+    probes are held as scalars, and the form's as locals. Each comparison
+    of the bracket is the one of exact values: it is decided from the
+    values when their gap exceeds both errors (float rounding is monotone,
+    so a gap computed above the computed error sum is above the real one);
+    as a tie when both probes have the same cell (their chains, and so
+    their exact values, are the same); otherwise exact() prices the side
+    with the larger error, until the gap is decided or both sides are
     exact.
     """
+    if form:
+        u, k, tiny, lead, total, suffix, smin, smax, amax, terms = form
+        kmax = k * amax + tiny  # the err of a probe whose a_u is at most amax
+        p0, g0 = terms[0]
+        p1, g1 = terms[-1]
+        two = len(terms) == 2
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    vc, ec, cc = f(c)
-    vd, ed, cd = f(d)
-    while (b - a) > _GOLDEN_XTOL:
+    v, left, cd = c, True, None  # v is the point to price, c if left; d's cell once priced
+    while True:
+        cell = at(v)
+        err = 0.0
+        if form and (cell[0] > 0.0 or not u):
+            wu = lead / cell[0] if u else 1.0
+            s = wu * cell[1]
+            t = total + (wu + s * suffix)
+            if t <= _HUGE and smin <= s <= smax:
+                r = cell[2]
+                if two:
+                    q = cell[3]
+                    au = abs(r) + abs(q)
+                    if au <= _HUGE:
+                        val = value((p0 + (wu * r + s * g0)) / t, (p1 + (wu * q + s * g1)) / t)
+                        err = kmax if au <= amax else k * au + tiny
+                else:
+                    au = abs(r)
+                    if au <= _HUGE:
+                        val = value((p0 + (wu * r + s * g0)) / t)
+                        err = kmax if au <= amax else k * au + tiny
+        if not err:
+            val = exact(cell)
+        if left:
+            vc, ec, cc = val, err, cell
+            if cd is None:  # the first probe; d is the second
+                v, left = d, False
+                continue
+        else:
+            vd, ed, cd = val, err, cell
+        if not (b - a) > _GOLDEN_XTOL:
+            return 0.5 * (a + b)
         gap = vc - vd
         if not abs(gap) > ec + ed:
             if cc == cd:
@@ -234,13 +274,12 @@ def _golden_max(f, exact, lo: float, hi: float) -> float:
                 gap = vc - vd
         if gap > 0.0:  # vc > vd
             b, d, vd, ed, cd = d, c, vc, ec, cc
-            c = b - _INVPHI * (b - a)
-            vc, ec, cc = f(c)
+            v = c = b - _INVPHI * (b - a)
+            left = True
         else:
             a, c, vc, ec, cc = c, d, vd, ed, cd
-            d = a + _INVPHI * (b - a)
-            vd, ed, cd = f(d)
-    return 0.5 * (a + b)
+            v = d = a + _INVPHI * (b - a)
+            left = False
 
 
 def _checked_search(units: int, lam: float, search: SearchConfig | None) -> SearchConfig:
@@ -281,13 +320,15 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
     drawn only when its turn comes. Coordinate
     i ranges over [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while
     that range is no longer than the line search's tolerance, and is refined
-    by golden-section search; an ascent stops when a full sweep gains
-    < config.tol. A start is clipped into [CLAMP, 1-CLAMP], then each
-    coordinate in turn is capped at the upper end of its range (at least
-    CLAMP): a state with k entries then has its first j sum to at most
-    1 - (k - j + 1) * CLAMP, so its remainder is at least CLAMP up to
-    rounding, and a start already in the region is left as it is. A later
-    start wins only by more than 1e-9. Whenever a start wins, settled(x, f)
+    by golden-section search: _golden_max of its line, its state's line form
+    (built when the state is first searched in a sweep), exact and value,
+    then exact() of the midpoint it returns. An ascent stops when a full
+    sweep gains < config.tol. A start is clipped into [CLAMP, 1-CLAMP],
+    then each coordinate in turn is capped at the upper end of its range
+    (at least CLAMP): a state with k entries then has its first j sum to
+    at most 1 - (k - j + 1) * CLAMP, so its remainder is at least CLAMP up
+    to rounding, and a start already in the region is left as it is. A
+    later start wins only by more than 1e-9. Whenever a start wins, settled(x, f)
     may prove that no later start can beat f by more than 1e-9; then the
     search stops there, and returns what running every start would.
     """
@@ -313,51 +354,22 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
         w = probed  # the accepted chain's unscaled weights, up to the first that overflows
         f = value(*sums)
 
-        def probe(v):
-            """(f or its estimate, err, cell) with x[i] = v, which enters
-            state u's cell only: the O(1) form's value and its error bound
-            when the form is certified, else (exact(cell), 0.0, cell)."""
-            c = at(v)
-            if form and (c[0] > 0.0 or not u):
-                wu = lead / c[0] if u else 1.0
-                s = wu * c[1]
-                t = total + (wu + s * suffix)
-                if t <= _HUGE and smin <= s <= smax:
-                    a = c[2]
-                    if two:
-                        b = c[3]
-                        au = abs(a) + abs(b)
-                        if au <= _HUGE:
-                            return (
-                                value((p0 + (wu * a + s * g0)) / t, (p1 + (wu * b + s * g1)) / t),
-                                kmax if au <= amax else k * au + tiny,
-                                c,
-                            )
-                    else:
-                        au = abs(a)
-                        if au <= _HUGE:
-                            return (
-                                value((p0 + (wu * a + s * g0)) / t),
-                                kmax if au <= amax else k * au + tiny,
-                                c,
-                            )
-            return exact(c), 0.0, c
-
         def exact(c):
-            """f of cell c's chain, solved only if c's moves are not the
-            latest solve's (md, mu); leaves c in cols, the chain's weights
-            (w[:u] extended) in `probed` and its law in `pi`."""
+            """f of cell c's chain, whose law is solved by _weights only if
+            c's moves are not the latest solve's (md, mu); leaves c in cols,
+            the chain's unscaled weights (w[:u] extended in place) in
+            `probed` and its law in `pi`."""
             nonlocal probed, md, mu, pi
             down[u], up[u], r0[u] = c[0], c[1], c[2]
             if two:
                 r1[u] = c[3]
-            if c[0] == md and c[1] == mu:
-                if two:
-                    return value(sum(map(mul, pi, r0)), sum(map(mul, pi, r1)))
-                return value(sum(map(mul, pi, r0)))
-            probed, md, mu = w[: u or 1], c[0], c[1]  # w[0] = 1 at u = 0
-            sums, _, pi = _cell_sums(cols, probed, u)
-            return value(*sums)
+            if c[0] != md or c[1] != mu:
+                probed, md, mu = w[: u or 1], c[0], c[1]  # w[0] = 1 at u = 0
+                scaled, total = _weights(down, up, probed, u)  # probed keeps the unscaled weights
+                pi = [v / total for v in scaled]
+            if two:
+                return value(sum(map(mul, pi, r0)), sum(map(mul, pi, r1)))
+            return value(sum(map(mul, pi, r0)))
 
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
@@ -365,17 +377,14 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
                 if not i or states[i - 1] != u:  # a move accepted at u leaves the form as it is
                     form = _line_form(cols, w, u)
                     if form:
-                        lead, total, suffix, smin, smax, amax, terms = form
-                        kmax = k * amax + tiny  # the err of a probe whose a_u is at most amax
-                        p0, g0 = terms[0]
-                        p1, g1 = terms[-1]
+                        form = (u, k, tiny, *form)  # as _golden_max takes it
                 hi = 1.0 - sum(map(x.__getitem__, sib)) - CLAMP
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
                 at = line(x, i)
                 kept = (down[u], up[u], r0[u], r1[u]) if two else (down[u], up[u], r0[u])  # the accepted cell
                 md, mu, pi, probed = kept[0], kept[1], law, w  # the latest solve: the accepted chain's
-                xi = _golden_max(probe, exact, CLAMP, hi)
+                xi = _golden_max(at, form, exact, value, CLAMP, hi)
                 fi = exact(at(xi))
                 if fi > f:  # the probed chain is accepted
                     gained += fi - f

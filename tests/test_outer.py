@@ -306,13 +306,12 @@ def test_the_sweeps_u16_outer_sum_search_does_its_pinned_work(monkeypatch):
         search._golden_max, search._weights, search._line_form, outer._search
     )
 
-    def golden(f, exact, lo, hi):
-        def counted(v):
-            p = f(v)
-            counts["O(1) probes"] += p[1] > 0.0
-            return p
+    def golden(at, form, exact, value, lo, hi):
+        def counted(*sums):  # _golden_max calls value only to price a probe by its form
+            counts["O(1) probes"] += 1
+            return value(*sums)
 
-        return real_golden(counted, exact, lo, hi)
+        return real_golden(at, form, exact, counted, lo, hi)
 
     def weights(*args):
         counts["solves"] += 1

@@ -189,15 +189,26 @@ def _cells(problem, units, x):
 
 
 class _Cell(tuple):
-    """A cell that keeps the vector x it was built from."""
+    """A cell that keeps the vector x it was built from and its state u."""
+
+
+def _reference_err(form, cell):
+    """The err of cell's probe priced by form, the line form that
+    search._golden_max receives, as the search module's docstring states
+    it: k * max(amax, a_u) + tiny, with a_u the sum of the cell's reward
+    magnitudes, rounded once."""
+    _, k, tiny, *_, amax, _ = form
+    au = abs(cell[2]) + abs(cell[3]) if len(cell) == 4 else abs(cell[2])
+    return k * amax + tiny if au <= amax else k * au + tiny
 
 
 @contextlib.contextmanager
 def _checked_problem(problem, units, lam, sizes):
     """(problem, probed, counts) of a search problem whose probes are
     checked against fresh evaluations of their vectors, while
-    search._golden_max is wrapped to see every probe (value, err, cell) and
-    every exact(cell), and search._weights to see every chain solve.
+    search._golden_max is wrapped to see every probe's cell, every value()
+    call that prices a probe by the line form and every exact(cell), and
+    search._weights to see every chain solve.
 
     - Every cell its lines build (line(x, i)(v), for a start's chain or a
       line search's probe) is tagged with the vector it was built from, and
@@ -210,20 +221,23 @@ def _checked_problem(problem, units, lam, sizes):
       such sums, for the vector of the cell exact() was asked to price,
       else for the latest cell's vector. The law is that of a solve of the
       probe's chain, or of an earlier chain with the same moves.
-    - A probe priced by the line search's O(1) form lies within its err
-      of the fresh evaluation. Its value() call follows no reward sums;
-      value() asserts that it comes from a line search's probe, and the
-      wrapped probe checks the err.
+    - A probe priced by the line search's O(1) form lies within its err,
+      recomputed from the form _golden_max received (_reference_err), of
+      the fresh evaluation, and that form is the probed state's. Its
+      value() call follows no reward sums; value() asserts that it comes
+      from _golden_max's pricing of a probe, and the wrapper checks the
+      err.
     - exact(cell) returns the fresh evaluation of the cell's vector.
 
-    probed lists the vector of every cell, and counts the probes priced
-    each way ("exact" and "O(1)")."""
+    probed lists the vector of every cell, and counts the probes priced by
+    the form ("O(1)") and the exact(cell) calls of _golden_max, for a probe
+    or a comparison ("exact")."""
     siblings, states, line, value, _ = searched = _problem(problem, units, lam)
     probed = []
     counts = {"exact": 0, "O(1)": 0}
     seen = [len(sizes)]  # sums made before the latest value() or cell() call
     solving = []  # the vector of the probe exact() is solving
-    pricing = []  # true while a line search's probe runs
+    pricing = []  # true while _golden_max prices a probe by its form
     summed = [False]  # whether the latest probe's value() priced reward sums of a law
 
     def fresh(x):
@@ -232,12 +246,12 @@ def _checked_problem(problem, units, lam, sizes):
         seen[0] = len(sizes)
         return val
 
-    def tagged(c, x):
+    def tagged(c, x, u):
         seen[0] = len(sizes)  # sums made before this cell price nothing of it
         summed[0] = False  # until this probe's value() prices reward sums
         probed.append(x)
         c = _Cell(c)
-        c.x = x
+        c.x, c.u = x, u
         return c
 
     def recording_line(x, i):
@@ -245,7 +259,7 @@ def _checked_problem(problem, units, lam, sizes):
 
         def cell_at(v):
             y[i] = v
-            c = tagged(at(v), list(y))
+            c = tagged(at(v), list(y), u)
             assert c == _cells(problem, units, c.x)[u]
             return c
 
@@ -273,22 +287,24 @@ def _checked_problem(problem, units, lam, sizes):
 
     real_golden = search._golden_max
 
-    def golden(f, exact, lo, hi):
-        def checked_f(v):
+    def golden(at, form, exact, value, lo, hi):
+        latest = []  # the latest probe's cell
+
+        def recorded_at(v):
+            latest[:] = [at(v)]
+            return latest[0]
+
+        def priced(*sums):  # _golden_max calls value only to price a probe by its form
             pricing.append(True)
             try:
-                p = f(v)
+                val = value(*sums)
             finally:
                 pricing.pop()
-            assert type(p) is tuple and len(p) == 3
-            val, err, c = p
-            if err:
-                assert not summed[0] and abs(val - fresh(c.x)) <= err
-                counts["O(1)"] += 1
-            else:  # value() compared it with its vector's
-                assert summed[0]
-                counts["exact"] += 1
-            return p
+            c = latest[0]
+            assert form[0] == c.u
+            assert not summed[0] and abs(val - fresh(c.x)) <= _reference_err(form, c)
+            counts["O(1)"] += 1
+            return val
 
         def checked_exact(c):
             solving.append(c.x)
@@ -298,9 +314,10 @@ def _checked_problem(problem, units, lam, sizes):
                 solving.pop()
             assert summed[0]  # and value() compared it with c's vector
             assert val == fresh(c.x)
+            counts["exact"] += 1
             return val
 
-        return real_golden(checked_f, checked_exact, lo, hi)
+        return real_golden(recorded_at, form, checked_exact, priced, lo, hi)
 
     # patch.object raises where search has no such name, so a patch cannot miss
     with mock.patch.object(search, "_golden_max", golden), mock.patch.object(search, "_weights", checked_weights):
@@ -531,8 +548,10 @@ class _Probed(Exception):
 def _first_probe(searched, cells, u, c):
     """((value, err, cell), exact(cell)) of the first probe of the search's
     line search of state u, whose chain has cells, at a point where u's
-    cell is c. State u's coordinate is searched first, so the accepted
-    chain is the start's."""
+    cell is c: the value _golden_max priced it at, and its err recomputed
+    from the form _golden_max received (_reference_err), or 0.0 where
+    _golden_max priced it by exact(cell). State u's coordinate is searched
+    first, so the accepted chain is the start's."""
     n = len(cells)
     states = [u, *(k for k in range(n) if k != u)]
 
@@ -541,11 +560,26 @@ def _first_probe(searched, cells, u, c):
         return (lambda v: cells[k] if v == 0.5 else c) if k == u else lambda v: cells[k]
 
     got = []
+    real_golden = search._golden_max
 
-    def golden(f, exact, lo, hi):
-        got.append(f(0.25))
-        got.append(exact(got[0][2]))
-        raise _Probed
+    def golden(at, form, exact, value, lo, hi):
+        probe = []
+
+        def recorded_at(v):
+            probe.append(at(v))
+            return probe[0]
+
+        def priced(*sums):
+            got.append((value(*sums), _reference_err(form, probe[0]), probe[0]))
+            got.append(exact(probe[0]))
+            raise _Probed
+
+        def unpriced(cell):
+            got.append((exact(cell), 0.0, cell))
+            got.append(exact(cell))
+            raise _Probed
+
+        return real_golden(recorded_at, form, unpriced, priced, lo, hi)
 
     problem = searched._replace(siblings=((),) * n, states=states, line=line)
     with mock.patch.object(search, "_golden_max", golden), pytest.raises(_Probed):
@@ -581,7 +615,7 @@ def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, l
     with library_sum(summer):
         cols, w = _start_chain(cells)  # the accepted chain
         form = _line_form(cols, w, u)
-        solved, _, _ = _cell_sums(probed, w[: u or 1], u)
+        solved, _, _ = _cell_sums(probed, w[: u or 1])
         (val, err, cell), exact = _first_probe(searched, cells, u, c)
     assert len(w) == units + 1 and form is not None
     lead, total, suffix, smin, smax, _, terms = form
@@ -611,6 +645,49 @@ def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, l
     assert Fraction(err) * (1 - Fraction(1, 2**53)) >= needed
 
 
+class _Stop(Exception):
+    """Ends a line search at its third probe."""
+
+
+@pytest.mark.parametrize("two", [False, True], ids=["one column", "two columns"])
+@pytest.mark.parametrize("large", [False, True], ids=["a_u <= amax", "a_u > amax"])
+@pytest.mark.parametrize("above", [False, True], ids=["gap at the errs", "gap above them"])
+def test_golden_max_decides_a_comparison_by_the_err_of_the_module_docstring(two, large, above):
+    # The first comparison of a line search, between its two probes, both
+    # priced by the form at values whose gap is the sum of their errs, as
+    # _reference_err gives them, or one float above it. _golden_max must
+    # decide it from the values exactly in the second case, and price a side
+    # by exact() in the first: its own err is the reference's.
+    k, tiny, amax = 2.0**-40, 2.0**-160, 3.0
+    r = 4.0 if large else 1.0
+    terms = [(0.0, 0.0)] * (2 if two else 1)
+    form = (1, k, tiny, 1.0, 1.0, 1.0, 0.0, _HUGE, amax, terms)  # w_u = 1, s = v, total 2 + v
+
+    def at(v):
+        if len(probes) == 2:
+            raise _Stop
+        probes.append((1.0, v, r, -r) if two else (1.0, v, r))
+        return probes[-1]
+
+    err = _reference_err(form, (1.0, 0.5, r, -r) if two else (1.0, 0.5, r))
+    assert err == (k * amax + tiny if not large else k * (2 * r if two else r) + tiny)
+    gap = math.nextafter(err + err, math.inf) if above else err + err
+    probes, values, exacts = [], [gap, 0.0], []
+
+    def value(*sums):
+        assert len(sums) == len(terms)
+        return values.pop(0)
+
+    def exact(c):
+        exacts.append(c)
+        return 0.0
+
+    with pytest.raises(_Stop):
+        search._golden_max(at, form, exact, value, CLAMP, 0.9)
+    assert not values  # both probes were priced by the form
+    assert (not exacts) == above
+
+
 def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch):
     # Outer sum at U = 2 with only the top state's p10 free. The weights
     # below it are 1 and 2^899 (state 1's up move is 1/2, its down move
@@ -635,19 +712,28 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     cols, w = _start_chain([*below, top(0.5)])
     assert w[1] == 2.0**899
     lead, total, suffix, smin, smax, _, _ = _line_form(cols, w, 2)
-    searches = []  # per line search, its probes' (err, cell)
+    searches = []  # per line search, its probes' [cell, how _golden_max priced it]
     real_golden = search._golden_max
 
-    def golden(f, exact, lo, hi):
+    def golden(at, form, exact, value, lo, hi):
         probes = []
         searches.append(probes)
 
-        def recorded(v):
-            p = f(v)
-            probes.append(p[1:])  # (err, cell)
-            return p
+        def recorded_at(v):
+            probes.append([at(v), None])
+            return probes[-1][0]
 
-        return real_golden(recorded, exact, lo, hi)
+        def priced(*sums):  # by the form
+            probes[-1][1] = "O(1)"
+            return value(*sums)
+
+        def recorded_exact(c):
+            if probes[-1][1] is None:  # the probe's own pricing, not a comparison's
+                assert c is probes[-1][0]
+                probes[-1][1] = "exact"
+            return exact(c)
+
+        return real_golden(recorded_at, form, recorded_exact, priced, lo, hi)
 
     monkeypatch.setattr(search, "_golden_max", golden)
     config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
@@ -655,15 +741,15 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     assert x[:2] == [0.5, 0.5] and len(searches) == 3
     assert f == _cell_sums(_start_chain([*below, top(x[2])])[0])[0][0]
     over = []
-    for err, c in searches[-1]:
+    for c, how in searches[-1]:
         wu = lead / c[0]
         s = wu * c[1]
         assert smin <= s <= smax and abs(c[2]) <= _HUGE
         if total + (wu + s * suffix) > _HUGE:
-            over.append(err)
+            over.append(how)
         else:
-            assert err > 0.0  # priced by the form
-    assert over and not any(over)
+            assert how == "O(1)"  # priced by the form
+    assert over and all(how == "exact" for how in over)
 
 
 def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monkeypatch):
@@ -702,16 +788,16 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
         events.append(("form", u))
         return real_form(cols, w, u)
 
-    def golden(f, exact, lo, hi):
+    def golden(at, form, exact, value, lo, hi):
         line = ["line", set(range(len(states)))]  # coordinates that held every probe
         events.append(line)
 
         def recorded(v):
-            p = f(v)
+            c = at(v)
             line[1] &= {j for j, xj in enumerate(probed) if xj == v}
-            return p
+            return c
 
-        return real_golden(recorded, exact, lo, hi)
+        return real_golden(recorded, form, exact, value, lo, hi)
 
     monkeypatch.setattr(search, "_weights", weights)
     monkeypatch.setattr(search, "_line_form", form)

@@ -21,14 +21,14 @@ point the search evaluates lies in it. A line search
 on coordinate i of state u keeps every other cell fixed. `_golden_max`
 builds each probe's cell and prices it itself, one of two ways.
 - exact(cell), an exact probe (err 0), writes its cell into the cached
-  columns. If its moves are the line search's latest solve's (at first
-  the accepted chain's), it sums its rewards against that solve's
-  stationary law; else `_weights` checks only its two moves (the others
-  were checked at their states' probes or the start's one full solve; one
-  made impossible raises a full solve's NotIrreducibleError) and solves on
-  from the accepted chain's unscaled weights of states 0..u-1, or of as
-  many as precede the first overflow, and the new law is summed the same
-  way. Either way it returns a full evaluation's float.
+  columns. If its moves are the accepted cell's, it sums its rewards
+  against the accepted chain's stationary law, the one law the search
+  keeps; else `_weights` checks only its two moves (the others were
+  checked at their states' probes or the start's one full solve; one made
+  impossible raises a full solve's NotIrreducibleError) and solves on from
+  the accepted chain's unscaled weights of states 0..u-1, or of as many as
+  precede the first overflow, and the new law is summed the same way.
+  Either way it returns a full evaluation's float.
 - An O(1) probe is priced by the state's `_line_form`. While the line
   search moves u's cell, the chain splits into three blocks: the accepted
   weights of the states below u, u's own weight, and the states above u,
@@ -44,15 +44,16 @@ Golden-section search only compares probes: by the values where their gap
 exceeds both errs (a floating-point filter, as in Shewchuk's adaptive
 predicates), as equal where the cells are equal, and otherwise after
 making a side exact. So the search takes the path, and returns the bits,
-of one that solves the chain at every probe. A line search ends with an
-exact probe of the midpoint of its last bracket. If that gains, the probed
-chain is the accepted one: its cell stays in the columns and its weights
-and law are the ones later probes go on from. Otherwise the accepted cell
-is written back. The region keeps every policy strictly interior, hence
-the chain irreducible; the boundary of the rate region is approached but
-never evaluated at degenerate policies. Restarts are independent and the
-reduction (max by objective, first within 1e-9 wins) is deterministic
-given the seed.
+of one that solves the chain at every probe. Every float sum that can set
+one of those bits (a law's total, a reward sum, a line form's sums) is
+`chain._fold`. A line search ends with an exact probe of the midpoint of
+its last bracket. If that gains, the probed chain is the accepted one: its
+cell stays in the columns and its weights and law are the ones later
+probes go on from. Otherwise the accepted cell is written back. The
+region keeps every policy strictly interior, hence the chain irreducible;
+the boundary of the rate region is approached but never evaluated at
+degenerate policies. Restarts are independent and the reduction (max by
+objective, first within 1e-9 wins) is deterministic given the seed.
 
 The err bound. Let n = U + 1 states, eps = 2^-53 and
 g_m = m*eps/(1 - m*eps), and let S_j be the real reward sums of the chain
@@ -97,7 +98,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import _count, _weights
+from .chain import _count, _fold, _weights
 
 _GOLDEN_XTOL = 1e-6
 _MAX_SWEEPS = 200
@@ -129,12 +130,12 @@ class SearchConfig:
 def _cell_sums(columns, w=None):
     """([sum_k pi[k] * col[k] for each reward column], weights, pi) of the
     chain with cell columns (down, up, *rewards), where pi, the
-    weights over their sum, is its stationary law and each sum is one sum()
+    weights over their sum, is its stationary law and each sum is one _fold
     over the whole column; w is an optional prefix of the chain's unscaled
     detailed-balance weights, which _weights extends in place."""
     w, total = _weights(columns[0], columns[1], w or [1.0])
     pi = [x / total for x in w]
-    return [sum(map(mul, pi, col)) for col in columns[2:]], w, pi
+    return [_fold(map(mul, pi, col)) for col in columns[2:]], w, pi
 
 
 def _line_form(cols, w, u):
@@ -179,7 +180,7 @@ def _line_form(cols, w, u):
     del absr[u]
     partial += g
     low, high = min(partial), max(partial)
-    total, suffix, amax = sum(pre), sum(g), max(absr)
+    total, suffix, amax = _fold(pre), _fold(g), max(absr)
     if not (
         (not pre or _TINY <= min(pre) and max(pre) <= _HUGE)
         and _TINY <= low
@@ -196,14 +197,15 @@ def _line_form(cols, w, u):
         _TINY / low if g else 0.0,
         _HUGE / high,
         amax,
-        [(sum(map(mul, pre, col)), sum(map(mul, g, col[u + 1 :]))) for col in rewards],
+        [(_fold(map(mul, pre, col)), _fold(map(mul, g, col[u + 1 :]))) for col in rewards],
     )
 
 
 def _golden_max(at, form, exact, value, lo: float, hi: float) -> float:
     """Midpoint of the last bracket of golden-section maximization of a
     unimodal-ish objective along the line at on [lo, hi]; nothing is
-    priced there.
+    priced there. The bracket is tested against _GOLDEN_XTOL before each
+    probe, so every probe priced is read by a comparison.
 
     A probe at v is the cell at(v) and its price. With the state's line
     form, form = (u, k, tiny, *_line_form(...)) for the line's state u and
@@ -230,7 +232,7 @@ def _golden_max(at, form, exact, value, lo: float, hi: float) -> float:
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     v, left, cd = c, True, None  # v is the point to price, c if left; d's cell once priced
-    while True:
+    while b - a > _GOLDEN_XTOL:
         cell = at(v)
         err = 0.0
         if form and (cell[0] > 0.0 or not u):
@@ -259,8 +261,6 @@ def _golden_max(at, form, exact, value, lo: float, hi: float) -> float:
                 continue
         else:
             vd, ed, cd = val, err, cell
-        if not (b - a) > _GOLDEN_XTOL:
-            return 0.5 * (a + b)
         gap = vc - vd
         if not abs(gap) > ec + ed:
             if cc == cd:
@@ -280,6 +280,7 @@ def _golden_max(at, form, exact, value, lo: float, hi: float) -> float:
             a, c, vc, ec, cc = c, d, vd, ed, cd
             v = d = a + _INVPHI * (b - a)
             left = False
+    return 0.5 * (a + b)
 
 
 def _checked_search(units: int, lam: float, search: SearchConfig | None) -> SearchConfig:
@@ -349,27 +350,30 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
         two = len(cols) == 4
         down, up, r0 = cols[:3]
         r1 = cols[3] if two else None
-        probed = [1.0]  # the weight list of the latest solve, which _weights extends in place
-        sums, _, law = _cell_sums(cols, probed)
-        w = probed  # the accepted chain's unscaled weights, up to the first that overflows
+        probed = [1.0]  # the latest exact probe's weight list, which _weights extends in place
+        sums, _, pi = _cell_sums(cols, probed)
+        w, law = probed, pi  # the accepted chain: unscaled weights up to the first overflow, law
         f = value(*sums)
 
         def exact(c):
-            """f of cell c's chain, whose law is solved by _weights only if
-            c's moves are not the latest solve's (md, mu); leaves c in cols,
-            the chain's unscaled weights (w[:u] extended in place) in
+            """f of cell c's chain: summed against the accepted chain's law
+            if c's moves are the accepted cell's (kept), else against the law
+            _weights solves on from the accepted prefix; leaves c in cols,
+            the chain's unscaled weights (w[:u] extended in place, or w) in
             `probed` and its law in `pi`."""
-            nonlocal probed, md, mu, pi
+            nonlocal probed, pi
             down[u], up[u], r0[u] = c[0], c[1], c[2]
             if two:
                 r1[u] = c[3]
-            if c[0] != md or c[1] != mu:
-                probed, md, mu = w[: u or 1], c[0], c[1]  # w[0] = 1 at u = 0
+            if c[0] == kept[0] and c[1] == kept[1]:
+                probed, pi = w, law
+            else:
+                probed = w[: u or 1]  # w[0] = 1 at u = 0
                 scaled, total = _weights(down, up, probed, u)  # probed keeps the unscaled weights
                 pi = [v / total for v in scaled]
             if two:
-                return value(sum(map(mul, pi, r0)), sum(map(mul, pi, r1)))
-            return value(sum(map(mul, pi, r0)))
+                return value(_fold(map(mul, pi, r0)), _fold(map(mul, pi, r1)))
+            return value(_fold(map(mul, pi, r0)))
 
         for _ in range(_MAX_SWEEPS):
             gained = 0.0
@@ -383,7 +387,6 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
                     continue
                 at = line(x, i)
                 kept = (down[u], up[u], r0[u], r1[u]) if two else (down[u], up[u], r0[u])  # the accepted cell
-                md, mu, pi, probed = kept[0], kept[1], law, w  # the latest solve: the accepted chain's
                 xi = _golden_max(at, form, exact, value, CLAMP, hi)
                 fi = exact(at(xi))
                 if fi > f:  # the probed chain is accepted

@@ -9,7 +9,8 @@ import twoway_energy
 from twoway_energy import JointSymbolDist, MarginalPolicy, Transcript, inner, search
 
 # Every module that `import twoway_energy` loads, read before any test imports
-# another, so that no module of the bounds code escapes library_sum's swap.
+# another, so that library_sum swaps the hook chain._fold in every module of
+# the bounds code that binds it.
 LIBRARY = tuple(
     m
     for m in vars(twoway_energy).values()
@@ -238,10 +239,13 @@ def compensated_sum(iterable, start=0):
 
 @contextlib.contextmanager
 def library_sum(fn):
-    """Run the library (every module in LIBRARY) with fn as its sum.
+    """Run the library with fn as its fold: fn in place of the hook
+    chain._fold in every module of LIBRARY that binds it (chain and
+    search), the one name of every float sum that sets a bit of a bound.
     Yields the lengths of the lists summed, one per call and in call order,
-    so that a test can check that the code did sum with fn: a sum bound
-    locally (a default argument or a module alias) would escape the swap."""
+    so that a test can check that the code did sum with fn: a sum that
+    bypassed the hook (a builtin sum, or the hook bound locally) would
+    escape the swap."""
     sizes = []
 
     def counted(iterable, start=0):
@@ -249,10 +253,11 @@ def library_sum(fn):
         sizes.append(len(items))
         return fn(items, start)
 
-    for module in LIBRARY:
-        module.sum = counted
+    hooked = {module: module._fold for module in LIBRARY if hasattr(module, "_fold")}
+    for module in hooked:
+        module._fold = counted
     try:
         yield sizes
     finally:
-        for module in LIBRARY:
-            del module.sum
+        for module, fold in hooked.items():
+            module._fold = fold

@@ -331,4 +331,4 @@ def test_the_sweeps_u16_outer_sum_search_does_its_pinned_work(monkeypatch):
     monkeypatch.setattr(outer, "_search", counted_search)
     _, values = optimize_outer_sum(16, config, seed_policies=[seed])
     assert values.sum_bound.hex() == "0x1.fcd79e66d98e6p+0"
-    assert counts == {"O(1) probes": 77202, "solves": 11199, "forms": 935}
+    assert counts == {"O(1) probes": 74617, "solves": 11190, "forms": 935}

@@ -213,14 +213,15 @@ def _checked_problem(problem, units, lam, sizes):
     - Every cell its lines build (line(x, i)(v), for a start's chain or a
       line search's probe) is tagged with the vector it was built from, and
       equals that vector's cell as _cells builds it.
-    - Every chain solve sums its weights with the sum under test (sizes is
-      what library_sum yields).
+    - Every chain solve sums its weights with the sum under test through
+      the hook chain._fold (sizes is what library_sum yields).
     - A probe priced from a stationary law (err 0) equals the fresh
       evaluation bit for bit, and its reward columns went through the sum
       under test, one sum each: value() asserts both whenever it prices
       such sums, for the vector of the cell exact() was asked to price,
-      else for the latest cell's vector. The law is that of a solve of the
-      probe's chain, or of an earlier chain with the same moves.
+      else for the latest cell's vector. The law is either the probe's own
+      solve's or, where the probe has the accepted cell's moves, the
+      accepted chain's.
     - A probe priced by the line search's O(1) form lies within its err,
       recomputed from the form _golden_max received (_reference_err), of
       the fresh evaluation, and that form is the probed state's. Its
@@ -686,6 +687,34 @@ def test_golden_max_decides_a_comparison_by_the_err_of_the_module_docstring(two,
         search._golden_max(at, form, exact, value, CLAMP, 0.9)
     assert not values  # both probes were priced by the form
     assert (not exacts) == above
+
+
+def test_golden_max_prices_only_probes_that_a_comparison_reads():
+    # A line whose comparisons the filter all decides: the probe at v has the
+    # one reward sum -1 / (2 + v), rising with v, and its err (about 3 * 2^-40)
+    # is far below the gap of any two probes. Each comparison shifts the
+    # bracket by the factor 1/phi, and each shift but the last takes one new
+    # probe, so after its two first probes the line search prices one probe
+    # per shift but the last: one more than its shifts, none unread.
+    k, tiny, amax = 2.0**-40, 2.0**-160, 3.0
+    form = (1, k, tiny, 1.0, 1.0, 1.0, 0.0, _HUGE, amax, [(0.0, 0.0)])  # w_u = 1, s = v, total 2 + v
+    probes = []
+
+    def at(v):
+        probes.append(v)
+        return (1.0, v, -1.0)
+
+    def exact(c):
+        raise AssertionError("the filter decides every comparison")
+
+    lo, hi = CLAMP, 0.9
+    x = search._golden_max(at, form, exact, lambda s: s, lo, hi)
+    width, shifts = hi - lo, 0
+    while width > search._GOLDEN_XTOL:
+        width *= search._INVPHI
+        shifts += 1
+    assert shifts == 29 and len(probes) == shifts + 1
+    assert hi - x < search._GOLDEN_XTOL  # the line rises up to hi
 
 
 def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch):

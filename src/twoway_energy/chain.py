@@ -28,8 +28,9 @@ _ROW_TOL = 1e-12
 # product would overflow, so every pi that was finite without it is kept.
 _RESCALE = 2.0 ** -1000
 # The one name of every float sum that sets a bit of a bound or a pinned work
-# count (here and in search), so that their fold is defined once and a test
-# can swap it. An alias, not a wrapper: it adds no call.
+# count (here and in search, which reads it as chain._fold), so that their
+# fold is defined and bound once and a test can swap it. An alias, not a
+# wrapper: it adds no call.
 _fold = sum
 
 
@@ -152,18 +153,20 @@ def build_kernel(policy) -> TransitionKernel:
 
 
 def _weights(downs, ups, w, u=None):
-    """(weights, their sum) of the detailed-balance recursion
+    """(weights, law) of the detailed-balance recursion
     w[k] = w[k-1] * ups[k-1] / downs[k] over states 0..len(downs)-1, where
     downs[k] = q(k, k-1) and ups[k] = q(k, k+1) are state k's moves
-    (downs[0] and ups[len(downs)-1] are not read).
+    (downs[0] and ups[len(downs)-1] are not read): the stationary law is
+    each weight divided by their total, one _fold of the weights. This is
+    the chain's one recursion, rescale and normalisation.
 
     w holds the weights of the first states and is extended in place. While
-    a weight, and then the sum, overflows, the whole list is rescaled by
+    a weight, and then the total, overflows, the whole list is rescaled by
     _RESCALE into a new list, so w itself keeps the unscaled weights up to
-    the first that overflows. The moves are checked first: those of state
-    u alone, the one cell new to an already checked chain, or every state's
-    when u is None. The first impossible up move is named, else the first
-    impossible down move.
+    the first that overflows, and the weights returned are the scaled ones.
+    The moves are checked first: those of state u alone, the one cell new
+    to an already checked chain, or every state's when u is None. The first
+    impossible up move is named, else the first impossible down move.
     """
     top = len(downs) - 1
     if u is None:
@@ -188,7 +191,7 @@ def _weights(downs, ups, w, u=None):
     if total == math.inf:
         w = [v * _RESCALE for v in w]
         total = _fold(w)
-    return w, total
+    return w, [x / total for x in w]
 
 
 def stationary(kernel: TransitionKernel) -> np.ndarray:
@@ -200,8 +203,7 @@ def stationary(kernel: TransitionKernel) -> np.ndarray:
     NotIrreducibleError naming the first unreachable boundary when some
     adjacent move has probability zero.
     """
-    w, total = _weights((0.0, *kernel.down), kernel.up, [1.0])
-    return np.array([x / total for x in w])
+    return np.array(_weights((0.0, *kernel.down), kernel.up, [1.0])[1])
 
 
 def simulate_chain(

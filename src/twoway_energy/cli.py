@@ -367,7 +367,3 @@ def main(argv=None) -> int:
 
 def _fmt_vec(values) -> str:
     return "[" + " ".join(f"{v:.6f}" for v in np.asarray(values)) + "]"
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,9 +33,7 @@ import numpy as np
 
 from .chain import MarginalPolicy
 from .entropy import _h
-# CLAMP and SearchConfig stay importable from here, where callers of the inner
-# bound read them.
-from .search import CLAMP, SearchConfig, _cell_sums, _checked_search, _Problem, _search
+from .search import SearchConfig, _cell_sums, _checked_search, _Problem, _search
 
 GRID_SEEDS = (0.5, 0.2, 0.35, 0.65, 0.8)
 # The inner certificate proves a state's bound only for bias steps up to this

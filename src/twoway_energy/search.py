@@ -27,7 +27,7 @@ builds each probe's cell and prices it itself, one of two ways.
   checked at their states' probes or the start's one full solve; one made
   impossible raises a full solve's NotIrreducibleError) and solves on from
   the accepted chain's unscaled weights of states 0..u-1, or of as many as
-  precede the first overflow, and the new law is summed the same way.
+  precede the first overflow, to the new law, which is summed the same way.
   Either way it returns a full evaluation's float.
 - An O(1) probe is priced by the state's `_line_form`. While the line
   search moves u's cell, the chain splits into three blocks: the accepted
@@ -46,13 +46,14 @@ predicates), as equal where the cells are equal, and otherwise after
 making a side exact. So the search takes the path, and returns the bits,
 of one that solves the chain at every probe. Every float sum that can set
 one of those bits (a law's total, a reward sum, a line form's sums) is
-`chain._fold`. A line search ends with an exact probe of the midpoint of
-its last bracket. If that gains, the probed chain is the accepted one: its
-cell stays in the columns and its weights and law are the ones later
-probes go on from. Otherwise the accepted cell is written back. The
-region keeps every policy strictly interior, hence the chain irreducible;
-the boundary of the rate region is approached but never evaluated at
-degenerate policies. Restarts are independent and the reduction (max by
+`chain._fold`, read through the module so that `chain` binds it alone, and
+every law is normalised in `chain._weights` alone. A line search ends with
+an exact probe of the midpoint of its last bracket. If that gains, the
+probed chain is the accepted one: its cell stays in the columns and its
+weights and law are the ones later probes go on from. Otherwise the
+accepted cell is written back. The region keeps every policy strictly
+interior, hence the chain irreducible; the boundary of the rate region is
+approached but never evaluated at degenerate policies. Restarts are independent and the reduction (max by
 objective, first within 1e-9 wins) is deterministic given the seed.
 
 The err bound. Let n = U + 1 states, eps = 2^-53 and
@@ -98,7 +99,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import _count, _fold, _weights
+from . import chain
+from .chain import _count, _weights
 
 _GOLDEN_XTOL = 1e-6
 _MAX_SWEEPS = 200
@@ -129,13 +131,13 @@ class SearchConfig:
 
 def _cell_sums(columns, w=None):
     """([sum_k pi[k] * col[k] for each reward column], weights, pi) of the
-    chain with cell columns (down, up, *rewards), where pi, the
-    weights over their sum, is its stationary law and each sum is one _fold
-    over the whole column; w is an optional prefix of the chain's unscaled
-    detailed-balance weights, which _weights extends in place."""
-    w, total = _weights(columns[0], columns[1], w or [1.0])
-    pi = [x / total for x in w]
-    return [_fold(map(mul, pi, col)) for col in columns[2:]], w, pi
+    chain with cell columns (down, up, *rewards), where weights and pi, its
+    stationary law, are what _weights returns, and each sum is one
+    chain._fold over the whole column; w is an optional prefix of the
+    chain's unscaled detailed-balance weights, which _weights extends in
+    place."""
+    w, pi = _weights(columns[0], columns[1], w or [1.0])
+    return [chain._fold(map(mul, pi, col)) for col in columns[2:]], w, pi
 
 
 def _line_form(cols, w, u):
@@ -180,7 +182,7 @@ def _line_form(cols, w, u):
     del absr[u]
     partial += g
     low, high = min(partial), max(partial)
-    total, suffix, amax = _fold(pre), _fold(g), max(absr)
+    total, suffix, amax = chain._fold(pre), chain._fold(g), max(absr)
     if not (
         (not pre or _TINY <= min(pre) and max(pre) <= _HUGE)
         and _TINY <= low
@@ -197,7 +199,7 @@ def _line_form(cols, w, u):
         _TINY / low if g else 0.0,
         _HUGE / high,
         amax,
-        [(_fold(map(mul, pre, col)), _fold(map(mul, g, col[u + 1 :]))) for col in rewards],
+        [(chain._fold(map(mul, pre, col)), chain._fold(map(mul, g, col[u + 1 :]))) for col in rewards],
     )
 
 
@@ -358,9 +360,9 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
         def exact(c):
             """f of cell c's chain: summed against the accepted chain's law
             if c's moves are the accepted cell's (kept), else against the law
-            _weights solves on from the accepted prefix; leaves c in cols,
-            the chain's unscaled weights (w[:u] extended in place, or w) in
-            `probed` and its law in `pi`."""
+            _weights returns as it solves on from the accepted prefix; leaves
+            c in cols, the chain's unscaled weights (w[:u] extended in place,
+            or w) in `probed` and its law in `pi`."""
             nonlocal probed, pi
             down[u], up[u], r0[u] = c[0], c[1], c[2]
             if two:
@@ -369,11 +371,10 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
                 probed, pi = w, law
             else:
                 probed = w[: u or 1]  # w[0] = 1 at u = 0
-                scaled, total = _weights(down, up, probed, u)  # probed keeps the unscaled weights
-                pi = [v / total for v in scaled]
+                pi = _weights(down, up, probed, u)[1]  # probed keeps the unscaled weights
             if two:
-                return value(_fold(map(mul, pi, r0)), _fold(map(mul, pi, r1)))
-            return value(_fold(map(mul, pi, r0)))
+                return value(chain._fold(map(mul, pi, r0)), chain._fold(map(mul, pi, r1)))
+            return value(chain._fold(map(mul, pi, r0)))
 
         for _ in range(_MAX_SWEEPS):
             gained = 0.0

@@ -1,21 +1,10 @@
 import contextlib
 import math
-import types
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-import twoway_energy
-from twoway_energy import JointSymbolDist, MarginalPolicy, Transcript, inner, search
-
-# Every module that `import twoway_energy` loads, read before any test imports
-# another, so that library_sum swaps the hook chain._fold in every module of
-# the bounds code that binds it.
-LIBRARY = tuple(
-    m
-    for m in vars(twoway_energy).values()
-    if isinstance(m, types.ModuleType) and m.__name__.startswith("twoway_energy.")
-)
+from twoway_energy import JointSymbolDist, MarginalPolicy, Transcript, chain, inner, search
 
 
 def random_policy(rng, units: int, lo: float = 0.05, hi: float = 0.95) -> MarginalPolicy:
@@ -240,12 +229,11 @@ def compensated_sum(iterable, start=0):
 @contextlib.contextmanager
 def library_sum(fn):
     """Run the library with fn as its fold: fn in place of the hook
-    chain._fold in every module of LIBRARY that binds it (chain and
-    search), the one name of every float sum that sets a bit of a bound.
-    Yields the lengths of the lists summed, one per call and in call order,
-    so that a test can check that the code did sum with fn: a sum that
-    bypassed the hook (a builtin sum, or the hook bound locally) would
-    escape the swap."""
+    chain._fold, the one name of every float sum that sets a bit of a bound,
+    which chain alone binds. Yields the lengths of the lists summed, one per
+    call and in call order, so that a test can check that the code did sum
+    with fn: a sum that bypassed the hook (a builtin sum, or the hook bound
+    in another module) would escape the swap."""
     sizes = []
 
     def counted(iterable, start=0):
@@ -253,11 +241,8 @@ def library_sum(fn):
         sizes.append(len(items))
         return fn(items, start)
 
-    hooked = {module: module._fold for module in LIBRARY if hasattr(module, "_fold")}
-    for module in hooked:
-        module._fold = counted
+    fold, chain._fold = chain._fold, counted
     try:
         yield sizes
     finally:
-        for module, fold in hooked.items():
-            module._fold = fold
+        chain._fold = fold

@@ -132,6 +132,31 @@ def test_outer_rate_bounds_match_conditional_entropy_oracle(policy):
     assert abs(vals.r2_bound - r2) <= 1e-12
 
 
+@st.composite
+def marginal_policies(draw):
+    """Interior marginal policies on up to 64 units, with moves down to
+    about 1e-24."""
+    units = draw(st.integers(min_value=1, max_value=64))
+    p1, p2 = (draw(st.lists(PROB, min_size=units, max_size=units)) for _ in range(2))
+    return MarginalPolicy(p1=[0.0, *p1], p2=[0.0, *p2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(marginal=marginal_policies(), joint=joint_state_policies())
+# up/down ratios of about 1e24 per step: the detailed-balance product
+# overflows from state 13 on and is rescaled
+@example(
+    marginal=_constant_policy(64, 1e-12, 1.0 - 1e-12),
+    joint=JointStatePolicy.from_marginal(_constant_policy(64, 1e-12, 1.0 - 1e-12)),
+)
+def test_one_set_of_moves_gives_one_law_bit_for_bit(marginal, joint):
+    # stationary, the inner bound's sums and outer_values each take the law
+    # that chain._weights returns, so the same moves give the same floats
+    _, _, pi = _rates_updown(marginal.p1.tolist(), marginal.p2.tolist())
+    assert stationary(build_kernel(marginal)).tolist() == pi
+    assert outer_values(joint).stationary.tolist() == stationary(build_kernel(joint)).tolist()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     units=st.integers(min_value=1, max_value=4),

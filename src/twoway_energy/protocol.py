@@ -465,20 +465,22 @@ def run_trial(
     The walk runs in two phases. The first works on the move lists with
     numpy alone. At a visit to the start state every excursion begun
     before it has ended, so _stack_walk_prefix builds the visit counts
-    there outward from the start state, each from the steps away and back
-    in a state's list, and the visit's time is their sum. Bisecting on
-    that time gives T, the last visit to the start state before n that
-    the walk reaches before any list runs out. The second phase is a
-    per-use loop over uses T..n-1 that goes on from those counts: it
-    indexes each state's list by the state's visit count, and then steps
-    by pad moves computed per state for those uses in advance. The pads
-    of the uses before T are skipped in the stream, so every use sees
-    the pads it would have drawn. At n = 1e5 and epsilon = 0.02 the loop
-    runs the last ~10% of the uses.
+    there outward from the start state. For each pair of adjacent states
+    it indexes the inner state's steps away from the start state and the
+    outer state's steps back, once per trial, and the visit's time is the
+    counts' sum. Bisecting on that time gives T, the last visit to the
+    start state before n that the walk reaches before any list runs out.
+    The second phase is a per-use loop over uses T..n-1 that goes on
+    from those counts: it indexes each state's list by the state's visit
+    count, and then steps by pad moves computed per state for those uses
+    in advance. The pads of the uses before T are skipped in the stream,
+    so every use sees the pads it would have drawn. At n = 1e5 and
+    epsilon = 0.02 the loop runs the last ~10% of the uses.
     The decoders reconstruct the occupancy sets from the shared state
     sequence, read each codeword off the first `length` uses of its
     state, and keep the unique matching message; on a shortfall or an
-    ambiguous list they fall back to the fixed guess 1.
+    ambiguous list they fall back to the fixed guess 1. Whether a
+    codeword collides is sampled from its weight, its count of ones.
     The walk starts in the middle state (units + 1) // 2.
     """
     missing = sorted(codebooks.levels.keys() - messages.keys())
@@ -525,8 +527,11 @@ def run_trial(
     for (node, lv), book in sorted(codebooks.levels.items()):
         if visits[lv if node == 1 else units - lv] < book.length:
             e1.add((node, lv))
-        elif book.size > 1 and _collision_sampled(book, int(sent[(node, lv)].sum()), rng):
-            e2.add((node, lv))
+        elif book.size > 1:
+            # a codeword holds only 0s and 1s, so its weight is its count of ones
+            weight = int(np.count_nonzero(sent[(node, lv)]))
+            if _collision_sampled(book, weight, rng):
+                e2.add((node, lv))
     # a level in e1 or e2 decodes to the fallback guess 1, any other exactly
     ok = {node: all(messages[key] == 1 for key in e1 | e2 if key[0] == node) for node in (1, 2)}
     return TrialOutcome(
@@ -546,11 +551,21 @@ def _stack_walk_prefix(moves: list, start: int, n: int):
     ended, so the visit counts there follow outwards from start: if the
     first k visits to v began m excursions beyond it (steps away from
     start), the next state's count is one past its m-th step back towards
-    start. The visit's time is the sum of the counts.
+    start. The visit's time is the sum of the counts. So each pair of
+    adjacent states needs two index arrays, the inner state's steps away
+    from start and the outer state's steps back, and only those are
+    built: the start state's steps back and the outermost states' steps
+    away are never read.
     """
-    # per side, going outward from start: each state's steps away and back
+    # per side, going outward from start: (away, back) per adjacent pair
     sides = [
-        (sign, [(np.flatnonzero(s == sign), np.flatnonzero(s == -sign)) for s in outward])
+        (
+            sign,
+            [
+                (np.flatnonzero(inner == sign), np.flatnonzero(outer == -sign))
+                for inner, outer in zip(outward, outward[1:])
+            ],
+        )
         for sign, outward in ((1, moves[start:]), (-1, moves[start::-1]))
     ]
 
@@ -559,9 +574,9 @@ def _stack_walk_prefix(moves: list, start: int, n: int):
         excursion begun before it does not end on the lists."""
         visits = [0] * len(moves)
         visits[start] = d
-        for sign, levels in sides:
+        for sign, pairs in sides:
             k, v = d, start
-            for (away, _), (_, back) in zip(levels, levels[1:]):
+            for away, back in pairs:
                 m = int(np.searchsorted(away, k))
                 if m == 0:
                     break
@@ -576,9 +591,11 @@ def _stack_walk_prefix(moves: list, start: int, n: int):
         return n if visits is None else sum(visits)
 
     # the times grow with d up to the first visit the lists do not reach,
-    # and read n from there on; visit 0 is at use 0 < n
+    # and read n from there on; visit 0 is at use 0 < n, so the last visit
+    # before n is one the lists reach
     last = bisect.bisect_left(range(len(moves[start])), n, key=visit_time) - 1
-    return visit_time(last), visits_at(last)
+    visits = visits_at(last)
+    return sum(visits), visits
 
 
 def _collision_sampled(book: CodebookLevel, weight: int, rng) -> bool:

@@ -47,7 +47,7 @@ from twoway_energy import (
     validate_transcript,
     variable_length_sim,
 )
-from twoway_energy import search
+from twoway_energy import protocol, search
 from twoway_energy.inner import (
     _inner_cell,
     _inner_columns,
@@ -1237,6 +1237,35 @@ def test_trial_switches_to_the_loop_at_the_last_list_walk_visit_to_the_start(cas
     ]
     before = [states[:switch].count(v) for v in range(units + 1)]
     assert _stack_walk_prefix(moves, start, blocklength) == (switch, before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=balanced_books())
+def test_the_collision_check_gets_the_sent_codewords_weight(case):
+    books, seed = case
+    units = books.units
+    messages = draw_messages(books, seed=seed + 1)
+    checked = []
+    sampled = protocol._collision_sampled
+
+    def recorder(book, weight, rng):
+        checked.append((book, weight))
+        return sampled(book, weight, rng)
+
+    with mock.patch.object(protocol, "_collision_sampled", recorder):
+        run_trial(books, messages, seed=seed + 2)
+    _, visits = reference_trial_walk(books, messages, seed=seed + 2)
+    # equal books may back two levels, so each call is matched by identity
+    key_of = {id(book): key for key, book in books.levels.items()}
+    keys = [key_of[id(book)] for book, _ in checked]
+    for key, (_, weight) in zip(keys, checked):
+        assert weight == int(books.codeword(*key, messages[key]).sum())
+    # a level is checked when its state saw its whole codeword and others exist
+    assert keys == [
+        (node, lv)
+        for (node, lv), book in sorted(books.levels.items())
+        if visits[lv if node == 1 else units - lv] >= book.length and book.size > 1
+    ]
 
 
 @settings(max_examples=200, deadline=None)

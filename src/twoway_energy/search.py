@@ -38,8 +38,7 @@ builds each probe's cell and prices it itself, one of two ways.
   plus straight-line arithmetic, with its one or two reward columns
   written out and passed to value as scalars. Its price is that form's
   value with err, a bound on its distance from the exact probe's float:
-  one constant per line, unless the probe's own rewards are larger than
-  every fixed state's.
+  one constant per search.
 Golden-section search only compares probes: by the values where their gap
 exceeds both errs (a floating-point filter, as in Shewchuk's adaptive
 predicates), as equal where the cells are equal, and otherwise after
@@ -70,22 +69,31 @@ within g_(6n+9) * A_j of S_j. With value's contract (see _search), two
 values of sums within g_(12n+9) * A_j lie within
 (L * (12n + 9) + 16 * (L - 1)) * eps * sum_j A_j of each other, up to
 terms in eps^2. As pi sums to 1, sum_j A_j = sum_k pi[k] * a_k is at most
-a, the largest a_k = sum_j |r_jk| over the probed chain's states. A probe
-computes each a_k with at most one rounding (it has one or two reward
-columns), takes a as the max of the fixed states' (amax, once per form)
-and its own a_u, and bounds its distance by
-err = k * a + tiny with k = L * (U + 2) * 2^-49 = 16L(n + 1) * eps,
-rounded twice; a comparison adds two errs with one rounding more. k
-exceeds the constant above by (4n + 7) * eps at L = 1 and (8n - 2) * eps
-at L = 2, which covers those four relative roundings of eps and the eps^2
-terms for every n >= 2 (and U < 2^28, far beyond memory). So every probe
-whose a_u is at most amax has the same err, k * amax + tiny. tiny =
-(U + 3) * 2^-160 covers underflow: the form is used only while every
-weight, suffix product and total lies in [2^-900, 2^900] and every
-|reward| is at most 2^900, so an underflowed pi[k], product or division
-costs at most about 2^-174 each. Where any of this cannot be shown (see
-_line_form), or the probe's own moves are not positive, the probe is
-exact.
+the largest a_k = sum_j |r_jk| over the probed chain's states, and every
+a_k is at most A = 2 + 2^-40 (`_REWARD_BOUND`, below). So every probe has
+one err = k * A + tiny with k = L * (U + 2) * 2^-49 = 16L(n + 1) * eps,
+computed once per search and rounded twice; a comparison adds two errs
+with one rounding more. k exceeds the constant above by (4n + 7) * eps at
+L = 1 and (8n - 2) * eps at L = 2, which covers those three relative
+roundings of eps and the eps^2 terms for every n >= 2 (and U < 2^28, far
+beyond memory). tiny = (U + 3) * 2^-160 covers underflow: the form is used
+only while every weight, suffix product and total lies in
+[2^-900, 2^900], and every |reward| is at most A, so an underflowed pi[k],
+product or division costs at most about 2^-174 each. Where any of this
+cannot be shown (see _line_form), or the probe's own moves are not
+positive, the probe is exact.
+
+The bound A. Every reward is an entropy of the paper's binary symbols: the
+inner cell's H(p1[u]) and H(p2[U-u]), the sum bound's H(X1,X2), and the
+weighted bound's H(X1|X2) and H(X2|X1), whose sum is at most H(X1,X2). So a
+state's real rewards have magnitudes that sum to at most log2 4 = 2 bits,
+with equality at the uniform joint, which lies in the search region. The
+floats differ from those entropies by the roundings of a few logarithms,
+products and sums, each relative to a term of at most 2 bits, and by an
+outer state's remainder p00, whose entries sum to 1 only up to a few eps;
+at entries of at least CLAMP each entropy term's slope is below 21, so
+that costs at most a few hundred eps in all. The margin 2^-40 = 2^13 * eps
+covers it many times over. A is part of _Problem's contract.
 """
 
 from __future__ import annotations
@@ -94,7 +102,7 @@ import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -112,6 +120,9 @@ CLAMP = 1e-6
 # lies in [_TINY, _HUGE], so that none overflows or underflows.
 _TINY = 2.0**-900
 _HUGE = 2.0**900
+# A state's reward magnitudes sum to at most 2 bits (entropies of two binary
+# symbols), plus a rounding margin: the bound A of the module docstring.
+_REWARD_BOUND = 2.0 + 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -143,7 +154,7 @@ def _cell_sums(columns, w=None):
 def _line_form(cols, w, u):
     """The chain of cell columns cols (down, up, *rewards) as an
     O(1) function of state u's cell, every other cell fixed, for _search:
-    (lead, P, G, smin, smax, amax, [(P_r, G_r) per reward column]), or None
+    (u, lead, P, G, smin, smax, [(P_r, G_r) per reward column]), or None
     where the form is not certified.
 
     The weights are the accepted prefix w[:u], state u's
@@ -152,17 +163,14 @@ def _line_form(cols, w, u):
     s = w_u * up_u and g_k = prod_{u<j<k} up_j / prod_{u<j<=k} down_j. So
     the total is T = P + (w_u + s*G) and each reward sum is
     (P_r + (w_u*r_u + s*G_r)) / T, where P and P_r sum w_k and w_k*r_k over
-    the prefix, and G and G_r sum g_k and g_k*r_k over the suffix. amax is
-    the largest a_k = sum over columns of |r_k| of the fixed states; with
-    the probed state's own a_u it bounds every sum_j sum_k pi[k]*|r_jk|,
-    as pi sums to 1. The value of those sums lies within err,
-    k*max(amax, a_u) + tiny (see the module docstring), of the value of the
-    exact solve's sums. None when the prefix was rescaled (len(w) < u), a
-    prefix weight, a g_k or a partial product of their recursion lies
-    outside [_TINY, _HUGE], or an a_k, P or G lies above _HUGE; a probe is
-    priced exactly unless smin <= s <= smax, T <= _HUGE and a_u <= _HUGE,
-    which keep every weight and partial product of the exact solve in that
-    range.
+    the prefix, and G and G_r sum g_k and g_k*r_k over the suffix. The
+    value of those sums lies within the search's one err (see the module
+    docstring) of the value of the exact solve's sums. None when the prefix
+    was rescaled (len(w) < u), a prefix weight, a g_k or a partial product
+    of their recursion lies outside [_TINY, _HUGE], or P or G lies above
+    _HUGE; a probe is priced exactly unless smin <= s <= smax and
+    T <= _HUGE, which keep every weight and partial product of the exact
+    solve in that range.
     """
     down, up, *rewards = cols
     top = len(down) - 1
@@ -176,44 +184,38 @@ def _line_form(cols, w, u):
         if k < top:
             x *= up[k]
             partial.append(x)
-    absr = list(map(abs, rewards[0]))
-    for col in rewards[1:]:
-        absr = list(map(add, absr, map(abs, col)))
-    del absr[u]
     partial += g
     low, high = min(partial), max(partial)
-    total, suffix, amax = chain._fold(pre), chain._fold(g), max(absr)
+    total, suffix = chain._fold(pre), chain._fold(g)
     if not (
         (not pre or _TINY <= min(pre) and max(pre) <= _HUGE)
         and _TINY <= low
         and high <= _HUGE
-        and amax <= _HUGE
         and total <= _HUGE
         and suffix <= _HUGE
     ):
         return None
     return (
+        u,
         w[u - 1] * up[u - 1] if u else 1.0,
         total,
         suffix,
         _TINY / low if g else 0.0,
         _HUGE / high,
-        amax,
         [(chain._fold(map(mul, pre, col)), chain._fold(map(mul, g, col[u + 1 :]))) for col in rewards],
     )
 
 
-def _golden_max(at, form, exact, value, lo: float, hi: float) -> float:
+def _golden_max(at, form, err, exact, value, hi: float) -> float:
     """Midpoint of the last bracket of golden-section maximization of a
-    unimodal-ish objective along the line at on [lo, hi]; nothing is
+    unimodal-ish objective along the line at on [CLAMP, hi]; nothing is
     priced there. The bracket is tested against _GOLDEN_XTOL before each
     probe, so every probe priced is read by a comparison.
 
     A probe at v is the cell at(v) and its price. With the state's line
-    form, form = (u, k, tiny, *_line_form(...)) for the line's state u and
-    the search's err constants, a probe that passes the form's checks is
-    priced in O(1) by value of the form's sums, with err k * max(amax, a_u)
-    + tiny (see the module docstring); any other probe, and every probe when
+    form, as _line_form returns it, a probe that passes the form's checks
+    is priced in O(1) by value of the form's sums, with the search's one
+    err (see the module docstring); any other probe, and every probe when
     form is None, is priced by exact(cell), with err 0. The bracket's two
     probes are held as scalars, and the form's as locals. Each comparison
     of the bracket is the one of exact values: it is decided from the
@@ -225,44 +227,36 @@ def _golden_max(at, form, exact, value, lo: float, hi: float) -> float:
     exact.
     """
     if form:
-        u, k, tiny, lead, total, suffix, smin, smax, amax, terms = form
-        kmax = k * amax + tiny  # the err of a probe whose a_u is at most amax
+        u, lead, total, suffix, smin, smax, terms = form
         p0, g0 = terms[0]
         p1, g1 = terms[-1]
         two = len(terms) == 2
-    a, b = lo, hi
+    a, b = CLAMP, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     v, left, cd = c, True, None  # v is the point to price, c if left; d's cell once priced
     while b - a > _GOLDEN_XTOL:
         cell = at(v)
-        err = 0.0
+        e = 0.0
         if form and (cell[0] > 0.0 or not u):
             wu = lead / cell[0] if u else 1.0
             s = wu * cell[1]
             t = total + (wu + s * suffix)
             if t <= _HUGE and smin <= s <= smax:
-                r = cell[2]
                 if two:
-                    q = cell[3]
-                    au = abs(r) + abs(q)
-                    if au <= _HUGE:
-                        val = value((p0 + (wu * r + s * g0)) / t, (p1 + (wu * q + s * g1)) / t)
-                        err = kmax if au <= amax else k * au + tiny
+                    val = value((p0 + (wu * cell[2] + s * g0)) / t, (p1 + (wu * cell[3] + s * g1)) / t)
                 else:
-                    au = abs(r)
-                    if au <= _HUGE:
-                        val = value((p0 + (wu * r + s * g0)) / t)
-                        err = kmax if au <= amax else k * au + tiny
-        if not err:
+                    val = value((p0 + (wu * cell[2] + s * g0)) / t)
+                e = err
+        if not e:
             val = exact(cell)
         if left:
-            vc, ec, cc = val, err, cell
+            vc, ec, cc = val, e, cell
             if cd is None:  # the first probe; d is the second
                 v, left = d, False
                 continue
         else:
-            vd, ed, cd = val, err, cell
+            vd, ed, cd = val, e, cell
         gap = vc - vd
         if not abs(gap) > ec + ed:
             if cc == cd:
@@ -295,7 +289,11 @@ def _checked_search(units: int, lam: float, search: SearchConfig | None) -> Sear
 
 class _Problem(NamedTuple):
     """A chain objective for _search over a vector x of free entries, in
-    which every state 0..max(states) has a coordinate."""
+    which every state 0..max(states) has a coordinate. Every cell that line
+    gives at a point of the search region has reward magnitudes that sum to
+    at most _REWARD_BOUND, as the module docstring derives for the bounds'
+    entropies; the O(1) probes' error bound relies on it, as on value's
+    constant L."""
 
     siblings: Sequence  # per coordinate, the other entries of its state's simplex
     states: Sequence  # per coordinate, the one state whose cell it enters
@@ -317,16 +315,18 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
     (L - 1) * 2^-50 * sum_j (|s_j| + |s'_j|) of rounding (none at L = 1:
     value must be exact there). The outer sum bound's identity meets it
     with L = 1; the inner objective (weights 2*lam and 2*(1-lam)) and the
-    outer weighted one (after max(., 0)) with L = 2.
+    outer weighted one (after max(., 0)) with L = 2. With the problem's
+    reward bound A = _REWARD_BOUND, every O(1) probe has the one err
+    L * (U + 2) * 2^-49 * A + (U + 3) * 2^-160, computed once per search.
 
     The starts are `fixed`, then draw(rng) until config.restarts, each
     drawn only when its turn comes. Coordinate
     i ranges over [CLAMP, 1 - sum(x[siblings[i]]) - CLAMP], is skipped while
     that range is no longer than the line search's tolerance, and is refined
     by golden-section search: _golden_max of its line, its state's line form
-    (built when the state is first searched in a sweep), exact and value,
-    then exact() of the midpoint it returns. An ascent stops when a full
-    sweep gains < config.tol. A start is clipped into [CLAMP, 1-CLAMP],
+    (built when the state is first searched in a sweep), the err, exact and
+    value, then exact() of the midpoint it returns. An ascent stops when a
+    full sweep gains < config.tol. A start is clipped into [CLAMP, 1-CLAMP],
     then each coordinate in turn is capped at the upper end of its range
     (at least CLAMP): a state with k entries then has its first j sum to
     at most 1 - (k - j + 1) * CLAMP, so its remainder is at least CLAMP up
@@ -341,8 +341,7 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
     drawn = (draw(rng) for _ in range(config.restarts - len(fixed)))  # each when its turn comes
     top = max(states)
     one = dict(zip(states, range(len(states))))  # per state, one coordinate that enters its cell
-    k = contract * (top + 2) * 2.0**-49
-    tiny = (top + 3) * 2.0**-160
+    err = contract * (top + 2) * 2.0**-49 * _REWARD_BOUND + (top + 3) * 2.0**-160
     best_x, best_f = None, -math.inf
     for ran, start in enumerate(itertools.chain(fixed, drawn), 1):
         x = [min(max(float(v), CLAMP), 1.0 - CLAMP) for v in start]
@@ -381,14 +380,12 @@ def _search(fixed, draw, problem: _Problem, config: SearchConfig, settled=None):
             for i, (sib, u) in enumerate(zip(siblings, states)):
                 if not i or states[i - 1] != u:  # a move accepted at u leaves the form as it is
                     form = _line_form(cols, w, u)
-                    if form:
-                        form = (u, k, tiny, *form)  # as _golden_max takes it
                 hi = 1.0 - sum(map(x.__getitem__, sib)) - CLAMP
                 if hi - CLAMP <= _GOLDEN_XTOL:
                     continue
                 at = line(x, i)
                 kept = (down[u], up[u], r0[u], r1[u]) if two else (down[u], up[u], r0[u])  # the accepted cell
-                xi = _golden_max(at, form, exact, value, CLAMP, hi)
+                xi = _golden_max(at, form, err, exact, value, hi)
                 fi = exact(at(xi))
                 if fi > f:  # the probed chain is accepted
                     gained += fi - f

@@ -189,6 +189,67 @@ def test_outer_weighted_command(capsys):
     assert "weighted bound, lambda=0.7000" in capsys.readouterr().out
 
 
+# Commands whose printed numbers are pinned: the lines each prints from its
+# second line on (the outer search's bounds, the inner search's objective and
+# rates, the Monte Carlo report), as recorded.
+RECORDED = {
+    # a sum-bound search past the sweep's U = 16
+    "outer --budget 64 --restarts 2 --seed 1": [
+        "r1_bound: 0.999575  r2_bound: 0.999575",
+        "sum_bound: 1.999157",
+    ],
+    # a weighted search, stopped early by its Bellman certificate, prints
+    # the numbers of the search that runs every start
+    "inner --budget 16 --restarts 6 --seed 1 --lambda 0.3": [
+        "objective 2*(lam*R1+(1-lam)*R2): 1.989300",
+        "R1: 0.987551  R2: 0.997693  sum: 1.985244",
+    ],
+    # a weighted search that no certificate settles, so every start runs
+    "inner --budget 4 --restarts 6 --seed 1 --lambda 0.7": [
+        "objective 2*(lam*R1+(1-lam)*R2): 1.864525",
+        "R1: 0.968417  R2: 0.847902  sum: 1.816319",
+    ],
+    # the weighted outer search, whose probes mostly skip the chain solve,
+    # prints the numbers of the search that solves it at every probe
+    "outer --budget 8 --restarts 6 --seed 1 --lambda 0.3": [
+        "r1_bound: 0.955992  r2_bound: 0.991393",
+        "sum_bound: 1.947886",
+    ],
+    # the sum bound seeded by its own quick inner search, a path the sweep
+    # (which seeds it with the sweep's inner optimum) does not take
+    "outer --budget 16 --restarts 6 --seed 1": [
+        "r1_bound: 0.993639  r2_bound: 0.993634",
+        "sum_bound: 1.987665",
+    ],
+    # the random-coding Monte Carlo: every level has both shortfalls and
+    # collisions, so a codeword weight far from the sent word's (its count
+    # of zeros, say) shows in the counts
+    "simulate --budget 2 --optimized --restarts 4 --seed 3 --trials 20"
+    " --epsilon 0.003 --delta 0.0 --blocklength 4000": [
+        "error rate: 1.0000 (20/20 trials failed)",
+        "event counts per (node, level): occupancy-shortfall / collision",
+        "  node 1 level 1: 6 / 8",
+        "  node 1 level 2: 7 / 6",
+        "  node 2 level 1: 6 / 7",
+        "  node 2 level 2: 7 / 10",
+        "occupancy (analytic vs mean empirical):",
+        "  state 0: 0.216398 vs 0.216850",
+        "  state 1: 0.567212 vs 0.567863",
+        "  state 2: 0.216390 vs 0.215288",
+        "rates (bits/channel use):",
+        "  empirical code rate:   1.525288",
+        "  achievable-rate value: 1.536590",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", RECORDED, ids=[a.split(" --restarts")[0] for a in RECORDED])
+def test_a_command_prints_its_recorded_lines(capsys, argv):
+    assert main(argv.split()) == 0
+    lines = RECORDED[argv]
+    assert capsys.readouterr().out.splitlines()[1 : 1 + len(lines)] == lines
+
+
 def test_sweep_u1_coincides(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code = main(["sweep", "--budget", "1", *FAST, "--out", str(out_path)])

@@ -294,24 +294,29 @@ def test_outer_sum_at_u32_matches_its_pin_bit_for_bit():
 
 def test_the_sweeps_u16_outer_sum_search_does_its_pinned_work(monkeypatch):
     # The sweep's U = 16 outer sum search, seeded with the sweep's inner
-    # optimum: how many probes its O(1) line form priced, how many chains it
-    # solved and how many line forms it built. A change to the comparison
-    # filter that silently loses decisions shows here as more solves. Like
-    # the float pins, these counts are CPython 3.11's path; another sum()
-    # takes another path.
+    # optimum: how many probes its O(1) line form priced, how many exact()
+    # calls _golden_max made (for a probe or a comparison the filter left
+    # undecided), how many chains it solved and how many line forms it
+    # built. A change to the comparison filter that silently loses decisions
+    # shows here as more exact() calls and solves. Like the float pins,
+    # these counts are CPython 3.11's path; another sum() takes another path.
     config = SearchConfig(restarts=6, seed=1)
     seed = JointStatePolicy.from_marginal(optimize_sum_rate(16, 0.5, config).policy)
-    counts = {"O(1) probes": 0, "solves": 0, "forms": 0}
+    counts = {"O(1) probes": 0, "exact calls": 0, "solves": 0, "forms": 0}
     real_golden, real_weights, real_form, real_search = (
         search._golden_max, search._weights, search._line_form, outer._search
     )
 
-    def golden(at, form, exact, value, lo, hi):
+    def golden(at, form, err, exact, value, hi):
         def counted(*sums):  # _golden_max calls value only to price a probe by its form
             counts["O(1) probes"] += 1
             return value(*sums)
 
-        return real_golden(at, form, exact, counted, lo, hi)
+        def counted_exact(c):
+            counts["exact calls"] += 1
+            return exact(c)
+
+        return real_golden(at, form, err, counted_exact, counted, hi)
 
     def weights(*args):
         counts["solves"] += 1
@@ -331,4 +336,4 @@ def test_the_sweeps_u16_outer_sum_search_does_its_pinned_work(monkeypatch):
     monkeypatch.setattr(outer, "_search", counted_search)
     _, values = optimize_outer_sum(16, config, seed_policies=[seed])
     assert values.sum_bound.hex() == "0x1.fcd79e66d98e6p+0"
-    assert counts == {"O(1) probes": 74617, "solves": 11190, "forms": 935}
+    assert counts == {"O(1) probes": 74617, "exact calls": 18117, "solves": 11191, "forms": 935}

@@ -217,14 +217,11 @@ class _Cell(tuple):
     """A cell that keeps the vector x it was built from and its state u."""
 
 
-def _reference_err(form, cell):
-    """The err of cell's probe priced by form, the line form that
-    search._golden_max receives, as the search module's docstring states
-    it: k * max(amax, a_u) + tiny, with a_u the sum of the cell's reward
-    magnitudes, rounded once."""
-    _, k, tiny, *_, amax, _ = form
-    au = abs(cell[2]) + abs(cell[3]) if len(cell) == 4 else abs(cell[2])
-    return k * amax + tiny if au <= amax else k * au + tiny
+def _reference_err(contract, units):
+    """The one err of every O(1) probe of a search on U = units with
+    value's constant L = contract, as the search module's docstring states
+    it: L * (U + 2) * 2^-49 * A + (U + 3) * 2^-160, A the reward bound."""
+    return contract * (units + 2) * 2.0**-49 * search._REWARD_BOUND + (units + 3) * 2.0**-160
 
 
 @contextlib.contextmanager
@@ -247,9 +244,9 @@ def _checked_problem(problem, units, lam, sizes):
       else for the latest cell's vector. The law is either the probe's own
       solve's or, where the probe has the accepted cell's moves, the
       accepted chain's.
-    - A probe priced by the line search's O(1) form lies within its err,
-      recomputed from the form _golden_max received (_reference_err), of
-      the fresh evaluation, and that form is the probed state's. Its
+    - A probe priced by the line search's O(1) form lies within the err
+      that _golden_max received, the docstring's (_reference_err), of the
+      fresh evaluation, and that form is the probed state's. Its
       value() call follows no reward sums; value() asserts that it comes
       from _golden_max's pricing of a probe, and the wrapper checks the
       err.
@@ -258,7 +255,7 @@ def _checked_problem(problem, units, lam, sizes):
     probed lists the vector of every cell, and counts the probes priced by
     the form ("O(1)") and the exact(cell) calls of _golden_max, for a probe
     or a comparison ("exact")."""
-    siblings, states, line, value, _ = searched = _problem(problem, units, lam)
+    siblings, states, line, value, contract = searched = _problem(problem, units, lam)
     probed = []
     counts = {"exact": 0, "O(1)": 0}
     seen = [len(sizes)]  # sums made before the latest value() or cell() call
@@ -313,7 +310,8 @@ def _checked_problem(problem, units, lam, sizes):
 
     real_golden = search._golden_max
 
-    def golden(at, form, exact, value, lo, hi):
+    def golden(at, form, err, exact, value, hi):
+        assert err == _reference_err(contract, units)
         latest = []  # the latest probe's cell
 
         def recorded_at(v):
@@ -328,7 +326,7 @@ def _checked_problem(problem, units, lam, sizes):
                 pricing.pop()
             c = latest[0]
             assert form[0] == c.u
-            assert not summed[0] and abs(val - fresh(c.x)) <= _reference_err(form, c)
+            assert not summed[0] and abs(val - fresh(c.x)) <= err
             counts["O(1)"] += 1
             return val
 
@@ -343,7 +341,7 @@ def _checked_problem(problem, units, lam, sizes):
             counts["exact"] += 1
             return val
 
-        return real_golden(recorded_at, form, checked_exact, priced, lo, hi)
+        return real_golden(recorded_at, form, err, checked_exact, priced, hi)
 
     # patch.object raises where search has no such name, so a patch cannot miss
     with mock.patch.object(search, "_golden_max", golden), mock.patch.object(search, "_weights", checked_weights):
@@ -574,10 +572,10 @@ class _Probed(Exception):
 def _first_probe(searched, cells, u, c):
     """((value, err, cell), exact(cell)) of the first probe of the search's
     line search of state u, whose chain has cells, at a point where u's
-    cell is c: the value _golden_max priced it at, and its err recomputed
-    from the form _golden_max received (_reference_err), or 0.0 where
-    _golden_max priced it by exact(cell). State u's coordinate is searched
-    first, so the accepted chain is the start's."""
+    cell is c: the value _golden_max priced it at, and the err it received,
+    the docstring's (_reference_err), or 0.0 where _golden_max priced it by
+    exact(cell). State u's coordinate is searched first, so the accepted
+    chain is the start's."""
     n = len(cells)
     states = [u, *(k for k in range(n) if k != u)]
 
@@ -588,7 +586,8 @@ def _first_probe(searched, cells, u, c):
     got = []
     real_golden = search._golden_max
 
-    def golden(at, form, exact, value, lo, hi):
+    def golden(at, form, err, exact, value, hi):
+        assert err == _reference_err(searched.contract, n - 1)
         probe = []
 
         def recorded_at(v):
@@ -596,7 +595,7 @@ def _first_probe(searched, cells, u, c):
             return probe[0]
 
         def priced(*sums):
-            got.append((value(*sums), _reference_err(form, probe[0]), probe[0]))
+            got.append((value(*sums), err, probe[0]))
             got.append(exact(probe[0]))
             raise _Probed
 
@@ -605,7 +604,7 @@ def _first_probe(searched, cells, u, c):
             got.append(exact(cell))
             raise _Probed
 
-        return real_golden(recorded_at, form, unpriced, priced, lo, hi)
+        return real_golden(recorded_at, form, err, unpriced, priced, hi)
 
     problem = searched._replace(siblings=((),) * n, states=states, line=line)
     with mock.patch.object(search, "_golden_max", golden), pytest.raises(_Probed):
@@ -644,7 +643,7 @@ def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, l
         solved, _, _ = _cell_sums(probed, w[: u or 1])
         (val, err, cell), exact = _first_probe(searched, cells, u, c)
     assert len(w) == units + 1 and form is not None
-    lead, total, suffix, smin, smax, _, terms = form
+    _, lead, total, suffix, smin, smax, terms = form
     wu = lead / c[0] if u else 1.0
     s = wu * c[1]
     t = total + (wu + s * suffix)
@@ -676,27 +675,24 @@ class _Stop(Exception):
 
 
 @pytest.mark.parametrize("two", [False, True], ids=["one column", "two columns"])
-@pytest.mark.parametrize("large", [False, True], ids=["a_u <= amax", "a_u > amax"])
 @pytest.mark.parametrize("above", [False, True], ids=["gap at the errs", "gap above them"])
-def test_golden_max_decides_a_comparison_by_the_err_of_the_module_docstring(two, large, above):
+def test_golden_max_decides_a_comparison_by_the_err_of_the_module_docstring(two, above):
     # The first comparison of a line search, between its two probes, both
-    # priced by the form at values whose gap is the sum of their errs, as
-    # _reference_err gives them, or one float above it. _golden_max must
-    # decide it from the values exactly in the second case, and price a side
-    # by exact() in the first: its own err is the reference's.
-    k, tiny, amax = 2.0**-40, 2.0**-160, 3.0
-    r = 4.0 if large else 1.0
+    # priced by the form at values whose gap is the sum of their errs, the
+    # one err that _reference_err gives, or one float above it. _golden_max
+    # must decide it from the values exactly in the second case, and price a
+    # side by exact() in the first: the err it compares by is the one it
+    # received.
     terms = [(0.0, 0.0)] * (2 if two else 1)
-    form = (1, k, tiny, 1.0, 1.0, 1.0, 0.0, _HUGE, amax, terms)  # w_u = 1, s = v, total 2 + v
+    form = (1, 1.0, 1.0, 1.0, 0.0, _HUGE, terms)  # w_u = 1, s = v, total 2 + v
 
     def at(v):
         if len(probes) == 2:
             raise _Stop
-        probes.append((1.0, v, r, -r) if two else (1.0, v, r))
+        probes.append((1.0, v, 1.0, -1.0) if two else (1.0, v, 1.0))
         return probes[-1]
 
-    err = _reference_err(form, (1.0, 0.5, r, -r) if two else (1.0, 0.5, r))
-    assert err == (k * amax + tiny if not large else k * (2 * r if two else r) + tiny)
+    err = _reference_err(2.0 if two else 1.0, 1)
     gap = math.nextafter(err + err, math.inf) if above else err + err
     probes, values, exacts = [], [gap, 0.0], []
 
@@ -709,7 +705,7 @@ def test_golden_max_decides_a_comparison_by_the_err_of_the_module_docstring(two,
         return 0.0
 
     with pytest.raises(_Stop):
-        search._golden_max(at, form, exact, value, CLAMP, 0.9)
+        search._golden_max(at, form, err, exact, value, 0.9)
     assert not values  # both probes were priced by the form
     assert (not exacts) == above
 
@@ -721,8 +717,7 @@ def test_golden_max_prices_only_probes_that_a_comparison_reads():
     # bracket by the factor 1/phi, and each shift but the last takes one new
     # probe, so after its two first probes the line search prices one probe
     # per shift but the last: one more than its shifts, none unread.
-    k, tiny, amax = 2.0**-40, 2.0**-160, 3.0
-    form = (1, k, tiny, 1.0, 1.0, 1.0, 0.0, _HUGE, amax, [(0.0, 0.0)])  # w_u = 1, s = v, total 2 + v
+    form = (1, 1.0, 1.0, 1.0, 0.0, _HUGE, [(0.0, 0.0)])  # w_u = 1, s = v, total 2 + v
     probes = []
 
     def at(v):
@@ -732,9 +727,9 @@ def test_golden_max_prices_only_probes_that_a_comparison_reads():
     def exact(c):
         raise AssertionError("the filter decides every comparison")
 
-    lo, hi = CLAMP, 0.9
-    x = search._golden_max(at, form, exact, lambda s: s, lo, hi)
-    width, shifts = hi - lo, 0
+    hi = 0.9
+    x = search._golden_max(at, form, _reference_err(1.0, 1), exact, lambda s: s, hi)
+    width, shifts = hi - CLAMP, 0
     while width > search._GOLDEN_XTOL:
         width *= search._INVPHI
         shifts += 1
@@ -765,11 +760,11 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     fixed = _Problem([(), (), ()], [0, 1, 2], line, _outer_problem(2).value, 1.0)
     cols, w = _start_chain([*below, top(0.5)])
     assert w[1] == 2.0**899
-    lead, total, suffix, smin, smax, _, _ = _line_form(cols, w, 2)
+    _, lead, total, suffix, smin, smax, _ = _line_form(cols, w, 2)
     searches = []  # per line search, its probes' [cell, how _golden_max priced it]
     real_golden = search._golden_max
 
-    def golden(at, form, exact, value, lo, hi):
+    def golden(at, form, err, exact, value, hi):
         probes = []
         searches.append(probes)
 
@@ -787,7 +782,7 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
                 probes[-1][1] = "exact"
             return exact(c)
 
-        return real_golden(recorded_at, form, recorded_exact, priced, lo, hi)
+        return real_golden(recorded_at, form, err, recorded_exact, priced, hi)
 
     monkeypatch.setattr(search, "_golden_max", golden)
     config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
@@ -798,7 +793,7 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     for c, how in searches[-1]:
         wu = lead / c[0]
         s = wu * c[1]
-        assert smin <= s <= smax and abs(c[2]) <= _HUGE
+        assert smin <= s <= smax
         if total + (wu + s * suffix) > _HUGE:
             over.append(how)
         else:
@@ -842,7 +837,7 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
         events.append(("form", u))
         return real_form(cols, w, u)
 
-    def golden(at, form, exact, value, lo, hi):
+    def golden(at, form, err, exact, value, hi):
         line = ["line", set(range(len(states)))]  # coordinates that held every probe
         events.append(line)
 
@@ -851,7 +846,7 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
             line[1] &= {j for j, xj in enumerate(probed) if xj == v}
             return c
 
-        return real_golden(recorded, form, exact, value, lo, hi)
+        return real_golden(recorded, form, err, exact, value, hi)
 
     monkeypatch.setattr(search, "_weights", weights)
     monkeypatch.setattr(search, "_line_form", form)
@@ -949,6 +944,42 @@ def test_every_objective_moves_at_most_twice_its_sums(problem, lam, s, t, nudge)
     rounding = (contract - 1.0) * 2.0**-50 * sum(map(abs, s + t))
     bound = contract * sum(abs(a - b) for a, b in zip(s, t)) + rounding
     assert abs(value(*s) - value(*t)) <= bound
+
+
+COORDS = 3 * 8 - 1  # the outer search vector's length at U = 8, the longest here
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    problem=st.sampled_from(["inner", "outer sum", "outer weighted"]),
+    units=st.integers(min_value=1, max_value=8),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    start=st.lists(MASS, min_size=COORDS, max_size=COORDS),
+    spots=st.lists(MASS, min_size=COORDS, max_size=COORDS),
+)
+# the uniform joint of each problem, where a state's sum is exactly 2
+@example(problem="inner", units=2, lam=0.5, start=[0.5] * COORDS, spots=[0.5] * COORDS)
+@example(problem="outer sum", units=2, lam=0.5, start=[0.25] * COORDS, spots=[0.5] * COORDS)
+@example(problem="outer weighted", units=2, lam=0.3, start=[0.25] * COORDS, spots=[0.5] * COORDS)
+def test_a_states_reward_magnitudes_sum_to_at_most_the_search_bound(problem, units, lam, start, spots):
+    # The reward bound of _Problem's contract, on which the O(1) probes' err
+    # relies: every cell that a line gives at a point of the search region
+    # has reward magnitudes that sum to at most search._REWARD_BOUND, 2 bits
+    # plus a rounding margin. The point is a random start capped into the
+    # region, as _search caps it, and each line is probed at the point's own
+    # entry and at a random v of its range [CLAMP, 1 - (its siblings' sum) -
+    # CLAMP].
+    searched = _problem(problem, units, lam)
+    x = capped_start(searched, start[: len(searched.states)])
+    largest = 0.0
+    for i, (sib, spot) in enumerate(zip(searched.siblings, spots)):
+        hi = 1.0 - sum(x[j] for j in sib) - CLAMP
+        at = searched.line(x, i)
+        for v in (x[i], CLAMP + spot * (hi - CLAMP)):
+            largest = max(largest, sum(map(abs, at(v)[2:])))
+    assert largest <= search._REWARD_BOUND
+    if start == [0.5 if problem == "inner" else 0.25] * COORDS:  # the uniform joint
+        assert largest == 2.0
 
 
 def test_search_runs_a_start_outside_its_region_from_the_capped_start():

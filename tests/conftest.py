@@ -1,6 +1,8 @@
 import contextlib
 import math
+from collections import Counter
 from typing import NamedTuple, Optional
+from unittest import mock
 
 import numpy as np
 
@@ -53,6 +55,112 @@ def changed_cells(problem, change):
         return cell_at
 
     return problem._replace(line=line)
+
+
+class _Cell(tuple):
+    """A cell that keeps the vector x it was built from and its state u."""
+
+
+@contextlib.contextmanager
+def search_log(problem=None, sizes=()):
+    """Record every search run in the block: yields (log, problem').
+
+    search._line_form, search._golden_max and search._weights are wrapped,
+    and each call goes through to the library. log gets, in call order:
+    - ("form", u, form): a line form of state u, None where it fails closed;
+    - ("line", u, form, err): a line search (_golden_max) of the latest
+      form's state u, with that form and the err of its O(1) probes;
+    - ("price", how, cell, price, summed): a probe of a line search, priced
+      by its form (how "O(1)") or by exact(cell) ("exact"); exact() of a
+      comparison ("compare"); or a value _search takes from a law itself, a
+      start's or a line search's midpoint's ("search", for problem' alone);
+    - ("solve", summed): a chain solve.
+    summed lists the lengths of the lists the library folded (sizes, as
+    library_sum yields them): a solve's during it, a price's since its cell
+    was built, or since the latest solve or price where that came later.
+    problem' is problem with each cell its lines build tagged, through
+    changed_cells, with the vector x it was built from and its state u
+    (cell.x, cell.u), and with value recording the search's prices. The
+    recorder asserts that a line search prices every probe it builds
+    before it builds the next."""
+    log = []
+    mark = 0  # len(sizes) at the latest cell, solve or price
+    state = latest = pending = None  # the latest form's state, cell built and unpriced probe
+    in_line = False
+    real_form, real_golden, real_weights = search._line_form, search._golden_max, search._weights
+
+    def priced(how, cell, val):
+        nonlocal mark
+        log.append(("price", how, cell, val, list(sizes[mark:])))
+        mark = len(sizes)
+        return val
+
+    def form(cols, w, u):
+        nonlocal state
+        state, made = u, real_form(cols, w, u)
+        log.append(("form", u, made))
+        return made
+
+    def golden(at, form, err, exact, value, hi):
+        nonlocal in_line
+        log.append(("line", state, form, err))
+
+        def probe(v):
+            nonlocal mark, pending
+            assert pending is None  # the last probe was priced
+            pending, mark = at(v), len(sizes)
+            return pending
+
+        def by_form(*sums):  # _golden_max calls value only to price a probe by its form
+            nonlocal pending
+            cell, pending = pending, None
+            return priced("O(1)", cell, value(*sums))
+
+        def by_exact(cell):
+            nonlocal pending
+            val = exact(cell)
+            if cell is not pending:
+                return priced("compare", cell, val)
+            pending = None
+            return priced("exact", cell, val)
+
+        in_line = True
+        try:
+            x = real_golden(probe, form, err, by_exact, by_form, hi)
+        finally:
+            in_line = False
+        assert pending is None
+        return x
+
+    def weights(*args):
+        nonlocal mark
+        mark = len(sizes)
+        solve = real_weights(*args)
+        log.append(("solve", list(sizes[mark:])))
+        mark = len(sizes)
+        return solve
+
+    def tagged(x, u, cell):
+        nonlocal latest, mark
+        latest = cell = _Cell(cell)
+        cell.x, cell.u, mark = list(x), u, len(sizes)
+        return cell
+
+    def value(*sums):
+        val = problem.value(*sums)
+        return val if in_line else priced("search", latest, val)
+
+    recorded = None if problem is None else changed_cells(problem, tagged)._replace(value=value)
+    with contextlib.ExitStack() as patches:
+        for name, fn in (("_line_form", form), ("_golden_max", golden), ("_weights", weights)):
+            # patch.object raises where search has no such name, so a patch cannot miss
+            patches.enter_context(mock.patch.object(search, name, fn))
+        yield log, recorded
+
+
+def tally(log):
+    """A search log's events by kind, each price by how it was priced."""
+    return Counter(event[1] if event[0] == "price" else event[0] for event in log)
 
 
 def stationary_linear_oracle(matrix: np.ndarray) -> np.ndarray:

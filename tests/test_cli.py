@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import os
 import sys
 
@@ -427,6 +428,22 @@ def test_stationary_checks_the_seed_before_printing(tmp_path, capsys):
     assert captured.out == ""
 
 
+# One value just outside each key's range in cli.OPTIONS, the lower end's
+# side where the range has two ends; every float key is also tried at nan.
+_OUTSIDE = {
+    "budget": 0, "lam": -5e-324, "restarts": 0, "tol": 0.0, "seed": -1, "blocklength": 0,
+    "epsilon": -5e-324, "delta": math.nextafter(-1.0, -math.inf), "trials": 0, "p": -5e-324,
+    "bits": 0, "frame": 1,
+}
+
+
+def test_the_out_of_range_table_has_every_option_outside_its_range():
+    assert set(_OUTSIDE) == set(cli.OPTIONS)  # so that a new option cannot be missed
+    for key, value in _OUTSIDE.items():
+        _, kind, _, _, _, ok = cli.OPTIONS[key]
+        assert type(value) is kind and not ok(value)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -451,6 +468,13 @@ def test_stationary_checks_the_seed_before_printing(tmp_path, capsys):
         ["simulate", "--delta=-1.5"],
         ["stationary", "--restarts", "0", "--tol", "nan"],
         ["simulate", "--lambda", "7", "--restarts", "0", "--trials", "1", "--blocklength", "1000"],
+        # every key of every command, from the table above
+        *(
+            [command, f"{cli.OPTIONS[key][0]}={value!r}"]
+            for command, (_, _, keys, _) in cli.COMMANDS.items()
+            for key in keys.split()
+            for value in (_OUTSIDE[key], *([math.nan] if cli.OPTIONS[key][1] is float else []))
+        ),
     ],
 )
 def test_out_of_range_values_are_usage_errors(capsys, argv):

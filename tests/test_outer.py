@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import capped_start, random_policy
+from conftest import capped_start, random_policy, search_log, tally
 from twoway_energy import (
     JointStatePolicy,
     JointSymbolDist,
@@ -19,7 +19,7 @@ from twoway_energy import (
     sweep_details,
     uniform_policy,
 )
-from twoway_energy import outer, search
+from twoway_energy import outer
 from twoway_energy.outer import _free_slots, _outer_problem, _outer_terms, _pack, _unpack
 from twoway_energy.search import CLAMP
 
@@ -302,38 +302,21 @@ def test_the_sweeps_u16_outer_sum_search_does_its_pinned_work(monkeypatch):
     # these counts are CPython 3.11's path; another sum() takes another path.
     config = SearchConfig(restarts=6, seed=1)
     seed = JointStatePolicy.from_marginal(optimize_sum_rate(16, 0.5, config).policy)
-    counts = {"O(1) probes": 0, "exact calls": 0, "solves": 0, "forms": 0}
-    real_golden, real_weights, real_form, real_search = (
-        search._golden_max, search._weights, search._line_form, outer._search
-    )
+    logs, real_search = [], outer._search
 
-    def golden(at, form, err, exact, value, hi):
-        def counted(*sums):  # _golden_max calls value only to price a probe by its form
-            counts["O(1) probes"] += 1
-            return value(*sums)
-
-        def counted_exact(c):
-            counts["exact calls"] += 1
-            return exact(c)
-
-        return real_golden(at, form, err, counted_exact, counted, hi)
-
-    def weights(*args):
-        counts["solves"] += 1
-        return real_weights(*args)
-
-    def form(*args):
-        counts["forms"] += 1
-        return real_form(*args)
-
-    def counted_search(*args):  # the search's work, not outer_values' solve after it
-        with monkeypatch.context() as m:
-            m.setattr(search, "_golden_max", golden)
-            m.setattr(search, "_weights", weights)
-            m.setattr(search, "_line_form", form)
+    def recorded(*args):  # the search's work, not outer_values' solve after it
+        with search_log() as (log, _):
+            logs.append(log)
             return real_search(*args)
 
-    monkeypatch.setattr(outer, "_search", counted_search)
+    monkeypatch.setattr(outer, "_search", recorded)
     _, values = optimize_outer_sum(16, config, seed_policies=[seed])
     assert values.sum_bound.hex() == "0x1.fcd79e66d98e6p+0"
-    assert counts == {"O(1) probes": 74617, "exact calls": 18117, "solves": 11191, "forms": 935}
+    (log,) = logs
+    counts = tally(log)
+    assert {
+        "O(1) probes": counts["O(1)"],
+        "exact calls": counts["exact"] + counts["compare"],
+        "solves": counts["solve"],
+        "forms": counts["form"],
+    } == {"O(1) probes": 74617, "exact calls": 18117, "solves": 11191, "forms": 935}

@@ -24,6 +24,8 @@ from conftest import (
     reference_timeshare_syms,
     reference_trial_walk,
     run_inner_search,
+    search_log,
+    tally,
 )
 from twoway_energy import (
     JointStatePolicy,
@@ -47,7 +49,7 @@ from twoway_energy import (
     validate_transcript,
     variable_length_sim,
 )
-from twoway_energy import protocol, search
+from twoway_energy import inner, protocol, search
 from twoway_energy.inner import (
     _inner_cell,
     _inner_columns,
@@ -213,10 +215,6 @@ def _cells(problem, units, x):
     return [c[:2] + c[4:] for c in cells] if problem == "outer sum" else [c[:4] for c in cells]
 
 
-class _Cell(tuple):
-    """A cell that keeps the vector x it was built from and its state u."""
-
-
 def _reference_err(contract, units):
     """The one err of every O(1) probe of a search on U = units with
     value's constant L = contract, as the search module's docstring states
@@ -224,128 +222,56 @@ def _reference_err(contract, units):
     return contract * (units + 2) * 2.0**-49 * search._REWARD_BOUND + (units + 3) * 2.0**-160
 
 
-@contextlib.contextmanager
-def _checked_problem(problem, units, lam, sizes):
-    """(problem, probed, counts) of a search problem whose probes are
-    checked against fresh evaluations of their vectors, while
-    search._golden_max is wrapped to see every probe's cell, every value()
-    call that prices a probe by the line form and every exact(cell), and
-    search._weights to see every chain solve.
+def _checked_search(problem, units, lam, starts, draw, config, summer):
+    """(x, f, log) of _search of one of the three objectives under summer,
+    log as search_log records it, after these checks:
+    - every cell its lines build equals its vector's cell as _cells builds
+      it;
+    - every line search has the docstring's err (_reference_err);
+    - every chain solve sums its weights with summer, through the hook
+      chain._fold;
+    - every price from a stationary law (exact(cell), for a probe or a
+      comparison, and the value of a start or of a line search's midpoint)
+      equals the fresh evaluation of its cell's vector bit for bit, and its
+      reward columns went through summer, one sum each. The law is the
+      probe's own solve's or, where the probe has the accepted cell's moves,
+      the accepted chain's;
+    - every probe priced by its line search's O(1) form, which is the
+      probed state's, lies within err of the fresh evaluation, and sums
+      nothing;
+    - f is the fresh evaluation of x.
+    _fresh_value also checks that no probe leaves the search's region."""
+    searched = _problem(problem, units, lam)
+    err = _reference_err(searched.contract, units)
 
-    - Every cell its lines build (line(x, i)(v), for a start's chain or a
-      line search's probe) is tagged with the vector it was built from, and
-      equals that vector's cell as _cells builds it.
-    - Every chain solve sums its weights with the sum under test through
-      the hook chain._fold (sizes is what library_sum yields).
-    - A probe priced from a stationary law (err 0) equals the fresh
-      evaluation bit for bit, and its reward columns went through the sum
-      under test, one sum each: value() asserts both whenever it prices
-      such sums, for the vector of the cell exact() was asked to price,
-      else for the latest cell's vector. The law is either the probe's own
-      solve's or, where the probe has the accepted cell's moves, the
-      accepted chain's.
-    - A probe priced by the line search's O(1) form lies within the err
-      that _golden_max received, the docstring's (_reference_err), of the
-      fresh evaluation, and that form is the probed state's. Its
-      value() call follows no reward sums; value() asserts that it comes
-      from _golden_max's pricing of a probe, and the wrapper checks the
-      err.
-    - exact(cell) returns the fresh evaluation of the cell's vector.
+    def built(y, u, cell):
+        assert cell == _cells(problem, units, y)[u]
+        return cell
 
-    probed lists the vector of every cell, and counts the probes priced by
-    the form ("O(1)") and the exact(cell) calls of _golden_max, for a probe
-    or a comparison ("exact")."""
-    siblings, states, line, value, contract = searched = _problem(problem, units, lam)
-    probed = []
-    counts = {"exact": 0, "O(1)": 0}
-    seen = [len(sizes)]  # sums made before the latest value() or cell() call
-    solving = []  # the vector of the probe exact() is solving
-    pricing = []  # true while _golden_max prices a probe by its form
-    summed = [False]  # whether the latest probe's value() priced reward sums of a law
-
-    def fresh(x):
-        # the fresh evaluation sums too; the next value() must not count its sums
-        val = _fresh_value(problem, units, lam, x)
-        seen[0] = len(sizes)
-        return val
-
-    def tagged(c, x, u):
-        seen[0] = len(sizes)  # sums made before this cell price nothing of it
-        summed[0] = False  # until this probe's value() prices reward sums
-        probed.append(x)
-        c = _Cell(c)
-        c.x, c.u = x, u
-        return c
-
-    def recording_line(x, i):
-        at, u, y = line(x, i), states[i], list(x)
-
-        def cell_at(v):
-            y[i] = v
-            c = tagged(at(v), list(y), u)
-            assert c == _cells(problem, units, c.x)[u]
-            return c
-
-        return cell_at
-
-    def checked_value(*sums):
-        # a chain has units + 1 states; no other sum the search makes is that long
-        summed[0] = sizes[seen[0] :].count(units + 1) >= len(sums)
-        val = value(*sums)
-        if summed[0]:
-            assert val == fresh(solving[-1] if solving else probed[-1])
-        else:
-            assert pricing and not solving
-        seen[0] = len(sizes)
-        return val
-
-    real_weights = search._weights
-
-    def checked_weights(*args):
-        made = len(sizes)
-        solve = real_weights(*args)
-        assert units + 1 in sizes[made:]
-        seen[0] = len(sizes)  # so that value() counts the reward columns' sums alone
-        return solve
-
-    real_golden = search._golden_max
-
-    def golden(at, form, err, exact, value, hi):
-        assert err == _reference_err(contract, units)
-        latest = []  # the latest probe's cell
-
-        def recorded_at(v):
-            latest[:] = [at(v)]
-            return latest[0]
-
-        def priced(*sums):  # _golden_max calls value only to price a probe by its form
-            pricing.append(True)
-            try:
-                val = value(*sums)
-            finally:
-                pricing.pop()
-            c = latest[0]
-            assert form[0] == c.u
-            assert not summed[0] and abs(val - fresh(c.x)) <= err
-            counts["O(1)"] += 1
-            return val
-
-        def checked_exact(c):
-            solving.append(c.x)
-            try:
-                val = exact(c)
-            finally:
-                solving.pop()
-            assert summed[0]  # and value() compared it with c's vector
-            assert val == fresh(c.x)
-            counts["exact"] += 1
-            return val
-
-        return real_golden(recorded_at, form, err, checked_exact, priced, hi)
-
-    # patch.object raises where search has no such name, so a patch cannot miss
-    with mock.patch.object(search, "_golden_max", golden), mock.patch.object(search, "_weights", checked_weights):
-        yield searched._replace(line=recording_line, value=checked_value), probed, counts
+    with library_sum(summer) as sizes:
+        with search_log(changed_cells(searched, built), sizes) as (log, recorded):
+            x, f, _ = _search(starts, draw, recorded, config)
+        try:
+            for event in log:
+                if event[0] == "line":
+                    form = event[2]
+                    assert event[3] == err
+                elif event[0] == "solve":
+                    assert units + 1 in event[1]  # a chain has units + 1 states
+                elif event[0] == "price":
+                    _, how, cell, val, summed = event
+                    fresh = _fresh_value(problem, units, lam, cell.x)
+                    if how == "O(1)":
+                        assert form[0] == cell.u and not summed and abs(val - fresh) <= err
+                    else:
+                        assert summed == [units + 1] * (len(cell) - 2) and val == fresh
+        except AssertionError:
+            # hypothesis keeps each failing example's traceback, and with it
+            # the log; while it shrinks a failure, that is thousands of logs
+            log.clear()
+            raise
+        assert f == _fresh_value(problem, units, lam, x)
+    return x, f, log
 
 
 @settings(max_examples=30, deadline=None)
@@ -368,19 +294,17 @@ def test_search_value_is_a_fresh_evaluation_of_its_vector(problem, units, lam, s
     probe that resumed a partial sum of the chain would differ, so the
     library runs under that sum too, and every solve and every reward sum
     must have summed with it."""
-    with library_sum(summer) as sizes, _checked_problem(problem, units, lam, sizes) as checked:
-        searched, _, _ = checked
+    searched = _problem(problem, units, lam)
 
-        def draw(rng):
-            return rng.uniform(0.0, 1.0, len(searched.states))
+    def draw(rng):
+        return rng.uniform(0.0, 1.0, len(searched.states))
 
-        rng = np.random.default_rng(seed)  # the search's own draws, replayed
-        starts = [capped_start(searched, draw(rng)) for _ in range(restarts)]
-        config = SearchConfig(restarts=restarts, seed=seed)
+    rng = np.random.default_rng(seed)  # the search's own draws, replayed
+    starts = [capped_start(searched, draw(rng)) for _ in range(restarts)]
+    with library_sum(summer):
         start_values = [_fresh_value(problem, units, lam, s) for s in starts]
-        x, f, _ = _search([], draw, searched, config)
-        assert f >= max(start_values) - 1e-9
-        assert f == _fresh_value(problem, units, lam, x)
+    _, f, _ = _checked_search(problem, units, lam, [], draw, SearchConfig(restarts=restarts, seed=seed), summer)
+    assert f >= max(start_values) - 1e-9
 
 
 def _overflows(problem, units, x):
@@ -394,14 +318,9 @@ def _overflows(problem, units, x):
 
 
 def _one_sweep(problem, units, start, summer):
-    """One checked sweep of the search from start, under summer; returns
-    every probed vector and the counts of the probes priced each way."""
-    with library_sum(summer) as sizes, _checked_problem(problem, units, 0.5, sizes) as checked:
-        searched, probed, counts = checked
-        config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
-        x, f, _ = _search([start], None, searched, config)
-        assert f == _fresh_value(problem, units, 0.5, x)
-    return probed, counts
+    """The log of one checked sweep of the search from start, under summer."""
+    config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
+    return _checked_search(problem, units, 0.5, [start], None, config, summer)[2]
 
 
 @pytest.mark.parametrize("summer", [sum, compensated_sum])
@@ -433,8 +352,8 @@ def test_search_probes_that_overflow_an_unscaled_chain_are_fresh_evaluations(sum
     units = 27
     start = [0.5, 0.0075] + [CLAMP] * (units - 2) + [1.0 - CLAMP] * units
     assert not _overflows("inner", units, start)
-    probed, _ = _one_sweep("inner", units, start, summer)
-    first_probe = probed[units + 1]  # after the start's units + 1 cells
+    log = _one_sweep("inner", units, start, summer)
+    first_probe = next(event[2].x for event in log if event[0] == "price" and event[1] in ("O(1)", "exact"))
     assert first_probe[0] != start[0] and first_probe[1:] == start[1:]
     assert _overflows("inner", units, first_probe)
 
@@ -479,20 +398,21 @@ def test_the_line_form_returns_the_exact_only_search_bit_for_bit(problem, units,
 
 
 def test_the_harness_patches_reach_the_search():
-    # The p11 test's U = 4 outer sum search, once under the checked problem
-    # alone and once with the form failing closed as well. A patch of a
-    # module that _search does not read would see no probe at all in the
-    # first run, or would leave the shipped search pricing probes by the form
-    # in the second, so that the exact-only test compared it with itself.
+    # The p11 test's U = 4 outer sum search, once as it ships and once with
+    # the form failing closed. A patch of a module that _search does not
+    # read would record no probe at all in the first run, or would leave the
+    # shipped search pricing probes by the form in the second, so that the
+    # exact-only test compared it with itself.
+    searched = _problem("outer sum", 4, 0.5)
+
+    def draw(rng):
+        return rng.uniform(0.0, 0.3, len(searched.states))
+
     for paths, priced in ((contextlib.nullcontext(), True), (_exact_only(), False)):
-        with library_sum(sum) as sizes, _checked_problem("outer sum", 4, 0.5, sizes) as checked, paths:
-            searched, _, counts = checked
-
-            def draw(rng):
-                return rng.uniform(0.0, 0.3, len(searched.states))
-
-            _search([], draw, searched, SearchConfig(restarts=2, seed=5))
-        assert counts["exact"] + counts["O(1)"] > 0  # the wrapped _golden_max saw the probes
+        with paths:
+            log = _checked_search("outer sum", 4, 0.5, [], draw, SearchConfig(restarts=2, seed=5), sum)[2]
+        counts = tally(log)
+        assert counts["exact"] + counts["O(1)"] > 0  # the recorder saw the probes
         assert (counts["O(1)"] > 0) == priced
 
 
@@ -566,50 +486,36 @@ def _random_cell(kind, units, u, data):
 
 
 class _Probed(Exception):
-    """Ends a search after its first probe."""
+    """Ends a search as it builds the second probe of its first line search."""
 
 
 def _first_probe(searched, cells, u, c):
-    """((value, err, cell), exact(cell)) of the first probe of the search's
-    line search of state u, whose chain has cells, at a point where u's
-    cell is c: the value _golden_max priced it at, and the err it received,
-    the docstring's (_reference_err), or 0.0 where _golden_max priced it by
-    exact(cell). State u's coordinate is searched first, so the accepted
-    chain is the start's."""
+    """(err, how, cell, price) of the first probe of the search's line
+    search of state u, whose chain has cells, at a point where u's cell is
+    c: the err of its line search, how it was priced and at what, as
+    search_log records them. State u's coordinate is searched first, so the
+    accepted chain is the start's."""
     n = len(cells)
     states = [u, *(k for k in range(n) if k != u)]
 
     def line(x, i):
-        k = states[i]
-        return (lambda v: cells[k] if v == 0.5 else c) if k == u else lambda v: cells[k]
+        k, probes = states[i], []
 
-    got = []
-    real_golden = search._golden_max
+        def at(v):
+            if k != u or v == 0.5:  # a start's cell
+                return cells[k]
+            if probes:
+                raise _Probed
+            probes.append(v)
+            return c
 
-    def golden(at, form, err, exact, value, hi):
-        assert err == _reference_err(searched.contract, n - 1)
-        probe = []
-
-        def recorded_at(v):
-            probe.append(at(v))
-            return probe[0]
-
-        def priced(*sums):
-            got.append((value(*sums), err, probe[0]))
-            got.append(exact(probe[0]))
-            raise _Probed
-
-        def unpriced(cell):
-            got.append((exact(cell), 0.0, cell))
-            got.append(exact(cell))
-            raise _Probed
-
-        return real_golden(recorded_at, form, err, unpriced, priced, hi)
+        return at
 
     problem = searched._replace(siblings=((),) * n, states=states, line=line)
-    with mock.patch.object(search, "_golden_max", golden), pytest.raises(_Probed):
+    with search_log() as (log, _), pytest.raises(_Probed):
         _search([[0.5] * n], None, problem, SearchConfig(restarts=1))
-    return got
+    (_, _, _, err), (_, how, cell, price, _) = [event for event in log if event[0] in ("line", "price")]
+    return err, how, cell, price
 
 
 @settings(max_examples=100, deadline=None)
@@ -641,7 +547,9 @@ def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, l
         cols, w = _start_chain(cells)  # the accepted chain
         form = _line_form(cols, w, u)
         solved, _, _ = _cell_sums(probed, w[: u or 1])
-        (val, err, cell), exact = _first_probe(searched, cells, u, c)
+        err, how, cell, val = _first_probe(searched, cells, u, c)
+        with _exact_only():  # the same probe, priced by exact(cell)
+            exact = _first_probe(searched, cells, u, c)[3]
     assert len(w) == units + 1 and form is not None
     _, lead, total, suffix, smin, smax, terms = form
     wu = lead / c[0] if u else 1.0
@@ -649,7 +557,8 @@ def test_each_kind_of_probe_lies_within_its_half_of_the_err_bound(kind, units, l
     t = total + (wu + s * suffix)
     assert t <= _HUGE and smin <= s <= smax  # the probe is priced by the form
     priced = [(p + (wu * r + s * g)) / t for (p, g), r in zip(terms, c[2:])]
-    assert cell == c and err > 0.0 and val == value(*priced)
+    assert how == "O(1)" and cell == c and val == value(*priced)
+    assert err == _reference_err(searched.contract, units)
     assert exact == value(*solved)
 
     weights = [Fraction(x) for x in w[:u]] + [Fraction(wu)]
@@ -737,7 +646,7 @@ def test_golden_max_prices_only_probes_that_a_comparison_reads():
     assert hi - x < search._GOLDEN_XTOL  # the line rises up to hi
 
 
-def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch):
+def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve():
     # Outer sum at U = 2 with only the top state's p10 free. The weights
     # below it are 1 and 2^899 (state 1's up move is 1/2, its down move
     # 2^-900), so its lead is 2^898, and a probe at p10 = v has the weight
@@ -761,36 +670,15 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     cols, w = _start_chain([*below, top(0.5)])
     assert w[1] == 2.0**899
     _, lead, total, suffix, smin, smax, _ = _line_form(cols, w, 2)
-    searches = []  # per line search, its probes' [cell, how _golden_max priced it]
-    real_golden = search._golden_max
-
-    def golden(at, form, err, exact, value, hi):
-        probes = []
-        searches.append(probes)
-
-        def recorded_at(v):
-            probes.append([at(v), None])
-            return probes[-1][0]
-
-        def priced(*sums):  # by the form
-            probes[-1][1] = "O(1)"
-            return value(*sums)
-
-        def recorded_exact(c):
-            if probes[-1][1] is None:  # the probe's own pricing, not a comparison's
-                assert c is probes[-1][0]
-                probes[-1][1] = "exact"
-            return exact(c)
-
-        return real_golden(recorded_at, form, err, recorded_exact, priced, hi)
-
-    monkeypatch.setattr(search, "_golden_max", golden)
     config = SearchConfig(restarts=1, tol=math.inf)  # one sweep
-    x, f, _ = _search([[0.5, 0.5, 0.5]], None, fixed, config)
-    assert x[:2] == [0.5, 0.5] and len(searches) == 3
+    with search_log() as (log, _):
+        x, f, _ = _search([[0.5, 0.5, 0.5]], None, fixed, config)
+    lines = [k for k, event in enumerate(log) if event[0] == "line"]
+    assert x[:2] == [0.5, 0.5] and len(lines) == 3
     assert f == _cell_sums(_start_chain([*below, top(x[2])])[0])[0][0]
+    probes = [e[1:3] for e in log[lines[-1] :] if e[0] == "price" and e[1] in ("O(1)", "exact")]  # the top state's
     over = []
-    for c, how in searches[-1]:
+    for how, c in probes:
         wu = lead / c[0]
         s = wu * c[1]
         assert smin <= s <= smax
@@ -801,7 +689,7 @@ def test_a_probe_whose_form_total_passes_2_900_is_priced_by_a_solve(monkeypatch)
     assert over and all(how == "exact" for how in over)
 
 
-def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monkeypatch):
+def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line():
     # A "11" use sends one unit each way, so p11 enters no move of the
     # chain: every probe of a p11 line search has the accepted chain's moves
     # and is priced from its stationary law, with no solve. The p01, p10 and
@@ -820,53 +708,28 @@ def test_the_outer_search_forms_each_state_once_and_never_solves_a_p11_line(monk
     with _exact_only():
         exact_x, exact_f, _ = _search([], draw, searched, config)
 
-    events = []  # "solve", ("form", u) and ["line", i] in call order
-    probed = []  # the vector of the latest cell
-
-    def recording(x, u, c):
-        probed[:] = x
-        return c
-
-    real_weights, real_form, real_golden = search._weights, search._line_form, search._golden_max
-
-    def weights(*args):
-        events.append("solve")
-        return real_weights(*args)
-
-    def form(cols, w, u):
-        events.append(("form", u))
-        return real_form(cols, w, u)
-
-    def golden(at, form, err, exact, value, hi):
-        line = ["line", set(range(len(states)))]  # coordinates that held every probe
-        events.append(line)
-
-        def recorded(v):
-            c = at(v)
-            line[1] &= {j for j, xj in enumerate(probed) if xj == v}
-            return c
-
-        return real_golden(recorded, form, err, exact, value, hi)
-
-    monkeypatch.setattr(search, "_weights", weights)
-    monkeypatch.setattr(search, "_line_form", form)
-    monkeypatch.setattr(search, "_golden_max", golden)
-    x, f, _ = _search([], draw, changed_cells(searched, recording), config)
+    with search_log(searched) as (log, recorded):
+        x, f, _ = _search([], draw, recorded, config)
     assert [v.hex() for v in (*x, f)] == [v.hex() for v in (*exact_x, exact_f)]
 
-    lines = [ev[1] for ev in events if ev[0] == "line"]
+    lines, line = [], None  # per line search, [its probes' vectors, its solves]
+    for event in log:  # a line search runs from its _golden_max to the next one, or the next form
+        if event[0] == "line":
+            line = [[], 0]
+            lines.append(line)
+        elif event[0] == "form":
+            line = None
+        elif line is not None and event[0] == "solve":
+            line[1] += 1
+        elif line is not None and event[0] == "price" and event[1] in ("O(1)", "exact"):
+            line[0].append(event[2].x)
+    moved = [{j for j, xj in enumerate(zip(*xs)) if len(set(xj)) > 1} for xs, _ in lines]  # its coordinate
     sweeps, rest = divmod(len(lines), len(states))
     assert sweeps >= 4 and rest == 0  # no line search was skipped
-    assert [{i} for i in range(len(states))] * sweeps == lines
-    assert [ev[1] for ev in events if ev[0] == "form"] == [*range(units + 1)] * sweeps
-    solves = {}  # line search (its coordinate) -> solves during it
-    line = None  # a line search runs from its _golden_max to the next one, or the next form
-    for ev in events:
-        if ev == "solve" and line is not None:
-            solves[line] = solves.get(line, 0) + 1
-        elif ev != "solve":
-            line = min(ev[1]) if ev[0] == "line" else None
-    assert solves and not p11 & set(solves)
+    assert [{i} for i in range(len(states))] * sweeps == moved
+    assert [event[1] for event in log if event[0] == "form"] == [*range(units + 1)] * sweeps
+    solved = {min(i) for i, (_, solves) in zip(moved, lines) if solves}
+    assert solved and not p11 & solved
 
 
 def test_a_probe_with_a_zero_move_raises_the_error_of_a_full_solve():
@@ -1086,6 +949,17 @@ def test_a_state_proven_below_t_stays_below_t_on_a_dense_grid(d0, d1, lam, above
     t = top + math.copysign(10.0**gap, 1.0 if above else -1.0)
     if _state_below(d0, d1, lam, t):
         assert top < t
+
+
+def test_a_state_the_certificate_cannot_split_far_enough_is_not_proven_below(monkeypatch):
+    # t lies 1e-2 above the grid's largest value, far more than the grid can
+    # miss, so no midpoint reaches t: at the default depth the bounds close,
+    # and at depth 2 the intervals run out first, so the certificate fails
+    # closed.
+    t = _grid_state_value(0.3, -0.2, 0.5) + 1e-2
+    assert _state_below(0.3, -0.2, 0.5, t)
+    monkeypatch.setattr(inner, "_MAX_DEPTH", 2)
+    assert not _state_below(0.3, -0.2, 0.5, t)
 
 
 def _grid_bellman_bound(units, lam, x):

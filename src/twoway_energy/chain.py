@@ -97,11 +97,12 @@ def uniform_policy(units: int, p: float = 0.5) -> MarginalPolicy:
 
 @dataclass(frozen=True)
 class TransitionKernel:
-    """Birth-death kernel over states 0..units, stored as its move vectors.
+    """Birth-death kernel over states 0..units, stored as each state's moves.
 
-    up[u] = q(u, u+1) and down[u] = q(u+1, u) for u = 0..units-1; the
-    rest of each state's mass is its self-loop, so every representable
-    kernel is tridiagonal and row-stochastic.
+    up[u] = q(u, u+1) and down[u] = q(u, u-1) for u = 0..units, so
+    down[0] = up[units] = 0; the rest of each state's mass is its
+    self-loop, so every representable kernel is tridiagonal and
+    row-stochastic.
     """
 
     up: tuple[float, ...]
@@ -110,11 +111,13 @@ class TransitionKernel:
     def __post_init__(self):
         up = tuple(map(float, self.up))
         down = tuple(map(float, self.down))
-        if len(up) != len(down) or not up:
-            raise ValueError("up and down must have equal length >= 1 (one entry per unit)")
+        if len(up) != len(down) or len(up) < 2:
+            raise ValueError("up and down must have equal length >= 2 (one entry per state)")
         if not all(0.0 <= p <= 1.0 for p in up + down):
             raise ValueError("move probabilities must lie in [0,1]")
-        for u, (d, r) in enumerate(zip((0.0, *down), (*up, 0.0))):
+        if down[0] or up[-1]:
+            raise ValueError(f"state 0 cannot move down and state {len(up) - 1} cannot move up")
+        for u, (d, r) in enumerate(zip(down, up)):
             if d + r > 1.0 + _ROW_TOL:
                 raise ValueError(f"state {u}: move probabilities exceed 1")
         object.__setattr__(self, "up", up)
@@ -122,18 +125,17 @@ class TransitionKernel:
 
     @property
     def units(self) -> int:
-        return len(self.up)
+        return len(self.up) - 1
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense (units+1)x(units+1) view, for the demos and tests; it takes
         O(units^2) memory, so the CLI prints the move vectors instead."""
-        stay = np.maximum(0.0, 1.0 - np.append(0.0, self.down) - np.append(self.up, 0.0))
-        q = np.diag(stay)
-        i = np.arange(self.units)
-        q[i, i + 1] = self.up
-        q[i + 1, i] = self.down
-        return q
+        down, up = np.array(self.down), np.array(self.up)
+        q = np.zeros((len(up), len(up) + 2))  # row u: state u's down, stay, up in columns u..u+2
+        i = np.arange(len(up))
+        q[i, i], q[i, i + 1], q[i, i + 2] = down, np.maximum(0.0, 1.0 - down - up), up
+        return q[:, 1:-1]  # the dropped columns hold down[0] = up[units] = 0
 
 
 def build_kernel(policy) -> TransitionKernel:
@@ -147,16 +149,14 @@ def build_kernel(policy) -> TransitionKernel:
     impossible.
     """
     dists = [policy.state_dist(u) for u in range(policy.units + 1)]
-    return TransitionKernel(
-        up=tuple(d.p01 for d in dists[:-1]), down=tuple(d.p10 for d in dists[1:])
-    )
+    return TransitionKernel(up=tuple(d.p01 for d in dists), down=tuple(d.p10 for d in dists))
 
 
 def _weights(downs, ups, w, u=None):
     """(weights, law) of the detailed-balance recursion
-    w[k] = w[k-1] * ups[k-1] / downs[k] over states 0..len(downs)-1, where
-    downs[k] = q(k, k-1) and ups[k] = q(k, k+1) are state k's moves
-    (downs[0] and ups[len(downs)-1] are not read): the stationary law is
+    w[k] = w[k-1] * ups[k-1] / downs[k] over states 0..len(downs)-1, with
+    state k's moves at index k as in TransitionKernel (downs[0] and
+    ups[len(downs)-1] are not read): the stationary law is
     each weight divided by their total, one _fold of the weights. This is
     the chain's one recursion, rescale and normalisation.
 
@@ -203,7 +203,7 @@ def stationary(kernel: TransitionKernel) -> np.ndarray:
     NotIrreducibleError naming the first unreachable boundary when some
     adjacent move has probability zero.
     """
-    return np.array(_weights((0.0, *kernel.down), kernel.up, [1.0])[1])
+    return np.array(_weights(kernel.down, kernel.up, [1.0])[1])
 
 
 def simulate_chain(
@@ -223,8 +223,8 @@ def simulate_chain(
     u = _count(initial_state, "initial_state", low=0)
     if u > units:
         raise ValueError(f"initial_state must lie in [0,{units}]")
-    down = (0.0, *kernel.down)
-    up_edge = [d + r for d, r in zip(down, (*kernel.up, 0.0))]
+    down = kernel.down
+    up_edge = [d + r for d, r in zip(down, kernel.up)]
     rng = np.random.default_rng(_count(seed, "seed", low=0))
     visits = [0] * (units + 1)
     remaining = steps

@@ -141,7 +141,7 @@ def cmd_stationary(args) -> int:
     # Each state's three moves, from the move vectors: the dense kernel
     # would take O(units^2) memory and output.
     print("state  pi        down      stay      up")
-    for u, (d, r) in enumerate(zip((0.0, *kernel.down), (*kernel.up, 0.0))):
+    for u, (d, r) in enumerate(zip(kernel.down, kernel.up)):
         print(f"{u:>5}  {pi[u]:.6f}  {d:.6f}  {max(0.0, 1.0 - d - r):.6f}  {r:.6f}")
     if steps is not None:
         occ = simulate_chain(kernel, steps, initial_state=0, seed=args.seed)

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 
-from twoway_energy import JointSymbolDist, MarginalPolicy, Transcript, chain, inner, search
+from twoway_energy import JointSymbolDist, MarginalPolicy, Transcript, chain, search
 
 
 def random_policy(rng, units: int, lo: float = 0.05, hi: float = 0.95) -> MarginalPolicy:
@@ -14,18 +14,6 @@ def random_policy(rng, units: int, lo: float = 0.05, hi: float = 0.95) -> Margin
     p1 = np.concatenate(([0.0], rng.uniform(lo, hi, units)))
     p2 = np.concatenate(([0.0], rng.uniform(lo, hi, units)))
     return MarginalPolicy(p1=p1, p2=p2)
-
-
-def run_inner_search(units: int, lam: float, config, settled=None):
-    """search._search of the weighted inner objective from the starts that
-    optimize_sum_rate gives it: (x, f, starts run)."""
-    nfree = 2 * units
-    grid = [[g] * nfree for g in inner.GRID_SEEDS[: config.restarts]]
-
-    def draw(rng):
-        return rng.uniform(0.1, 0.9, nfree)
-
-    return search._search(grid, draw, inner._inner_problem(units, lam), config, settled)
 
 
 def capped_start(problem, start):

@@ -49,7 +49,7 @@ def test_kernel_u2_uniform():
         ]
     )
     assert k.matrix == pytest.approx(expected)
-    assert k.down[0] == pytest.approx(0.25)
+    assert k.down[1] == pytest.approx(0.25)
     assert k.up[1] == pytest.approx(0.25)
 
 
@@ -63,11 +63,15 @@ def test_kernel_rows_sum_to_one_random():
 
 def test_kernel_validation():
     with pytest.raises(ValueError):
-        TransitionKernel(up=(0.5, 0.5), down=(0.5,))  # lengths differ
+        TransitionKernel(up=(0.5, 0.5, 0.0), down=(0.0, 0.5))  # lengths differ
     with pytest.raises(ValueError):
-        TransitionKernel(up=(0.5, 1.5), down=(0.5, 0.5))  # entry outside [0,1]
+        TransitionKernel(up=(0.5, 1.5, 0.0), down=(0.0, 0.5, 0.5))  # entry outside [0,1]
     with pytest.raises(ValueError, match="state 1"):
-        TransitionKernel(up=(0.5, 0.6), down=(0.5, 0.5))  # up[1] + down[0] > 1
+        TransitionKernel(up=(0.5, 0.6, 0.0), down=(0.0, 0.5, 0.5))  # up[1] + down[1] > 1
+    with pytest.raises(ValueError, match="state 0 cannot move down"):
+        TransitionKernel(up=(0.5, 0.0), down=(0.5, 0.5))  # down[0] > 0
+    with pytest.raises(ValueError, match="state 1 cannot move up"):
+        TransitionKernel(up=(0.5, 0.5), down=(0.0, 0.5))  # up[-1] > 0
 
 
 def test_no_down_moves_makes_top_state_absorbing():
@@ -83,10 +87,10 @@ def test_no_down_moves_makes_top_state_absorbing():
 @pytest.mark.parametrize(
     "up, down, message",
     [
-        ((0.5, 0.0, 0.5), (0.5, 0.5, 0.5), "state 1 cannot reach state 2 (up-move probability is 0)"),
-        ((0.5, 0.5, 0.5), (0.5, 0.0, 0.5), "state 2 cannot reach state 1 (down-move probability is 0)"),
+        ((0.5, 0.0, 0.5, 0.0), (0.0, 0.5, 0.5, 0.5), "state 1 cannot reach state 2 (up-move probability is 0)"),
+        ((0.5, 0.5, 0.5, 0.0), (0.0, 0.5, 0.0, 0.5), "state 2 cannot reach state 1 (down-move probability is 0)"),
         # with both kinds of zero, the first zero up move is named
-        ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), "state 2 cannot reach state 3 (up-move probability is 0)"),
+        ((0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5), "state 2 cannot reach state 3 (up-move probability is 0)"),
     ],
 )
 def test_unreachable_state_is_named(up, down, message):
@@ -94,8 +98,7 @@ def test_unreachable_state_is_named(up, down, message):
     with pytest.raises(NotIrreducibleError, match=exactly):
         stationary(TransitionKernel(up=up, down=down))
     # the same chain from joints: state u's up move is its p01, its down move its p10
-    moves = zip((0.0, *down), (*up, 0.0))
-    dists = tuple(JointSymbolDist(1.0 - d - r, r, d, 0.0) for d, r in moves)
+    dists = tuple(JointSymbolDist(1.0 - d - r, r, d, 0.0) for d, r in zip(down, up))
     with pytest.raises(NotIrreducibleError, match=exactly):
         outer_values(JointStatePolicy(dists=dists))
 
@@ -138,7 +141,7 @@ def test_stationary_matches_unscaled_recursion_bit_for_bit_where_finite():
         k = build_kernel(random_policy(rng, units, lo=1e-4, hi=1.0 - 1e-4))
         w = [1.0]
         for u in range(units):
-            w.append(w[-1] * k.up[u] / k.down[u])
+            w.append(w[-1] * k.up[u] / k.down[u + 1])
         total = chain._fold(w)
         if not np.isfinite(total):
             continue
@@ -153,18 +156,18 @@ def test_stationary_goes_on_from_any_unscaled_weight_prefix_bit_for_bit():
     rng = np.random.default_rng(5)
     for _ in range(50):
         units = int(rng.integers(1, 80))
-        up = (10.0 ** rng.uniform(-2.0, 0.0, units)).tolist()
-        down = (10.0 ** rng.uniform(-14.0, 0.0, units)).tolist()
+        up = [*(10.0 ** rng.uniform(-2.0, 0.0, units)).tolist(), 0.0]
+        down = [0.0, *(10.0 ** rng.uniform(-14.0, 0.0, units)).tolist()]
         w = [1.0]
         for u in range(units):
-            w.append(w[-1] * up[u] / down[u])
+            w.append(w[-1] * up[u] / down[u + 1])
         unscaled = w[: w.index(np.inf)] if np.inf in w else w
-        full = _weights((0.0, *down), up, [1.0])
+        full = _weights(down, up, [1.0])
         for k in range(1, units + 2):
             if w[k - 1] == np.inf:
                 break
             prefix = w[:k]
-            assert _weights((0.0, *down), up, prefix) == full
+            assert _weights(down, up, prefix) == full
             assert prefix == unscaled
 
 
@@ -189,7 +192,7 @@ def test_stationary_survives_overflowing_detailed_balance_product():
 
 def test_stationary_rescales_when_only_the_weight_sum_overflows():
     # weights 1, 1.5e308, 1.5e308: each is finite, their sum is not
-    k = TransitionKernel(up=(1.0, 0.5), down=(1 / 1.5e308, 0.5))
+    k = TransitionKernel(up=(1.0, 0.5, 0.0), down=(0.0, 1 / 1.5e308, 0.5))
     pi = stationary(k)
     assert np.all(np.isfinite(pi))
     assert pi.sum() == pytest.approx(1.0, abs=1e-15)
@@ -205,7 +208,7 @@ def test_stationary_matches_linear_solver_oracle():
 
 
 def test_simulate_frozen_chain_stays_put():
-    k = TransitionKernel(up=(0.0, 0.0), down=(0.0, 0.0))
+    k = TransitionKernel(up=(0.0, 0.0, 0.0), down=(0.0, 0.0, 0.0))
     occ = simulate_chain(k, steps=1000, initial_state=1, seed=0)
     assert occ == pytest.approx(np.array([0.0, 1.0, 0.0]))
 

@@ -3,11 +3,12 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import changed_cells, random_policy, run_inner_search
+from conftest import changed_cells, random_policy
 from twoway_energy import (
     JointStatePolicy,
     MarginalPolicy,
@@ -20,6 +21,7 @@ from twoway_energy import (
     region_sweep,
     uniform_policy,
 )
+from twoway_energy import inner
 from twoway_energy.chain import NotIrreducibleError
 from twoway_energy.entropy import _h
 from twoway_energy.inner import _inner_columns, _inner_problem, _inner_settled
@@ -105,13 +107,15 @@ def _starts_until_settled(units, lam, config):
     longer at a time, up to the first start that wins and is settled."""
     settled = _inner_settled(units, lam)
     best = None
-    for k in range(1, config.restarts + 1):
-        x, f, ran = run_inner_search(units, lam, dataclasses.replace(config, restarts=k))
-        assert ran == k
-        if (x, f) != best:  # start k won
-            best = x, f
-            if settled(x, f):
-                return k
+    with mock.patch.object(inner, "_inner_settled", lambda units, lam: None):
+        for k in range(1, config.restarts + 1):
+            res = optimize_sum_rate(units, lam, dataclasses.replace(config, restarts=k))
+            assert res.restarts_used == k
+            x, f = res.policy.p1[1:].tolist() + res.policy.p2[1:].tolist(), res.objective
+            if (x, f) != best:  # start k won
+                best = x, f
+                if settled(x, f):
+                    return k
     return config.restarts
 
 

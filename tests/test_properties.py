@@ -23,7 +23,6 @@ from conftest import (
     marginals_and_conditionals,
     reference_timeshare_syms,
     reference_trial_walk,
-    run_inner_search,
     search_log,
     tally,
 )
@@ -152,11 +151,15 @@ def marginal_policies(draw):
     joint=JointStatePolicy.from_marginal(_constant_policy(64, 1e-12, 1.0 - 1e-12)),
 )
 def test_one_set_of_moves_gives_one_law_bit_for_bit(marginal, joint):
-    # stationary, the inner bound's sums and outer_values each take the law
-    # that chain._weights returns, so the same moves give the same floats
-    _, _, pi = _rates_updown(marginal.p1.tolist(), marginal.p2.tolist())
-    assert stationary(build_kernel(marginal)).tolist() == pi
-    assert outer_values(joint).stationary.tolist() == stationary(build_kernel(joint)).tolist()
+    # a kernel's moves are the bound cells' (down, up), and stationary, the
+    # bounds' sums and outer_values take the law that chain._weights returns
+    p1, p2 = marginal.p1.tolist(), marginal.p2.tolist()
+    kernel, joint_kernel = build_kernel(marginal), build_kernel(joint)
+    cells = zip(*(_outer_cell(*d.as_tuple()) for d in joint.dists))
+    for k, (down, up, *_) in ((kernel, _inner_columns(p1, p2)), (joint_kernel, cells)):
+        assert [v.hex() for v in (*k.down, *k.up)] == [v.hex() for v in (*down, *up)]
+    assert stationary(kernel).tolist() == _rates_updown(p1, p2)[2]
+    assert outer_values(joint).stationary.tolist() == stationary(joint_kernel).tolist()
 
 
 @settings(max_examples=25, deadline=None)
@@ -885,11 +888,12 @@ def test_search_runs_a_start_outside_its_region_from_the_capped_start():
 @example(units=2, lam=0.5, seed=1, restarts=6)  # the third start wins
 def test_a_settled_search_returns_the_full_search_bit_for_bit(units, lam, seed, restarts):
     config = SearchConfig(restarts=restarts, seed=seed)
-    full_x, full_f, ran = run_inner_search(units, lam, config)
-    x, f, stopped = run_inner_search(units, lam, config, _inner_settled(units, lam))
-    assert ran == restarts and 1 <= stopped <= restarts
-    assert [v.hex() for v in x] == [v.hex() for v in full_x]
-    assert f.hex() == full_f.hex()
+    with mock.patch.object(inner, "_inner_settled", lambda units, lam: None):
+        full = optimize_sum_rate(units, lam, config)
+    stopped = optimize_sum_rate(units, lam, config)
+    assert full.restarts_used == restarts and 1 <= stopped.restarts_used <= restarts
+    bits = [[v.hex() for v in (*r.policy.p1[1:], *r.policy.p2[1:], r.objective)] for r in (stopped, full)]
+    assert bits[0] == bits[1]
 
 
 def test_the_search_draws_each_start_only_when_its_turn_comes():

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
+__all__ = ["JointSymbolDist", "binary_entropy", "joint_entropy", "joint_from_marginals"]
+
 _NORM_TOL = 1e-12
 
 

@@ -35,6 +35,8 @@ from .chain import MarginalPolicy
 from .entropy import _h
 from .search import SearchConfig, _cell_sums, _checked_search, _Problem, _search
 
+__all__ = ["OptimizationResult", "RatePair", "optimize_sum_rate", "rates_for_policy", "region_sweep"]
+
 GRID_SEEDS = (0.5, 0.2, 0.35, 0.65, 0.8)
 # The inner certificate proves a state's bound only for bias steps up to this
 # size in magnitude, where its float error stays below 1e-12, and splits an

@@ -32,6 +32,11 @@ from .entropy import JointSymbolDist, _entropy, _h, _joint_line
 from .inner import optimize_sum_rate, rates_for_policy
 from .search import SearchConfig, _cell_sums, _checked_search, _Problem, _search
 
+__all__ = [
+    "JointStatePolicy", "OuterBoundValues", "SweepRow", "optimize_outer_sum", "optimize_outer_weighted",
+    "outer_values", "sweep_details",
+]
+
 
 @dataclass(frozen=True)
 class JointStatePolicy:

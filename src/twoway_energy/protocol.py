@@ -44,6 +44,12 @@ import numpy as np
 from .chain import MarginalPolicy, _count, build_kernel, stationary
 from .entropy import binary_entropy
 
+__all__ = [
+    "CodebookLevel", "CodebookSet", "MarginExhaustedError", "MonteCarloReport", "Transcript", "TrialOutcome",
+    "U1SimResult", "build_codebooks", "draw_messages", "monte_carlo_error", "naive_frame_rate",
+    "optimal_timeshare_sim", "run_trial", "validate_transcript", "variable_length_sim",
+]
+
 
 class MarginExhaustedError(ValueError):
     """A state's stationary mass does not exceed the occupancy margin."""

@@ -110,6 +110,8 @@ import numpy as np
 from . import chain
 from .chain import _count, _weights
 
+__all__ = ["SearchConfig"]
+
 _GOLDEN_XTOL = 1e-6
 _MAX_SWEEPS = 200
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

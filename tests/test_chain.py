@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +33,22 @@ def test_policy_validation():
     pol = uniform_policy(3, 0.7)
     assert pol.units == 3
     assert pol.p1[0] == 0.0 and pol.p2[0] == 0.0
+
+
+def test_policy_owns_its_arrays_and_keeps_no_negative_zero():
+    a = np.array([0.0, 0.5])
+    pol = MarginalPolicy(p1=a, p2=np.array([-0.0, -0.0]))
+    a[1] = 0.3  # the caller's array stays writable, and the policy's own stays put
+    assert pol.p1[1] == 0.5 and not pol.p1.flags.writeable
+    assert [str(v) for v in pol.p2] == ["0.0", "0.0"]
+
+
+def test_the_fold_adds_left_to_right():
+    # from CPython 3.12 on the builtin sum compensates and gives 1.0 here
+    assert chain._fold([1e16, 1.0, -1e16]) == 0.0
+    assert chain._left_fold([1e16, 1.0, -1e16]) == 0.0
+    if sys.implementation.name == "cpython" and sys.version_info < (3, 12):
+        assert chain._fold is sum
 
 
 def test_kernel_u1_symmetric():

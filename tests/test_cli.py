@@ -36,6 +36,16 @@ def test_stationary_policy_file(tmp_path, capsys):
     assert "0.500000" in capsys.readouterr().out
 
 
+def test_stationary_policy_file_with_negative_zeros_prints_zeros(tmp_path, capsys):
+    path = tmp_path / "policy.json"
+    path.write_text('{"p1": [-0.0, 0.5, 0.5], "p2": [-0.0, 0.5, 0.5]}')
+    assert main(["stationary", "--policy", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "policy p1: [0.000000 0.500000 0.500000]" in out
+    assert "\n    0  0.250000  0.000000  0.500000  0.500000\n" in out  # state 0's down move
+    assert "-0.000000" not in out
+
+
 def test_stationary_malformed_policy_file(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -482,6 +492,51 @@ def test_out_of_range_values_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert "must be" in captured.err
     assert captured.out == ""
+
+
+# Each finite end of each key's range in cli.OPTIONS.
+_ENDS = {
+    "budget": (1,), "lam": (0.0, 1.0), "restarts": (1,), "tol": (5e-324,), "seed": (0,),
+    "blocklength": (1,), "epsilon": (0.0,), "delta": (-1.0,), "trials": (1,), "p": (0.0, 1.0),
+    "bits": (1,), "frame": (2,),
+}
+# Small work for the keys a case leaves at their defaults.
+_SMALL = {"restarts": 2, "trials": 2, "blocklength": 200}
+
+
+def test_the_in_range_table_has_every_option_at_each_finite_end():
+    assert set(_ENDS) == set(cli.OPTIONS)  # so that a new option cannot be missed
+    for key, values in _ENDS.items():
+        _, kind, _, _, _, ok = cli.OPTIONS[key]
+        for value in values:
+            below, above = (
+                (value - 1, value + 1) if kind is int
+                else (math.nextafter(value, -math.inf), math.nextafter(value, math.inf))
+            )
+            assert type(value) is kind and ok(value) and not (ok(below) and ok(above))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            command,
+            f"{cli.OPTIONS[key][0]}={value!r}",
+            *(f"{cli.OPTIONS[k][0]}={v}" for k, v in _SMALL.items() if k != key and k in keys.split()),
+        ]
+        for command, (_, _, keys, _) in cli.COMMANDS.items()
+        for key in keys.split()
+        for value in _ENDS[key]
+    ],
+    ids=" ".join,
+)
+def test_values_at_the_ends_of_their_ranges_end_cleanly(capsys, argv):
+    # p at 0 or 1 leaves a state of the chain unreachable: a runtime error
+    unreachable = argv[0] in ("stationary", "simulate") and argv[1] in ("--p=0.0", "--p=1.0")
+    assert main(argv) == (1 if unreachable else 0)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.err.count("error:") == (1 if unreachable else 0)
+    assert "nan" not in captured.out
 
 
 @pytest.mark.parametrize(

@@ -299,7 +299,8 @@ def test_the_sweeps_u16_outer_sum_search_does_its_pinned_work(monkeypatch):
     # undecided), how many chains it solved and how many line forms it
     # built. A change to the comparison filter that silently loses decisions
     # shows here as more exact() calls and solves. Like the float pins,
-    # these counts are CPython 3.11's path; another sum() takes another path.
+    # these counts are the path of chain._fold's left-to-right adds; another
+    # fold takes another path.
     config = SearchConfig(restarts=6, seed=1)
     seed = JointStatePolicy.from_marginal(optimize_sum_rate(16, 0.5, config).policy)
     logs, real_search = [], outer._search

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from twoway_energy import SearchConfig, optimize_outer_sum, optimize_outer_weighted, optimize_sum_rate
+from conftest import library_sum
+from twoway_energy import SearchConfig, chain, optimize_outer_sum, optimize_outer_weighted, optimize_sum_rate
 
 PINS = Path(__file__).parent / "data" / "search_family.json"
 LAMS = (0.0, 0.3, 0.5, 0.9, 1.0)
@@ -29,7 +30,18 @@ def family(units: int, seed: int) -> dict:
 @pytest.mark.parametrize("units, seed", CASES, ids=[f"U{u}-seed{s}" for u, s in CASES])
 def test_each_search_of_the_family_matches_its_pin_bit_for_bit(units, seed):
     # A pin per search, so that a failure names the search that moved. Like
-    # the other float pins, these are CPython 3.11's path: 3.12's
-    # compensated sum() adds the chain's floats in another way.
-    pins = json.loads(PINS.read_text(encoding="utf-8"))["searches"][f"U={units} seed={seed}"]
-    assert family(units, seed) == pins
+    # the other float pins, these are the floats of chain._fold, which adds
+    # left to right on every Python.
+    assert family(units, seed) == _pins(units, seed)
+
+
+@pytest.mark.parametrize("units, seed", [(2, 1), (3, 4), (5, 1)], ids=["U2-seed1", "U3-seed4", "U5-seed1"])
+def test_the_left_fold_keeps_the_pins_bit_for_bit(units, seed):
+    # chain._left_fold is the fold from CPython 3.12 on, where sum compensates;
+    # each of these cases moves under a compensated sum
+    with library_sum(chain._left_fold):
+        assert family(units, seed) == _pins(units, seed)
+
+
+def _pins(units: int, seed: int) -> dict:
+    return json.loads(PINS.read_text(encoding="utf-8"))["searches"][f"U={units} seed={seed}"]
